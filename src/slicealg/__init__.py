@@ -30,7 +30,6 @@ from .quaternion import (
     commutes,
     decompose,
     format_quaternion,
-    mul,
     parse_quaternion,
 )
 from .series import (

@@ -149,8 +149,9 @@ def apply_D(lam, f: PowerSeries) -> PowerSeries:
 def S_lambda(lam, p: PowerSeries) -> PowerSeries:
     """Right inverse of D_lambda on polynomials (lambda != 0).
 
-    b_k = -Sum_{n=k}^{d} a_n lambda^{k-n-1} n!/k!, so that
-    apply_D(lam, S_lambda(lam, p)) = p exactly.
+    b_k = -Sum_{n=k}^{d} a_n lambda^{k-n-1} n!/k!, summed by the backward
+    recurrence b_{d+1} = 0, b_k = ((k+1) b_{k+1} - a_k) lambda^{-1}, so
+    that apply_D(lam, S_lambda(lam, p)) = p exactly.
     """
     lam = as_quaternion(lam)
     if lam.is_zero():
@@ -159,17 +160,10 @@ def S_lambda(lam, p: PowerSeries) -> PowerSeries:
         raise ValueError("S_lambda is defined for polynomials; integrate "
                          "truncated series with E_lambda_op instead")
     lam_inv = lam.inverse()
-    d = p.degree_bound
-    out = []
-    for k in range(d + 1):
-        acc = ZERO
-        pw = lam_inv          # lambda^{k-n-1} at n = k
-        fact = 1.0            # n!/k! at n = k
-        for n in range(k, d + 1):
-            acc = acc + (p.coeffs[n] * pw) * fact
-            pw = pw * lam_inv
-            fact *= n + 1
-        out.append(-acc)
+    out = [ZERO] * (p.degree_bound + 1)
+    nxt = ZERO                                   # b_{k+1}, with b_{d+1} = 0
+    for k in range(p.degree_bound, -1, -1):
+        nxt = out[k] = (nxt * float(k + 1) - p.coeffs[k]) * lam_inv
     return PowerSeries(out, exact=True)
 
 
@@ -234,14 +228,15 @@ def gen_exp(lambdas, n_trunc: int = 40) -> PowerSeries:
     return PowerSeries(prev, exact=False)
 
 
-def f_mu_lambda(mu, lam, n_trunc: int = 40, tail_tol: float = 1e-30) -> PowerSeries:
+def f_mu_lambda(mu, lam, n_trunc: int = 40) -> PowerSeries:
     """The particular solution f^{mu,lambda} of D_lambda f = exp_mu.
 
     Requires 0 < |mu| < |lambda| (strict).  Coefficient of x^k is
-    -(1/k!) Sum_{n>=k} mu^n lambda^{k-n-1}; each sum converges like a
-    geometric series with ratio |mu|/|lambda| and is accumulated until the
-    term drops below ``tail_tol`` relative to the partial sum.  When mu and
-    lambda commute the result equals exp_mu(x) (mu - lambda)^{-1}.
+    -(1/k!) Sum_{n>=k} mu^n lambda^{k-n-1} = -mu^k T / k!, where
+    T = Sum_j mu^j lambda^{-1-j} solves the Sylvester equation
+    T lambda - mu T = 1 in closed form:
+    T = (mu^2 - 2 Re(lambda) mu + |lambda|^2)^{-1} (conj(lambda) - mu).
+    When mu and lambda commute the result equals exp_mu(x) (mu - lambda)^{-1}.
     """
     mu = as_quaternion(mu)
     lam = as_quaternion(lam)
@@ -249,21 +244,13 @@ def f_mu_lambda(mu, lam, n_trunc: int = 40, tail_tol: float = 1e-30) -> PowerSer
         raise RangeError(
             f"f_mu_lambda requires 0 < |mu| < |lambda|, got |mu| = {mu.norm()!r}, "
             f"|lambda| = {lam.norm()!r}")
-    lam_inv = lam.inverse()
-    # mu^k accumulates across k; within each k the term recurrence is
-    # t -> mu * t * lam_inv  (mu on the left, lambda^{-1} on the right)
+    quad = mu * mu - (2.0 * lam.w) * mu + lam.norm2()
+    t = quad.inverse() * (lam.conjugate() - mu)
     mu_pow = ONE
     out = []
     fact = 1.0
     for k in range(n_trunc + 1):
-        term = mu_pow * lam_inv
-        acc = ZERO
-        for _ in range(10000):
-            acc = acc + term
-            term = mu * term * lam_inv
-            if term.norm() <= tail_tol * max(1.0, acc.norm()):
-                break
-        out.append(-acc / fact)
+        out.append(-(mu_pow * t) / fact)
         mu_pow = mu_pow * mu
         fact *= k + 1
     return PowerSeries(out, exact=False)

@@ -9,6 +9,10 @@ axis is binom(n+2, 2) x0^n).  Consequently Delta sends a slice-regular
 entire series Sum x^n a_n to the monogenic series Sum P_n m_n with
 m_n = -4 a_{n+2}, and the two directions of this correspondence are
 implemented by :func:`fueter_laplacian` and :func:`inv_laplacian`.
+Every P-series value, on grids and at single points, goes through the
+O(n) recurrence of :meth:`MonogenicSeries.eval_components`;
+:func:`eval_P` and :func:`eval_Z` keep the definitional sums as
+references.
 
 On the monogenic side the operator L with L(P_n) = (n+2) P_{n-1}
 intertwines the slice derivative: L_lambda o Delta = Delta o D_lambda,
@@ -25,9 +29,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError, ParseError
 from .fmtio import dump_json, load_json
-from .quaternion import Quaternion, ZERO, ONE, I, J, K, as_quaternion, decompose
+from .quaternion import Quaternion, ZERO, ONE, I, J, K, as_quaternion, decompose, \
+    qmul
 from .series import PowerSeries, slice_derivative
 from .sliceexpr import slice_derivative_pointwise
 
@@ -142,22 +149,40 @@ class MonogenicSeries:
     def __neg__(self):
         return MonogenicSeries([-c for c in self.coeffs])
 
-    def __call__(self, x) -> Quaternion:
-        """Evaluate Sum_n P_n(x) m_n, sharing one power table."""
-        x = as_quaternion(x)
-        top = self.degree_bound
-        xc = x.conjugate()
-        xp = _powers(x, top)
-        xcp = _powers(xc, top)
-        acc = ZERO
+    def eval_components(self, x0, x1, x2, x3):
+        """Sum_n P_n(x) m_n at the points (x0, x1, x2, x3); an (..., 4) array.
+
+        On the slice of x, P_n(x) is the complex value P_n(z) at
+        z = x0 + i beta (beta = |Im x|), and the O(n) recurrence
+        P_0 = Z_0 = 1, Z_n = z Z_{n-1} + zbar^n, P_n = z P_{n-1} + Z_n
+        builds it.  Z_n is real, so it obeys Z_n = 2 x0 Z_{n-1} - |x|^2
+        Z_{n-2}; P_n(z) is carried as A_n + i beta B_n, which gives
+        P_n(x) = A_n + Im(x) B_n.  Only beta^2 enters: nothing divides by
+        beta and real points need no special case.
+        """
+        x0, x1, x2, x3 = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+        b2 = x1 * x1 + x2 * x2 + x3 * x3
+        r2 = x0 * x0 + b2
+        two_x0 = 2.0 * x0
+        z_prev, z_cur = np.zeros_like(x0), np.ones_like(x0)
+        pa, pb = np.ones_like(x0), np.zeros_like(x0)
+        real = np.zeros(x0.shape + (4,))
+        imag = np.zeros_like(real)
         for n, m in enumerate(self.coeffs):
-            if m.is_zero():
-                continue
-            p = ZERO
-            for k in range(1, n + 2):
-                p = p + float(k) * (xp[k - 1] * xcp[n - k + 1])
-            acc = acc + p * m
-        return acc
+            if n:
+                z_prev, z_cur = z_cur, two_x0 * z_cur - r2 * z_prev
+                pa, pb = x0 * pa - b2 * pb + z_cur, pa + x0 * pb
+            if not m.is_zero():
+                mv = np.array(m.as_list())
+                real += pa[..., None] * mv
+                imag += pb[..., None] * mv
+        im_x = np.stack([np.zeros_like(x0), x1, x2, x3], axis=-1)
+        return real + qmul(im_x, imag)
+
+    def __call__(self, x) -> Quaternion:
+        """Evaluate Sum_n P_n(x) m_n at one point (:meth:`eval_components`)."""
+        return Quaternion(*self.eval_components(*as_quaternion(x).as_list()))
 
     def __repr__(self):
         return f"MonogenicSeries({[str(c) for c in self.coeffs]!r})"

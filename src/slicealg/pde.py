@@ -21,10 +21,12 @@ where Delta_3 acts in (x1, x2, x3).  Solutions come in two flavours:
   slice constant; these are singular on the real axis and grids must
   carry an exclusion ball around it.
 
-Everything a grid needs is evaluated in closed form from stems: for
-slice-regular u,  Delta_4 u = -(2/beta) J (u'_s - du/dx), with both the
-spherical and the slice derivative available exactly from the series
-coefficients.  No finite differences enter the *construction*; FD is
+Everything a grid needs is evaluated in closed form.  The uniform part
+and the Yukawa solutions are P-series Sum P_n m_n, evaluated by the O(n)
+recurrence of :meth:`MonogenicSeries.eval_components`, which is exact on
+the real axis.  Only the product-domain terms use the stem formula
+Delta_4 u = -(2/beta) J (u'_s - du/dx), whose division by beta is
+inherent there.  No finite differences enter the *construction*; FD is
 used only by :func:`verify_pde` to certify the residuals independently.
 """
 
@@ -39,11 +41,12 @@ import numpy as np
 from .errors import DomainError, GridTooSmall, ParseError, ZeroEigenvalue
 from .fmtio import dump_json, write_csv
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, decompose, \
-    format_quaternion, parse_quaternion
+    format_quaternion, parse_quaternion, qmul
 from .series import PowerSeries, exp_series, slice_derivative
 from .sliceexpr import SliceConstant
 from .eigensolve import gen_exp, S_lambda
-from .monogenic import MonogenicSeries, fueter_laplacian, inv_laplacian, fd_crf
+from .monogenic import MonogenicSeries, fueter_laplacian, inv_laplacian, fd_crf, \
+    richardson_order
 
 __all__ = [
     "GridSpec",
@@ -58,22 +61,6 @@ __all__ = [
 ]
 
 _KINDS = ("helmholtz", "klein-gordon", "yukawa", "quadratic")
-
-# quaternion algebra on (..., 4) component arrays ---------------------------
-
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def _qmul(a, b):
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
-
 
 def _qarr(q: Quaternion):
     return np.array(q.as_list())
@@ -96,28 +83,6 @@ def _stems_arrays(coeffs, alpha, beta):
             f2 += zp.imag[..., None] * av
         zp = zp * z
     return f1, f2
-
-
-def _eval_mono_components(g: MonogenicSeries, x0, x1, x2, x3):
-    """Vectorized Sum_n P_n(x) m_n on component arrays."""
-    xq = np.stack([x0, x1, x2, x3], axis=-1)
-    xc = xq * _CONJ
-    top = g.degree_bound
-    xp = [np.zeros_like(xq)]
-    xp[0][..., 0] = 1.0
-    xcp = [xp[0]]
-    for _ in range(top + 1):
-        xp.append(_qmul(xp[-1], xq))
-        xcp.append(_qmul(xcp[-1], xc))
-    out = np.zeros_like(xq)
-    for n, m in enumerate(g.coeffs):
-        if m.is_zero():
-            continue
-        p = np.zeros_like(xq)
-        for k in range(1, n + 2):
-            p += float(k) * _qmul(xp[k - 1], xcp[n - k + 1])
-        out += _qmul(p, _qarr(m))
-    return out
 
 
 # grids and problems ---------------------------------------------------------
@@ -315,9 +280,7 @@ class SolutionEvaluator:
                 h1, h2 = h.stems()
                 stem_terms.append((_qarr(h1), _qarr(h2), e, slice_derivative(e)))
         self.name = name
-        self.uniform_series = u
         self.mono = fueter_laplacian(u) if u is not None else MonogenicSeries([ZERO])
-        self._du = slice_derivative(u) if u is not None else None
         self._stem_terms = stem_terms
 
     @property
@@ -325,45 +288,29 @@ class SolutionEvaluator:
         return bool(self._stem_terms)
 
     def eval_components(self, x0, x1, x2, x3):
-        """f at the points (x0, x1, x2, x3); returns an (..., 4) array."""
-        x0 = np.asarray(x0, dtype=float)
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        x3 = np.asarray(x3, dtype=float)
-        beta = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-        off = beta > 1e-9
-        if self._stem_terms and not off.all():
+        """f at the points (x0, x1, x2, x3); returns an (..., 4) array.
+
+        The uniform part is the P-series ``mono``; each product-domain
+        term comes from its stems, -(2/beta) J (g'_s - dg/dx).
+        """
+        out = self.mono.eval_components(x0, x1, x2, x3)
+        if not self._stem_terms:
+            return out
+        x0, x1, x2, x3 = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+        b = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+        if not (b > 1e-9).all():
             raise DomainError("product-domain solution evaluated at a real "
                               "point; exclude the real axis from the grid")
-        out = np.zeros(x0.shape + (4,))
-        if off.any():
-            a = x0[off]
-            b = beta[off]
-            jv = np.zeros(a.shape + (4,))
-            jv[..., 1] = x1[off] / b
-            jv[..., 2] = x2[off] / b
-            jv[..., 3] = x3[off] / b
-            acc = np.zeros(a.shape + (4,))
-            if self.uniform_series is not None:
-                _, f2 = _stems_arrays(self.uniform_series.coeffs, a, b)
-                d1, d2 = _stems_arrays(self._du.coeffs, a, b)
-                dval = d1 + _qmul(jv, d2)
-                acc += (-2.0 / b)[..., None] * _qmul(jv, f2 / b[..., None] - dval)
-            for h1v, h2v, e, de in self._stem_terms:
-                f1, f2 = _stems_arrays(e.coeffs, a, b)
-                d1, d2 = _stems_arrays(de.coeffs, a, b)
-                g2 = _qmul(h1v, f2) + _qmul(h2v, f1)
-                p1 = _qmul(h1v, d1) - _qmul(h2v, d2)
-                p2 = _qmul(h1v, d2) + _qmul(h2v, d1)
-                dval = p1 + _qmul(jv, p2)
-                acc += (-2.0 / b)[..., None] * _qmul(jv, g2 / b[..., None] - dval)
-            out[off] = acc
-        if not off.all():
-            # exact real points: the uniform part continues as a P-series
-            idx = np.argwhere(~off)
-            for ix in idx:
-                v = self.mono(Quaternion(float(x0[tuple(ix)])))
-                out[tuple(ix)] = v.as_list()
+        jv = np.stack([np.zeros_like(b), x1 / b, x2 / b, x3 / b], axis=-1)
+        for h1v, h2v, e, de in self._stem_terms:
+            f1, f2 = _stems_arrays(e.coeffs, x0, b)
+            d1, d2 = _stems_arrays(de.coeffs, x0, b)
+            g2 = qmul(h1v, f2) + qmul(h2v, f1)
+            p1 = qmul(h1v, d1) - qmul(h2v, d2)
+            p2 = qmul(h1v, d2) + qmul(h2v, d1)
+            dval = p1 + qmul(jv, p2)
+            out += (-2.0 / b)[..., None] * qmul(jv, g2 / b[..., None] - dval)
         return out
 
     def __call__(self, x) -> Quaternion:
@@ -372,25 +319,6 @@ class SolutionEvaluator:
             np.array([x.w]), np.array([x.x1]),
             np.array([x.x2]), np.array([x.x3]))
         return Quaternion(*comps[0])
-
-
-class _MonoEvaluator:
-    """Adapter presenting a MonogenicSeries as a grid evaluator."""
-
-    product_domain = False
-
-    def __init__(self, g: MonogenicSeries):
-        self.mono = g
-
-    def eval_components(self, x0, x1, x2, x3):
-        return _eval_mono_components(self.mono,
-                                     np.asarray(x0, dtype=float),
-                                     np.asarray(x1, dtype=float),
-                                     np.asarray(x2, dtype=float),
-                                     np.asarray(x3, dtype=float))
-
-    def __call__(self, x) -> Quaternion:
-        return self.mono(as_quaternion(x))
 
 
 def _as_constant(h) -> SliceConstant:
@@ -517,12 +445,13 @@ def _operator_residual(problem: PdeProblem, lap, fv, rhs_vals, factor: float):
     res = lap + (factor * (a * a - b * b)) * fv
     if b != 0.0:
         iv = _qarr(sp.j)
-        res = res + (factor * 2.0 * a * b) * _qmul(fv, iv)
+        res = res + (factor * 2.0 * a * b) * qmul(fv, iv)
     return res
 
 
 def verify_pde(f, problem: PdeProblem) -> PdeReport:
-    """Check the constructed solution against its PDE on the grid.
+    """Check a solution (a SolutionEvaluator or a MonogenicSeries)
+    against its PDE on the grid.
 
     The Laplacian Delta_3 is approximated by second-order central
     differences at fixed x0, at steps h and h/2 (Richardson order
@@ -531,7 +460,6 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     lambda -> 2 lambda from the same samples, and monogenicity of f is
     spot-checked with fd_crf at five nodes.
     """
-    ev = _MonoEvaluator(f) if isinstance(f, MonogenicSeries) else f
     grid = problem.grid
     h = grid.effective_fd_step
 
@@ -540,7 +468,8 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     x1c, x2c, x3c = g1.ravel(), g2.ravel(), g3.ravel()
     beta = np.sqrt(x1c * x1c + x2c * x2c + x3c * x3c)
 
-    if ev.product_domain and grid.exclude_radius <= 0.0:
+    product_domain = isinstance(f, SolutionEvaluator) and f.product_domain
+    if product_domain and grid.exclude_radius <= 0.0:
         raise DomainError("product-domain solutions require a grid with "
                           "exclude_radius > 0 (singular on the real axis)")
     if grid.exclude_radius > 0.0:
@@ -550,61 +479,46 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         raise GridTooSmall("no grid nodes survive the exclusion ball")
     x0c = np.full_like(x1c, grid.x0)
 
-    fv = ev.eval_components(x0c, x1c, x2c, x3c)
+    fv = f.eval_components(x0c, x1c, x2c, x3c)
 
     def lap3(step):
         acc = -6.0 * fv
         for dx1, dx2, dx3 in ((step, 0.0, 0.0), (-step, 0.0, 0.0),
                               (0.0, step, 0.0), (0.0, -step, 0.0),
                               (0.0, 0.0, step), (0.0, 0.0, -step)):
-            acc = acc + ev.eval_components(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
+            acc = acc + f.eval_components(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
         return acc / (step * step)
 
     rhs_vals = None
     if problem.kind == "yukawa":
-        rhs_vals = _eval_mono_components(problem.rhs, x0c, x1c, x2c, x3c)
-
-    lap_h = lap3(h)
-    lap_h2 = lap3(h / 2.0)
+        rhs_vals = problem.rhs.eval_components(x0c, x1c, x2c, x3c)
 
     fnorm = np.linalg.norm(fv, axis=-1)
     scale = float(fnorm.max())
     div = scale if scale > 0.0 else 1.0
 
-    res_h = np.linalg.norm(
-        _operator_residual(problem, lap_h, fv, rhs_vals, 1.0), axis=-1)
-    res_h2 = np.linalg.norm(
-        _operator_residual(problem, lap_h2, fv, rhs_vals, 1.0), axis=-1)
-    neg = np.linalg.norm(
-        _operator_residual(problem, lap_h, fv, rhs_vals, 4.0), axis=-1)
+    def residual_norms(lap, factor=1.0):
+        return np.linalg.norm(
+            _operator_residual(problem, lap, fv, rhs_vals, factor), axis=-1)
 
-    max_rel = float(res_h.max()) / div
+    laps = {}
+
+    def max_rel_residual(step):
+        laps[step] = lap3(step)
+        return float(residual_norms(laps[step]).max()) / div
+
+    max_rel, _, order = richardson_order(max_rel_residual, h, floor=1e-11)
+    res_h = residual_norms(laps[h])
     mean_rel = float(res_h.mean()) / div
-    max_rel_h2 = float(res_h2.max()) / div
-    if max_rel <= 1e-11 and max_rel_h2 <= 1e-11:
-        order = math.inf                     # converged to roundoff
-    elif max_rel_h2 == 0.0:
-        order = math.inf
-    else:
-        order = math.log2(max_rel / max_rel_h2)
+    neg = residual_norms(laps[h], 4.0)
 
     # monogenicity spot checks
     spots = np.unique(np.linspace(0, x1c.size - 1, 5).astype(int))
-    monog = 0.0
-    monog_half = 0.0
-    crf_h = 1e-3
-    for s in spots:
-        pt = Quaternion(float(x0c[s]), float(x1c[s]),
-                        float(x2c[s]), float(x3c[s]))
-        d1, _ = fd_crf(ev, pt, crf_h)
-        d2, _ = fd_crf(ev, pt, crf_h / 2.0)
-        monog = max(monog, d1.norm())
-        monog_half = max(monog_half, d2.norm())
-    monog_rel = monog / div
-    if monog / div <= 1e-12 and monog_half / div <= 1e-12:
-        monog_order = math.inf
-    else:
-        monog_order = math.log2(monog / monog_half) if monog_half else math.inf
+    points = [Quaternion(float(x0c[s]), float(x1c[s]),
+                         float(x2c[s]), float(x3c[s])) for s in spots]
+    monog_rel, _, monog_order = richardson_order(
+        lambda step: max(fd_crf(f, pt, step)[0].norm() for pt in points) / div,
+        1e-3, floor=1e-12)
 
     rows = [
         (float(x0c[i]), float(x1c[i]), float(x2c[i]), float(x3c[i]),

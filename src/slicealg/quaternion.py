@@ -19,6 +19,8 @@ import math
 import re
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .errors import ParseError
 
 __all__ = [
@@ -29,7 +31,6 @@ __all__ = [
     "I",
     "J",
     "K",
-    "mul",
     "commutes",
     "decompose",
     "as_quaternion",
@@ -207,9 +208,17 @@ J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product (function form of ``a * b``)."""
-    return _coerce(a) * _coerce(b)
+def qmul(a, b):
+    """Hamilton product of (..., 4) component arrays [w, x1, x2, x3],
+    broadcasting over the leading axes (the array form of ``a * b``)."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
 
 
 def commutes(a: Quaternion, b: Quaternion, tol: float = 1e-12) -> bool:

@@ -99,6 +99,18 @@ def S_lambda_checked(lam, p):
     return s
 
 
+def test_S_lambda_high_degree_is_finite():
+    # n!/k! overflows past degree 170; the backward recurrence never forms it
+    rng = random.Random(309)
+    lam = rand_q(rng)
+    lam = lam * (90.0 / lam.norm())
+    p = rand_poly(rng, 199)
+    s = S_lambda_checked(lam, p)
+    assert all(math.isfinite(c.norm()) for c in s.coeffs)
+    back = apply_D(lam, s)
+    assert max_coeff_diff(back, p) < 1e-13 * max(1.0, _max_norm(s))
+
+
 def test_S_lambda_rejects_zero_and_inexact():
     from slicealg import S_lambda
     p = PowerSeries([ONE, I])
@@ -346,6 +358,20 @@ def test_f_mu_lambda_commuting_closed_form():
     f = f_mu_lambda(mu_, lam, 45)
     want = exp_series(mu_, 45) * (mu_ - lam).inverse()
     assert max_coeff_diff(f, want) < 1e-12
+
+
+def test_f_mu_lambda_near_the_radius():
+    # |mu|/|lambda| = 0.999: the geometric sum behind each coefficient
+    # converges too slowly to sum term by term
+    rng = random.Random(341)
+    lam = rand_q(rng, 1.0)
+    lam = lam * (1.3 / lam.norm())
+    mu_ = rand_q(rng, 1.0)
+    mu_ = mu_ * (0.999 * 1.3 / mu_.norm())
+    d = apply_D(lam, f_mu_lambda(mu_, lam, 40))
+    e = exp_series(mu_, 40)
+    for n in range(d.degree_bound + 1):
+        assert (d.coeff(n) - e.coeff(n)).norm() <= 1e-12 * e.coeff(n).norm()
 
 
 def test_f_mu_lambda_range_guards():

@@ -21,6 +21,7 @@ from slicealg import (
     ONE,
     ZERO,
     ZeroEigenvalue,
+    eval_P,
     general_quadratic_kernel,
     helmholtz_solution,
     klein_gordon_solution,
@@ -248,3 +249,31 @@ def test_evaluator_matches_componentwise_eval():
     # real points are fine for entire solutions
     v = f(Quaternion(0.3))
     assert math.isfinite(v.w)
+
+
+@pytest.mark.parametrize("beta", [1e-1, 1e-3, 1e-6, 1e-8, 0.0])
+def test_p_series_values_near_the_axis(beta):
+    # every P-series value agrees with the definitional Sum eval_P(n, x) m_n,
+    # on the real axis and arbitrarily close to it
+    x = Quaternion(0.4, beta / 3.0, -2.0 * beta / 3.0, 2.0 * beta / 3.0)
+    comps = [np.array([v]) for v in x.as_list()]
+
+    def reference(g):
+        acc = ZERO
+        for n, m in enumerate(g.coeffs):
+            acc = acc + eval_P(n, x) * m
+        return acc
+
+    def close(got, want):
+        return (got - want).norm() <= 1e-12 * want.norm()
+
+    f = helmholtz_solution(1.0)
+    want = reference(f.mono)
+    assert close(f(x), want)
+    assert close(Quaternion(*f.eval_components(*comps)[0]), want)
+
+    rng = random.Random(521)
+    g = MonogenicSeries([rand_q(rng) for _ in range(41)])
+    want = reference(g)
+    assert close(g(x), want)
+    assert close(Quaternion(*g.eval_components(*comps)[0]), want)
