@@ -17,12 +17,13 @@ environment variable, else a fixed default.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from . import __version__
 from .errors import IoError, ParseError, SliceAlgError
-from .fmtio import dumps_json, load_json, write_csv
+from .fmtio import csv_chunks, dumps_json, load_json
 from .quaternion import parse_quaternion
 from .series import load_coeffs
 from .eigensolve import gen_exp, solve_with_initial
@@ -117,34 +118,44 @@ def cmd_solve(args) -> int:
 
 def cmd_eval(args) -> int:
     f = _load_series_file(args.coeffs)
-    points = _read_points(args)
-    rows = []
-    for x in points:
-        v = f(x)
-        rows.append((x.w, x.x1, x.x2, x.x3, v.w, v.x1, v.x2, v.x3))
+    rows = [x.as_list() + f(x).as_list() for x in _read_points(args)]
     header = ["x0", "x1", "x2", "x3", "f_w", "f_x1", "f_x2", "f_x3"]
-    if args.output in (None, "-"):
-        from .fmtio import fmt_float
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(fmt_float(v) for v in row) + "\n")
-    else:
-        write_csv(args.output, header, rows)
+    _write_text("".join(csv_chunks(header, rows)), args.output)
     return 0
 
 
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise ParseError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
+def _axis_values(text: str, flag: str, kind):
+    """A comma list of one value (for all three axes) or three values."""
+    try:
+        values = tuple(kind(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"{flag} {text!r}: {exc}") from exc
+    for v in values:
+        _finite(v, flag)
+    return values * 3 if len(values) == 1 else values
+
+
 def _grid_from_args(args) -> GridSpec:
-    counts = tuple(int(v) for v in args.grid_counts.split(","))
-    if len(counts) == 1:
-        counts = counts * 3
-    lo = tuple(float(v) for v in args.grid_lo.split(","))
-    hi = tuple(float(v) for v in args.grid_hi.split(","))
-    if len(lo) == 1:
-        lo = lo * 3
-    if len(hi) == 1:
-        hi = hi * 3
-    return GridSpec(counts=counts, lo=lo, hi=hi, x0=args.x0,
-                    exclude_radius=args.exclude, fd_step=args.fd_step)
+    fd_step = args.fd_step
+    if fd_step is not None:
+        _finite(fd_step, "--fd-step")
+    try:
+        return GridSpec(counts=_axis_values(args.grid_counts, "--grid-counts", int),
+                        lo=_axis_values(args.grid_lo, "--grid-lo", float),
+                        hi=_axis_values(args.grid_hi, "--grid-hi", float),
+                        x0=_finite(args.x0, "--x0"),
+                        exclude_radius=_finite(args.exclude, "--exclude"),
+                        fd_step=fd_step)
+    except SliceAlgError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"bad grid: {exc}") from exc
 
 
 def _constants_from_file(path):
@@ -170,7 +181,8 @@ def _problem_from_args(args) -> PdeProblem:
     constants = tuple(_constants_from_file(args.constants)) \
         if args.constants else ()
     lam1 = parse_quaternion(args.lambda1) if args.lambda1 else None
-    return PdeProblem(kind=args.kind, lam=args.lam, unit_i=unit,
+    return PdeProblem(kind=args.kind, lam=_finite(args.lam, "--lambda"),
+                      unit_i=unit,
                       slice_constants=constants, rhs=rhs, lam1=lam1,
                       grid=_grid_from_args(args), degree=args.degree)
 

@@ -2,17 +2,27 @@
 
 All floating values are written with 17 significant digits (``%.17g``),
 which round-trips every finite IEEE double exactly and makes repeated
-runs byte-identical.  The JSON writer keeps dict insertion order and
-renders flat numeric lists (e.g. quaternion quadruples) on one line.
+runs byte-identical; NaN and infinities are refused with ``ValueError``.
+The JSON writer keeps dict insertion order and renders flat numeric
+lists (e.g. quaternion quadruples) on one line.  CSV bodies are numeric
+arrays: :func:`csv_chunks` formats them :data:`CSV_BLOCK` rows at a time
+with one ``%.17g`` row template, which gives the bytes of
+:func:`fmt_float` without a Python call per value, and :func:`write_csv`
+streams those chunks to a file.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 
-__all__ = ["fmt_float", "dumps_json", "dump_json", "load_json", "write_csv"]
+import numpy as np
+
+__all__ = ["fmt_float", "dumps_json", "dump_json", "load_json", "csv_chunks",
+           "write_csv"]
+
+# Rows formatted per string operation of the CSV writer.
+CSV_BLOCK = 4096
 
 
 def fmt_float(value: float) -> str:
@@ -89,12 +99,30 @@ def load_json(path):
         return json.load(fh)
 
 
+def csv_chunks(header, rows):
+    """The CSV text of ``header`` and numeric ``rows``, in chunks.
+
+    ``rows`` is an (n, k) array or anything ``np.asarray`` turns into
+    one.  Every value is written as :func:`fmt_float` writes it; a NaN or
+    an infinity raises ``ValueError`` before any text is produced.
+    """
+    data = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(data)
+    if bad.any():
+        raise ValueError(f"non-finite value in output: {float(data[bad][0])!r}")
+    yield ",".join(header) + "\n"
+    if data.size == 0:
+        return
+    line = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    for start in range(0, len(data), CSV_BLOCK):
+        block = data[start:start + CSV_BLOCK]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
 def write_csv(path, header, rows) -> None:
-    """Write rows of numbers/strings; floats formatted at 17 digits."""
+    """Write ``header`` and numeric ``rows`` to ``path`` (:func:`csv_chunks`)."""
+    chunks = csv_chunks(header, rows)
+    first = next(chunks)        # the values are checked before the file opens
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                fmt_float(v) if isinstance(v, float) else v for v in row
-            ])
+        fh.write(first)
+        fh.writelines(chunks)

@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .fmtio import dump_json, load_json
-from .quaternion import Quaternion, ZERO, ONE, I, J, K, as_quaternion, decompose, \
-    qmul
+from .quaternion import Quaternion, ZERO, ONE, I, J, K, as_quaternion, decompose
 from .series import PowerSeries, slice_derivative
 from .sliceexpr import slice_derivative_pointwise
 
@@ -57,6 +56,29 @@ __all__ = [
 ]
 
 _UNITS = (ONE, I, J, K)
+
+# Points per block of a grid evaluation: a block's buffers stay in cache.
+BLOCK = 8192
+
+
+def in_blocks(kernel, x0, x1, x2, x3):
+    """Evaluate ``kernel`` over broadcast coordinate arrays, block by block.
+
+    ``kernel(x0, x1, x2, x3)`` takes 1-D coordinate arrays of at most
+    :data:`BLOCK` points and returns the four components of its values.
+    Returns the (..., 4) array of all points; the kernel's working memory
+    stays bounded by the block size.
+    """
+    x0, x1, x2, x3 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+    shape = x0.shape
+    flat = [v.reshape(-1) for v in (x0, x1, x2, x3)]
+    out = np.empty((x0.size, 4))
+    for start in range(0, x0.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        for c, v in enumerate(kernel(*(x[block] for x in flat))):
+            out[block, c] = v
+    return out.reshape(shape + (4,))
 
 
 def _powers(x: Quaternion, top: int):
@@ -105,13 +127,19 @@ def eval_Z(n: int, x) -> Quaternion:
 class MonogenicSeries:
     """A finite expansion g(x) = Sum_n P_n(x) m_n in the P-basis."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_terms")
 
     def __init__(self, coeffs):
         cs = tuple(as_quaternion(c) for c in coeffs)
         if not cs:
             cs = (ZERO,)
         object.__setattr__(self, "coeffs", cs)
+        # the nonzero (component, value) pairs of each m_n, up to the last
+        # nonzero m_n: what the evaluation kernel reads
+        last = max((n for n, c in enumerate(cs) if not c.is_zero()), default=0)
+        object.__setattr__(self, "_terms", tuple(
+            tuple((k, v) for k, v in enumerate(c.as_list()) if v != 0.0)
+            for c in cs[:last + 1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("MonogenicSeries is immutable")
@@ -158,31 +186,39 @@ class MonogenicSeries:
         builds it.  Z_n is real, so it obeys Z_n = 2 x0 Z_{n-1} - |x|^2
         Z_{n-2}; P_n(z) is carried as A_n + i beta B_n, which gives
         P_n(x) = A_n + Im(x) B_n.  Only beta^2 enters: nothing divides by
-        beta and real points need no special case.
+        beta and real points need no special case.  The points are taken
+        in blocks of :data:`BLOCK` (:func:`in_blocks`).
         """
-        x0, x1, x2, x3 = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+        return in_blocks(self._sums, x0, x1, x2, x3)
+
+    def _sums(self, x0, x1, x2, x3):
+        # The one evaluation kernel, on floats (one point) or on 1-D
+        # arrays (a block): the components of Sum A_n m_n + Im(x) Sum B_n m_n.
+        # Zero components of m_n are skipped; the arithmetic is otherwise
+        # that of the docstring of eval_components, operation for operation.
         b2 = x1 * x1 + x2 * x2 + x3 * x3
         r2 = x0 * x0 + b2
         two_x0 = 2.0 * x0
-        z_prev, z_cur = np.zeros_like(x0), np.ones_like(x0)
-        pa, pb = np.ones_like(x0), np.zeros_like(x0)
-        real = np.zeros(x0.shape + (4,))
-        imag = np.zeros_like(real)
-        for n, m in enumerate(self.coeffs):
+        z_prev, z_cur = 0.0, 1.0
+        pa, pb = 1.0, 0.0
+        re = [0.0] * 4
+        im = [0.0] * 4
+        for n, m in enumerate(self._terms):
             if n:
                 z_prev, z_cur = z_cur, two_x0 * z_cur - r2 * z_prev
                 pa, pb = x0 * pa - b2 * pb + z_cur, pa + x0 * pb
-            if not m.is_zero():
-                mv = np.array(m.as_list())
-                real += pa[..., None] * mv
-                imag += pb[..., None] * mv
-        im_x = np.stack([np.zeros_like(x0), x1, x2, x3], axis=-1)
-        return real + qmul(im_x, imag)
+            for c, mc in m:
+                re[c] += pa * mc
+                im[c] += pb * mc
+        return (re[0] + (-x1 * im[1] - x2 * im[2] - x3 * im[3]),
+                re[1] + (x1 * im[0] + x2 * im[3] - x3 * im[2]),
+                re[2] + (-x1 * im[3] + x2 * im[0] + x3 * im[1]),
+                re[3] + (x1 * im[2] - x2 * im[1] + x3 * im[0]))
 
     def __call__(self, x) -> Quaternion:
-        """Evaluate Sum_n P_n(x) m_n at one point (:meth:`eval_components`)."""
-        return Quaternion(*self.eval_components(*as_quaternion(x).as_list()))
+        """Evaluate Sum_n P_n(x) m_n at one point, by the kernel of
+        :meth:`eval_components` on floats (the same values, bit for bit)."""
+        return Quaternion(*self._sums(*as_quaternion(x).as_list()))
 
     def __repr__(self):
         return f"MonogenicSeries({[str(c) for c in self.coeffs]!r})"

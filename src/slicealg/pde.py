@@ -26,8 +26,15 @@ and the Yukawa solutions are P-series Sum P_n m_n, evaluated by the O(n)
 recurrence of :meth:`MonogenicSeries.eval_components`, which is exact on
 the real axis.  Only the product-domain terms use the stem formula
 Delta_4 u = -(2/beta) J (u'_s - du/dx), whose division by beta is
-inherent there.  No finite differences enter the *construction*; FD is
-used only by :func:`verify_pde` to certify the residuals independently.
+inherent there; the stems of all terms together are one linear map of
+the powers of z = x0 + i beta, built once per evaluator.  Grids are
+evaluated in blocks of :data:`monogenic.BLOCK` points, so the working
+memory of an evaluation does not grow with the grid.
+
+No finite differences enter the *construction*; FD is used only by
+:func:`verify_pde` to certify the residuals independently.  Its report
+keeps the nodes, values and residual norms as one (n, 9) float array,
+``PdeReport.rows``, which :func:`fmtio.write_csv` writes block by block.
 """
 
 from __future__ import annotations
@@ -42,11 +49,11 @@ from .errors import DomainError, GridTooSmall, ParseError, ZeroEigenvalue
 from .fmtio import dump_json, write_csv
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, decompose, \
     format_quaternion, parse_quaternion, qmul
-from .series import PowerSeries, exp_series, slice_derivative
+from .series import PowerSeries, exp_series
 from .sliceexpr import SliceConstant
 from .eigensolve import gen_exp, S_lambda
-from .monogenic import MonogenicSeries, fueter_laplacian, inv_laplacian, fd_crf, \
-    richardson_order
+from .monogenic import MonogenicSeries, fueter_laplacian, in_blocks, \
+    inv_laplacian, richardson_order
 
 __all__ = [
     "GridSpec",
@@ -66,23 +73,25 @@ def _qarr(q: Quaternion):
     return np.array(q.as_list())
 
 
-def _stems_arrays(coeffs, alpha, beta):
-    """Stem components (F1, F2) of sum x^n a_n at z = alpha + i beta.
+def _stem_map(h: SliceConstant, e: PowerSeries):
+    """The linear map from powers of z to the stems of Delta_4(h . e).
 
-    Returns two (n, 4) arrays; quaternion coefficients multiply from the
-    right, so each power contributes Re(z^n) a_n and Im(z^n) a_n.
+    With z = alpha + i beta, h = h1 + J h2 and e = Sum x^n a_n, the stem
+    formula needs G2 = h1 F2 + h2 F1, P1 = h1 D1 - h2 D2 and
+    P2 = h1 D2 + h2 D1, where F1 + i F2 = Sum z^n a_n and D1 + i D2 =
+    Sum z^n (n+1) a_{n+1} (the slice derivative).  Each is linear in Re z^n
+    and Im z^n, so the (2n, 12) array returned maps the interleaved row
+    [Re z^0, Im z^0, Re z^1, Im z^1, ...] to [G2, P1, P2].
     """
-    z = alpha + 1j * beta
-    zp = np.ones_like(z)
-    f1 = np.zeros(alpha.shape + (4,))
-    f2 = np.zeros_like(f1)
-    for a in coeffs:
-        if not a.is_zero():
-            av = _qarr(a)
-            f1 += zp.real[..., None] * av
-            f2 += zp.imag[..., None] * av
-        zp = zp * z
-    return f1, f2
+    h1, h2 = (_qarr(q) for q in h.stems())
+    a = np.array([c.as_list() for c in e.coeffs])
+    da = np.zeros_like(a)
+    da[:-1] = np.arange(1.0, len(a))[:, None] * a[1:]
+    h1a, h2a, h1d, h2d = qmul(h1, a), qmul(h2, a), qmul(h1, da), qmul(h2, da)
+    out = np.empty((2 * len(a), 12))
+    out[0::2] = np.hstack([h2a, h1d, h2d])
+    out[1::2] = np.hstack([h1a, -h2d, h1d])
+    return out
 
 
 # grids and problems ---------------------------------------------------------
@@ -269,7 +278,7 @@ class SolutionEvaluator:
     def __init__(self, terms: Sequence[Tuple[SliceConstant, PowerSeries]],
                  name: str = ""):
         u = None
-        stem_terms = []
+        maps = []
         for h, e in terms:
             if h.is_uniform:
                 if h.a1.is_zero():
@@ -277,44 +286,53 @@ class SolutionEvaluator:
                 ue = h.a1 * e
                 u = ue if u is None else u + ue
             else:
-                h1, h2 = h.stems()
-                stem_terms.append((_qarr(h1), _qarr(h2), e, slice_derivative(e)))
+                maps.append(_stem_map(h, e))
         self.name = name
         self.mono = fueter_laplacian(u) if u is not None else MonogenicSeries([ZERO])
-        self._stem_terms = stem_terms
+        self._stem_map = None
+        if maps:
+            self._stem_map = np.zeros((max(len(m) for m in maps), 12))
+            for m in maps:
+                self._stem_map[:len(m)] += m
 
     @property
     def product_domain(self) -> bool:
-        return bool(self._stem_terms)
+        return self._stem_map is not None
 
     def eval_components(self, x0, x1, x2, x3):
         """f at the points (x0, x1, x2, x3); returns an (..., 4) array.
 
-        The uniform part is the P-series ``mono``; each product-domain
-        term comes from its stems, -(2/beta) J (g'_s - dg/dx).
+        The uniform part is the P-series ``mono``.  The product-domain
+        terms together are -(2/beta) J (G2/beta - P1 - J P2), with
+        [G2, P1, P2] one product of the powers of z = x0 + i beta with
+        the summed linear maps of the terms (:func:`_stem_map`).  The
+        points are taken in blocks (:func:`monogenic.in_blocks`).
         """
-        out = self.mono.eval_components(x0, x1, x2, x3)
-        if not self._stem_terms:
-            return out
-        x0, x1, x2, x3 = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+        if self._stem_map is None:
+            return self.mono.eval_components(x0, x1, x2, x3)
+        return in_blocks(self._block_components, x0, x1, x2, x3)
+
+    def _block_components(self, x0, x1, x2, x3):
         b = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
         if not (b > 1e-9).all():
             raise DomainError("product-domain solution evaluated at a real "
                               "point; exclude the real axis from the grid")
+        zp = np.empty((b.size, len(self._stem_map) // 2), dtype=complex)
+        zp[:, 0] = 1.0
+        zp[:, 1:] = (x0 + 1j * b)[:, None]
+        np.multiply.accumulate(zp, axis=1, out=zp)
+        g = zp.view(float) @ self._stem_map
+        g2, p1, p2 = g[:, :4], g[:, 4:8], g[:, 8:]
         jv = np.stack([np.zeros_like(b), x1 / b, x2 / b, x3 / b], axis=-1)
-        for h1v, h2v, e, de in self._stem_terms:
-            f1, f2 = _stems_arrays(e.coeffs, x0, b)
-            d1, d2 = _stems_arrays(de.coeffs, x0, b)
-            g2 = qmul(h1v, f2) + qmul(h2v, f1)
-            p1 = qmul(h1v, d1) - qmul(h2v, d2)
-            p2 = qmul(h1v, d2) + qmul(h2v, d1)
-            dval = p1 + qmul(jv, p2)
-            out += (-2.0 / b)[..., None] * qmul(jv, g2 / b[..., None] - dval)
-        return out
+        f = self.mono.eval_components(x0, x1, x2, x3)
+        f += (-2.0 / b)[:, None] * qmul(jv, g2 / b[:, None]
+                                        - (p1 + qmul(jv, p2)))
+        return f.T
 
     def __call__(self, x) -> Quaternion:
         x = as_quaternion(x)
+        if self._stem_map is None:
+            return self.mono(x)
         comps = self.eval_components(
             np.array([x.w]), np.array([x.x1]),
             np.array([x.x2]), np.array([x.x3]))
@@ -393,8 +411,9 @@ def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
 class PdeReport:
     """Residual statistics from :func:`verify_pde`.
 
-    ``rows`` holds one CSV row per verified node:
-    (x0, x1, x2, x3, f_w, f_x1, f_x2, f_x3, residual_norm).
+    ``rows`` is an (n_points, 9) float array, one row per verified node:
+    x0, x1, x2, x3, f_w, f_x1, f_x2, f_x3, residual_norm.  It is the
+    CSV body that :meth:`write_csv` writes.
     """
 
     kind: str
@@ -407,7 +426,7 @@ class PdeReport:
     negative_control: float
     monogenicity_max_rel: float
     monogenicity_order: float
-    rows: list
+    rows: np.ndarray
 
     def summary(self) -> dict:
         order = self.richardson_order
@@ -449,6 +468,19 @@ def _operator_residual(problem: PdeProblem, lap, fv, rhs_vals, factor: float):
     return res
 
 
+def _fd_crf_at(f, points, h: float):
+    """d_cf f at each row of ``points`` (k, 4), as :func:`monogenic.fd_crf`
+    computes it: central differences of step h along the four axes, with
+    the 8 k shifted points taken in one ``eval_components`` call."""
+    units = np.eye(4)           # the axis steps, and 1, i, j, k
+    shifted = points[:, None, :] + h * np.concatenate([units, -units])
+    vals = f.eval_components(*np.moveaxis(shifted, -1, 0))
+    parts = (vals[:, :4] - vals[:, 4:]) / (2.0 * h)
+    i, j, k = units[1:]
+    return 0.5 * (parts[:, 0] + qmul(i, parts[:, 1]) + qmul(j, parts[:, 2])
+                  + qmul(k, parts[:, 3]))
+
+
 def verify_pde(f, problem: PdeProblem) -> PdeReport:
     """Check a solution (a SolutionEvaluator or a MonogenicSeries)
     against its PDE on the grid.
@@ -458,7 +490,7 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     estimate); the relative residual is |residual| / max|f| over kept
     nodes.  A negative control re-evaluates the residual with
     lambda -> 2 lambda from the same samples, and monogenicity of f is
-    spot-checked with fd_crf at five nodes.
+    spot-checked with the fd_crf differences at five nodes.
     """
     grid = problem.grid
     h = grid.effective_fd_step
@@ -486,7 +518,7 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         for dx1, dx2, dx3 in ((step, 0.0, 0.0), (-step, 0.0, 0.0),
                               (0.0, step, 0.0), (0.0, -step, 0.0),
                               (0.0, 0.0, step), (0.0, 0.0, -step)):
-            acc = acc + f.eval_components(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
+            acc += f.eval_components(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
         return acc / (step * step)
 
     rhs_vals = None
@@ -514,18 +546,13 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
 
     # monogenicity spot checks
     spots = np.unique(np.linspace(0, x1c.size - 1, 5).astype(int))
-    points = [Quaternion(float(x0c[s]), float(x1c[s]),
-                         float(x2c[s]), float(x3c[s])) for s in spots]
+    centres = np.stack([x0c[spots], x1c[spots], x2c[spots], x3c[spots]],
+                       axis=-1)
     monog_rel, _, monog_order = richardson_order(
-        lambda step: max(fd_crf(f, pt, step)[0].norm() for pt in points) / div,
+        lambda step: float(np.linalg.norm(_fd_crf_at(f, centres, step),
+                                          axis=-1).max()) / div,
         1e-3, floor=1e-12)
 
-    rows = [
-        (float(x0c[i]), float(x1c[i]), float(x2c[i]), float(x3c[i]),
-         float(fv[i, 0]), float(fv[i, 1]), float(fv[i, 2]), float(fv[i, 3]),
-         float(res_h[i]))
-        for i in range(x1c.size)
-    ]
     return PdeReport(
         kind=problem.kind,
         n_points=int(x1c.size),
@@ -537,5 +564,5 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         negative_control=float(neg.max()) / div,
         monogenicity_max_rel=monog_rel,
         monogenicity_order=monog_order,
-        rows=rows,
+        rows=np.column_stack([x0c, x1c, x2c, x3c, fv, res_h]),
     )

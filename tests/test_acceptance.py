@@ -496,6 +496,23 @@ def test_cli_determinism():
             b = (tmp / ("yk_b" + suffix)).read_bytes()
             assert a == b, f"non-deterministic {suffix}"
 
+        # the product-domain mu-variant on a grid of more than one block
+        from slicealg.monogenic import BLOCK
+        constants = tmp / "mu.json"
+        constants.write_text('[{"I": "i", "a1": "1", "a2": "0"}, '
+                             '{"I": "j", "a1": "0.5", "a2": "1"}]')
+        streams = [run(["pde", "--kind", "helmholtz", "--lambda", "1.0",
+                        "--constants", str(constants), "--exclude", "0.5",
+                        "--fd-step", "0.005", "--grid-counts", "21",
+                        "--out-prefix", str(tmp / f"mu_{trial}")])
+                   for trial in ("a", "b")]
+        assert streams[0] == streams[1]
+        assert int(streams[0][1].split()[1]) > BLOCK   # nodes kept
+        for suffix in (".csv", ".summary.json"):
+            a = (tmp / ("mu_a" + suffix)).read_bytes()
+            b = (tmp / ("mu_b" + suffix)).read_bytes()
+            assert a == b, f"non-deterministic mu-variant {suffix}"
+
 
 def _write_rhs(path):
     from slicealg import save_monogenic

@@ -193,6 +193,13 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(capsys, "pde", "--lambda", "1.0")
     assert code == 2 and "pde" in err
+    # malformed grid and eigenvalue flags end before any grid work
+    for flags in (["--grid-counts", "a,b"], ["--grid-lo", "1", "--grid-hi", "0"],
+                  ["--lambda", "nan"], ["--lambda", "inf"]):
+        code, out, err = run_cli(capsys, "pde", "--kind", "helmholtz",
+                                 "--grid-counts", "5", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("slicealg pde: ") and err.count("\n") == 1
 
 
 def test_cli_determinism_byte_identical(tmp_path):

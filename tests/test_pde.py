@@ -16,18 +16,25 @@ from slicealg import (
     PdeProblem,
     Quaternion,
     SliceConstant,
+    SolutionEvaluator,
     I,
     J,
+    K,
     ONE,
     ZERO,
     ZeroEigenvalue,
     eval_P,
+    exp_series,
+    gen_exp,
     general_quadratic_kernel,
     helmholtz_solution,
     klein_gordon_solution,
+    slice_derivative,
     verify_pde,
     yukawa_solve,
 )
+from slicealg.monogenic import BLOCK
+from slicealg.quaternion import qmul
 
 
 def rand_q(rng, scale=1.0):
@@ -277,3 +284,86 @@ def test_p_series_values_near_the_axis(beta):
     want = reference(g)
     assert close(g(x), want)
     assert close(Quaternion(*g.eval_components(*comps)[0]), want)
+
+
+def _stems_arrays(coeffs, alpha, beta):
+    # reference: the stem components (F1, F2) of Sum x^n a_n at
+    # z = alpha + i beta, one power at a time
+    z = alpha + 1j * beta
+    zp = np.ones_like(z)
+    f1 = np.zeros(alpha.shape + (4,))
+    f2 = np.zeros_like(f1)
+    for a in coeffs:
+        if not a.is_zero():
+            av = np.array(a.as_list())
+            f1 += zp.real[..., None] * av
+            f2 += zp.imag[..., None] * av
+        zp = zp * z
+    return f1, f2
+
+
+def _per_term_reference(terms, x0, x1, x2, x3):
+    # reference: f = Sum_t Delta_4(h_t . e_t) term by term, the uniform
+    # terms as one P-series and each product-domain term from its stems,
+    # -(2/beta) J (g'_s - dg/dx)
+    uniform = [(h, e) for h, e in terms if h.is_uniform]
+    out = SolutionEvaluator(uniform).eval_components(x0, x1, x2, x3)
+    b = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    jv = np.stack([np.zeros_like(b), x1 / b, x2 / b, x3 / b], axis=-1)
+    for h, e in terms:
+        if h.is_uniform:
+            continue
+        h1v, h2v = (np.array(q.as_list()) for q in h.stems())
+        f1, f2 = _stems_arrays(e.coeffs, x0, b)
+        d1, d2 = _stems_arrays(slice_derivative(e).coeffs, x0, b)
+        g2 = qmul(h1v, f2) + qmul(h2v, f1)
+        p1 = qmul(h1v, d1) - qmul(h2v, d2)
+        p2 = qmul(h1v, d2) + qmul(h2v, d1)
+        dval = p1 + qmul(jv, p2)
+        out += (-2.0 / b)[..., None] * qmul(jv, g2 / b[..., None] - dval)
+    return out
+
+
+def test_product_domain_evaluator_matches_per_term_loop():
+    # all product-domain terms as one linear map agree with the term-by-term
+    # stem sums, at random off-axis points and on a grid of several blocks
+    rng = random.Random(523)
+    lam1 = Quaternion(0.5, 0.3, -0.4, 0.2)
+    terms = [
+        (SliceConstant.on_halves(I, ONE, ZERO), exp_series(Quaternion(1.0), 40)),
+        (SliceConstant.on_halves(J, Quaternion(0.5), ONE),
+         exp_series(Quaternion(-1.0), 40)),
+        (SliceConstant.on_halves(K, rand_q(rng), rand_q(rng)),
+         gen_exp([lam1, -lam1], 30)),
+        (SliceConstant.uniform(rand_q(rng)), exp_series(J * 1.5, 35)),
+    ]
+    f = SolutionEvaluator(terms)
+    assert f.product_domain
+
+    pts = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(40)])
+    ax = np.linspace(-1.0, 1.0, 21)
+    g1, g2, g3 = (v.ravel() for v in np.meshgrid(ax, ax, ax, indexing="ij"))
+    keep = np.sqrt(g1 * g1 + g2 * g2 + g3 * g3) > 0.2
+    grid = np.stack([np.full(keep.sum(), 0.1), g1[keep], g2[keep], g3[keep]])
+    assert grid.shape[1] > BLOCK
+    for x0, x1, x2, x3 in (pts.T, grid):
+        got = f.eval_components(x0, x1, x2, x3)
+        want = _per_term_reference(terms, x0, x1, x2, x3)
+        scale = np.linalg.norm(want, axis=-1).max()
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_p_series_block_boundary():
+    # a grid one point longer than a block agrees with the one-point call
+    rng = np.random.default_rng(527)
+    g = MonogenicSeries([Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(25)])
+    x1, x2, x3 = rng.uniform(-1, 1, (3, BLOCK + 1))
+    x1[:3] = 0.0
+    x2[:3] = 0.0
+    x3[:3] = 0.0                  # real points too
+    vals = g.eval_components(0.3, x1, x2, x3)
+    assert vals.shape == (BLOCK + 1, 4)
+    for n in range(BLOCK + 1):
+        want = g(Quaternion(0.3, x1[n], x2[n], x3[n]))
+        err = (Quaternion(*vals[n]) - want).norm()
+        assert err <= 1e-15 * want.norm()
