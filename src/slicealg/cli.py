@@ -17,14 +17,15 @@ environment variable, else a fixed default.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .errors import IoError, ParseError, SliceAlgError
+from .errors import IoError, ParseError, RangeError, SliceAlgError
 from .fmtio import csv_chunks, dumps_json, load_json
-from .quaternion import parse_quaternion
+from .quaternion import Quaternion, parse_quaternion
 from .series import load_coeffs
 from .eigensolve import gen_exp, solve_with_initial
 from .monogenic import MonogenicSeries, load_monogenic
@@ -45,6 +46,7 @@ def _parse_lambdas(text: str):
 
 
 def _read_points(args):
+    """The points of --points and --at, in order, as an (N, 4) array."""
     points = []
     if args.points:
         try:
@@ -58,7 +60,7 @@ def _read_points(args):
                 points.append(parse_quaternion(line))
     for lit in args.at or ():
         points.append(parse_quaternion(lit))
-    return points
+    return np.array([x.as_list() for x in points], dtype=float).reshape(-1, 4)
 
 
 def _load_series_file(path):
@@ -89,11 +91,15 @@ def _write_text(text: str, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_degree(degree: int, m: int, name: str) -> None:
+    """A solution of order m needs coefficients up to index m - 1."""
+    if degree < m - 1:
+        raise ParseError(f"{name} {degree} too small for a tuple of length {m}")
+
+
 def cmd_gen_exp(args) -> int:
     lams = _parse_lambdas(args.lambdas)
-    if args.degree < len(lams) - 1:
-        raise ParseError(f"--degree {args.degree} too small for a tuple of "
-                         f"length {len(lams)}")
+    _check_degree(args.degree, len(lams), "--degree")
     f = gen_exp(lams, args.degree)
     _write_text(dumps_json([c.as_list() for c in f.coeffs]), args.output)
     return 0
@@ -108,9 +114,13 @@ def cmd_solve(args) -> int:
         raise ParseError(f"{args.problem}: expected keys 'lambdas', 'initial'")
     lams = [parse_quaternion(t) for t in spec["lambdas"]]
     initial = [parse_quaternion(t) for t in spec["initial"]]
-    degree = int(spec.get("degree", args.degree))
+    try:
+        degree = int(spec.get("degree", args.degree))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{args.problem}: bad degree: {exc}") from exc
     if len(initial) != len(lams):
         raise ParseError("need as many initial values as eigenvalues")
+    _check_degree(degree, len(lams), "degree")
     f = solve_with_initial(lams, initial, degree)
     _write_text(dumps_json([c.as_list() for c in f.coeffs]), args.output)
     return 0
@@ -118,16 +128,19 @@ def cmd_solve(args) -> int:
 
 def cmd_eval(args) -> int:
     f = _load_series_file(args.coeffs)
-    rows = [x.as_list() + f(x).as_list() for x in _read_points(args)]
+    pts = _read_points(args)
+    # an overflow shows up as inf/NaN values, refused below as one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f.eval_components(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise RangeError(f"the series is not finite at "
+                         f"{Quaternion(*pts[bad][0])} ({bad.sum()} of "
+                         f"{len(pts)} points)")
     header = ["x0", "x1", "x2", "x3", "f_w", "f_x1", "f_x2", "f_x3"]
-    _write_text("".join(csv_chunks(header, rows)), args.output)
+    _write_text("".join(csv_chunks(header, np.column_stack([pts, vals]))),
+                args.output)
     return 0
-
-
-def _finite(value: float, flag: str) -> float:
-    if not math.isfinite(value):
-        raise ParseError(f"{flag} must be finite, got {value!r}")
-    return value
 
 
 def _axis_values(text: str, flag: str, kind):
@@ -136,26 +149,16 @@ def _axis_values(text: str, flag: str, kind):
         values = tuple(kind(v) for v in text.split(","))
     except ValueError as exc:
         raise ParseError(f"{flag} {text!r}: {exc}") from exc
-    for v in values:
-        _finite(v, flag)
     return values * 3 if len(values) == 1 else values
 
 
 def _grid_from_args(args) -> GridSpec:
-    fd_step = args.fd_step
-    if fd_step is not None:
-        _finite(fd_step, "--fd-step")
-    try:
-        return GridSpec(counts=_axis_values(args.grid_counts, "--grid-counts", int),
-                        lo=_axis_values(args.grid_lo, "--grid-lo", float),
-                        hi=_axis_values(args.grid_hi, "--grid-hi", float),
-                        x0=_finite(args.x0, "--x0"),
-                        exclude_radius=_finite(args.exclude, "--exclude"),
-                        fd_step=fd_step)
-    except SliceAlgError:
-        raise
-    except ValueError as exc:
-        raise ParseError(f"bad grid: {exc}") from exc
+    # GridSpec refuses non-finite values, empty boxes and wrong axis counts
+    return GridSpec(counts=_axis_values(args.grid_counts, "--grid-counts", int),
+                    lo=_axis_values(args.grid_lo, "--grid-lo", float),
+                    hi=_axis_values(args.grid_hi, "--grid-hi", float),
+                    x0=args.x0, exclude_radius=args.exclude,
+                    fd_step=args.fd_step)
 
 
 def _constants_from_file(path):
@@ -181,7 +184,7 @@ def _problem_from_args(args) -> PdeProblem:
     constants = tuple(_constants_from_file(args.constants)) \
         if args.constants else ()
     lam1 = parse_quaternion(args.lambda1) if args.lambda1 else None
-    return PdeProblem(kind=args.kind, lam=_finite(args.lam, "--lambda"),
+    return PdeProblem(kind=args.kind, lam=args.lam,
                       unit_i=unit,
                       slice_constants=constants, rhs=rhs, lam1=lam1,
                       grid=_grid_from_args(args), degree=args.degree)

@@ -36,7 +36,8 @@ class ZeroEigenvalue(SliceAlgError, ValueError):
 
 
 class RangeError(SliceAlgError, ValueError):
-    """Eigenvalue moduli violate a strict hypothesis (e.g. |mu| < |lambda|)."""
+    """Eigenvalue moduli violate a strict hypothesis (e.g. |mu| < |lambda|),
+    or a series overflows at a point where it is evaluated."""
 
 
 class CertificateViolation(SliceAlgError, ValueError):

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, ParseError
 from .fmtio import dump_json, load_json
-from .quaternion import Quaternion, ZERO, ONE, I, J, K, as_quaternion, decompose
+from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K, as_quaternion,
+                         decompose, in_blocks, quaternion_from_json)
 from .series import PowerSeries, slice_derivative
 from .sliceexpr import slice_derivative_pointwise
 
@@ -57,28 +56,8 @@ __all__ = [
 
 _UNITS = (ONE, I, J, K)
 
-# Points per block of a grid evaluation: a block's buffers stay in cache.
-BLOCK = 8192
-
-
-def in_blocks(kernel, x0, x1, x2, x3):
-    """Evaluate ``kernel`` over broadcast coordinate arrays, block by block.
-
-    ``kernel(x0, x1, x2, x3)`` takes 1-D coordinate arrays of at most
-    :data:`BLOCK` points and returns the four components of its values.
-    Returns the (..., 4) array of all points; the kernel's working memory
-    stays bounded by the block size.
-    """
-    x0, x1, x2, x3 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
-    shape = x0.shape
-    flat = [v.reshape(-1) for v in (x0, x1, x2, x3)]
-    out = np.empty((x0.size, 4))
-    for start in range(0, x0.size, BLOCK):
-        block = slice(start, start + BLOCK)
-        for c, v in enumerate(kernel(*(x[block] for x in flat))):
-            out[block, c] = v
-    return out.reshape(shape + (4,))
+# BLOCK and in_blocks live in quaternion, where series uses them too; the
+# import above keeps ``from slicealg.monogenic import BLOCK`` working.
 
 
 def _powers(x: Quaternion, top: int):
@@ -334,13 +313,8 @@ def load_monogenic(path) -> MonogenicSeries:
     raw = data.get("coeffs")
     if not isinstance(raw, list):
         raise ParseError(f"{path}: missing coefficient list")
-    coeffs = []
-    for n, item in enumerate(raw):
-        if (not isinstance(item, list) or len(item) != 4
-                or not all(isinstance(v, (int, float)) for v in item)):
-            raise ParseError(f"{path}: coefficient {n} is not a quadruple")
-        coeffs.append(Quaternion(*item))
-    return MonogenicSeries(coeffs)
+    return MonogenicSeries([quaternion_from_json(item, f"{path}: coefficient {n}")
+                            for n, item in enumerate(raw)])
 
 
 # --- finite-difference verification helpers ---------------------------------

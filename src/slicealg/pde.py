@@ -28,7 +28,7 @@ the real axis.  Only the product-domain terms use the stem formula
 Delta_4 u = -(2/beta) J (u'_s - du/dx), whose division by beta is
 inherent there; the stems of all terms together are one linear map of
 the powers of z = x0 + i beta, built once per evaluator.  Grids are
-evaluated in blocks of :data:`monogenic.BLOCK` points, so the working
+evaluated in blocks of :data:`quaternion.BLOCK` points, so the working
 memory of an evaluation does not grow with the grid.
 
 No finite differences enter the *construction*; FD is used only by
@@ -48,12 +48,12 @@ import numpy as np
 from .errors import DomainError, GridTooSmall, ParseError, ZeroEigenvalue
 from .fmtio import dump_json, write_csv
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, decompose, \
-    format_quaternion, parse_quaternion, qmul
+    format_quaternion, in_blocks, parse_quaternion, qmul, quaternion_from_json
 from .series import PowerSeries, exp_series
 from .sliceexpr import SliceConstant
 from .eigensolve import gen_exp, S_lambda
-from .monogenic import MonogenicSeries, fueter_laplacian, in_blocks, \
-    inv_laplacian, richardson_order
+from .monogenic import MonogenicSeries, fueter_laplacian, inv_laplacian, \
+    richardson_order
 
 __all__ = [
     "GridSpec",
@@ -116,15 +116,22 @@ class GridSpec:
 
     def __post_init__(self):
         if len(self.counts) != 3 or len(self.lo) != 3 or len(self.hi) != 3:
-            raise ValueError("GridSpec needs three axes")
+            raise ParseError("GridSpec needs three axes")
         if any(int(c) < 3 for c in self.counts):
             raise GridTooSmall(f"counts {self.counts}: need >= 3 points per axis")
+        for name, values in (("lo", self.lo), ("hi", self.hi),
+                             ("x0", (self.x0,)),
+                             ("exclude_radius", (self.exclude_radius,)),
+                             ("fd_step", (self.fd_step or 0.0,))):
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"grid {name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
-            raise ValueError(f"empty box: lo={self.lo}, hi={self.hi}")
+            raise ParseError(f"empty box: lo={self.lo}, hi={self.hi}")
         if self.fd_step is not None and self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+            raise ParseError("fd_step must be positive")
         if self.exclude_radius < 0:
-            raise ValueError("exclude_radius must be >= 0")
+            raise ParseError("exclude_radius must be >= 0")
 
     @property
     def steps(self) -> Tuple[float, float, float]:
@@ -155,8 +162,10 @@ class GridSpec:
 
     @classmethod
     def from_record(cls, rec: dict) -> "GridSpec":
+        if not isinstance(rec, dict):
+            raise ParseError("grid record must be an object")
         try:
-            return cls(
+            fields = dict(
                 counts=tuple(int(c) for c in rec.get("counts", (21, 21, 21))),
                 lo=tuple(float(v) for v in rec.get("lo", (-1.0, -1.0, -1.0))),
                 hi=tuple(float(v) for v in rec.get("hi", (1.0, 1.0, 1.0))),
@@ -165,8 +174,9 @@ class GridSpec:
                 fd_step=(None if rec.get("fd_step") is None
                          else float(rec["fd_step"])),
             )
-        except (TypeError, KeyError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad grid record: {exc}") from exc
+        return cls(**fields)
 
 
 def _real_lambda(lam) -> float:
@@ -181,7 +191,7 @@ def _real_lambda(lam) -> float:
 def _unit_imag(u) -> Quaternion:
     q = as_quaternion(u)
     if abs(q.w) > 1e-12 or abs(q.imag_norm() - 1.0) > 1e-12:
-        raise ValueError(f"expected a unit imaginary quaternion, got {q}")
+        raise ParseError(f"expected a unit imaginary quaternion, got {q}")
     return q
 
 
@@ -206,7 +216,9 @@ class PdeProblem:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
+            raise ParseError(f"unknown problem kind {self.kind!r}")
+        if not math.isfinite(self.lam):
+            raise ParseError(f"lambda must be finite, got {self.lam!r}")
         if self.kind == "quadratic":
             if self.lam1 is None or as_quaternion(self.lam1).is_zero():
                 raise ZeroEigenvalue("quadratic kernel needs lambda_1 != 0")
@@ -214,9 +226,9 @@ class PdeProblem:
             if self.lam == 0.0:
                 raise ZeroEigenvalue("lambda must be nonzero")
         if self.kind in ("klein-gordon", "yukawa") and self.unit_i is None:
-            raise ValueError(f"{self.kind} problems need an imaginary unit I")
+            raise ParseError(f"{self.kind} problems need an imaginary unit I")
         if self.kind == "yukawa" and self.rhs is None:
-            raise ValueError("yukawa problems need a right-hand side")
+            raise ParseError("yukawa problems need a right-hand side")
 
     def to_record(self) -> dict:
         rec = {"kind": self.kind, "lambda": float(self.lam)}
@@ -251,16 +263,23 @@ class PdeProblem:
             raw = rec["rhs"]
             if not isinstance(raw, dict) or raw.get("basis") != "P":
                 raise ParseError("rhs must be a P-basis monogenic series record")
-            rhs = MonogenicSeries([Quaternion(*c) for c in raw.get("coeffs", [])])
+            rhs = MonogenicSeries([
+                quaternion_from_json(c, f"rhs coefficient {n}")
+                for n, c in enumerate(raw.get("coeffs", []))])
+        try:
+            lam = float(rec.get("lambda", 1.0))
+            degree = int(rec.get("degree", 40))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"bad problem record: {exc}") from exc
         return cls(
             kind=kind,
-            lam=float(rec.get("lambda", 1.0)),
+            lam=lam,
             unit_i=unit_i,
             slice_constants=constants,
             rhs=rhs,
             lam1=lam1,
             grid=GridSpec.from_record(rec.get("grid", {})),
-            degree=int(rec.get("degree", 40)),
+            degree=degree,
         )
 
 
@@ -306,7 +325,7 @@ class SolutionEvaluator:
         terms together are -(2/beta) J (G2/beta - P1 - J P2), with
         [G2, P1, P2] one product of the powers of z = x0 + i beta with
         the summed linear maps of the terms (:func:`_stem_map`).  The
-        points are taken in blocks (:func:`monogenic.in_blocks`).
+        points are taken in blocks (:func:`quaternion.in_blocks`).
         """
         if self._stem_map is None:
             return self.mono.eval_components(x0, x1, x2, x3)

@@ -193,6 +193,24 @@ def _coerce(value):
     return NotImplemented
 
 
+def quaternion_from_json(item, what: str) -> "Quaternion":
+    """A JSON quadruple [w, x1, x2, x3] of finite numbers as a Quaternion.
+
+    Anything else (a wrong length, a string, NaN, an infinity) raises
+    :class:`ParseError` naming ``what``.
+    """
+    try:
+        ok = (isinstance(item, list) and len(item) == 4
+              and all(isinstance(v, (int, float)) and math.isfinite(v)
+                      for v in item))
+    except OverflowError:       # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ParseError(f"{what} is not a quadruple [w, x1, x2, x3] of "
+                         f"finite numbers")
+    return Quaternion(*item)
+
+
 def as_quaternion(value) -> "Quaternion":
     """Coerce a Quaternion, int or float to Quaternion (raising TypeError)."""
     q = _coerce(value)
@@ -206,6 +224,30 @@ ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
+
+
+# Points per block of an array evaluation: a block's buffers stay in cache.
+BLOCK = 8192
+
+
+def in_blocks(kernel, x0, x1, x2, x3):
+    """Evaluate ``kernel`` over broadcast coordinate arrays, block by block.
+
+    ``kernel(x0, x1, x2, x3)`` takes 1-D coordinate arrays of at most
+    :data:`BLOCK` points and returns the four components of its values.
+    Returns the (..., 4) array of all points; the kernel's working memory
+    stays bounded by the block size.
+    """
+    x0, x1, x2, x3 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+    shape = x0.shape
+    flat = [v.reshape(-1) for v in (x0, x1, x2, x3)]
+    out = np.empty((x0.size, 4))
+    for start in range(0, x0.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        for c, v in enumerate(kernel(*(x[block] for x in flat))):
+            out[block, c] = v
+    return out.reshape(shape + (4,))
 
 
 def qmul(a, b):
@@ -316,6 +358,8 @@ def parse_quaternion(text: str) -> Quaternion:
         pos = m.end()
     if nterms == 0:
         raise ParseError(f"empty quaternion literal: {text!r}")
+    if not all(map(math.isfinite, comps)):
+        raise ParseError(f"quaternion literal {text!r} is not finite")
     return Quaternion(*comps)
 
 

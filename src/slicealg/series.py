@@ -12,13 +12,24 @@ product is plain coefficient convolution.  A :class:`PowerSeries` is either
 
 The distinction only affects bookkeeping of result lengths; the stored
 coefficients are always the mathematically exact ones (up to rounding).
+
+Evaluation has one kernel, :meth:`PowerSeries._horner`, a Horner sweep on
+the four components that runs on Python floats (one point,
+``PowerSeries.__call__``) and on 1-D blocks of points
+(:meth:`PowerSeries.eval_components`) alike, with the bits of the
+Quaternion loop.  :func:`slice_product` convolves the component arrays of
+the two coefficient lists (16 ``np.convolve`` calls combined by the
+Hamilton sign table), so neither path builds a Quaternion per term.
 """
 
 from __future__ import annotations
 
 import math
 
-from .quaternion import Quaternion, ZERO, ONE, as_quaternion, decompose
+import numpy as np
+
+from .quaternion import (Quaternion, ZERO, ONE, as_quaternion, decompose,
+                         in_blocks, quaternion_from_json)
 
 __all__ = [
     "PowerSeries",
@@ -124,12 +135,33 @@ class PowerSeries:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, x) -> Quaternion:
-        """Horner evaluation with left powers, right coefficients."""
-        x = as_quaternion(x)
-        acc = self.coeffs[-1]
-        for n in range(len(self.coeffs) - 2, -1, -1):
-            acc = x * acc + self.coeffs[n]
-        return acc
+        """f(x) at one point: Horner evaluation with left powers, right
+        coefficients, by the kernel of :meth:`eval_components` on floats
+        (the same values, bit for bit)."""
+        return Quaternion(*self._horner(*as_quaternion(x).as_list()))
+
+    def eval_components(self, x0, x1, x2, x3):
+        """f(x) = Sum x^n a_n at the points (x0, x1, x2, x3); an (..., 4) array.
+
+        The points are taken in blocks of :data:`quaternion.BLOCK`
+        (:func:`quaternion.in_blocks`).  Each value has the bits of
+        ``self(x)``; like it, an overflow gives inf or NaN components
+        (numpy warns unless its error state says otherwise).
+        """
+        return in_blocks(self._horner, x0, x1, x2, x3)
+
+    def _horner(self, x0, x1, x2, x3):
+        # The one evaluation kernel, on floats (one point) or on 1-D arrays
+        # (a block): acc <- x * acc + a_n from the top coefficient down, in
+        # the operation order of Quaternion.__mul__ followed by __add__.
+        top = self.coeffs[-1]
+        w, i, j, k = top.w, top.x1, top.x2, top.x3
+        for a in self.coeffs[-2::-1]:
+            w, i, j, k = (x0 * w - x1 * i - x2 * j - x3 * k + a.w,
+                          x0 * i + x1 * w + x2 * k - x3 * j + a.x1,
+                          x0 * j - x1 * k + x2 * w + x3 * i + a.x2,
+                          x0 * k + x1 * j - x2 * i + x3 * w + a.x3)
+        return w, i, j, k
 
     def stem(self, alpha: float, beta: float):
         """Stem components (F1, F2) at z = alpha + i*beta.
@@ -194,27 +226,44 @@ class PowerSeries:
         return PowerSeries([c * a for a in self.coeffs], exact=self.exact)
 
 
+# e_p e_q = _SIGN[p][q] e_(p xor q) for the units (e_0, e_1, e_2, e_3) = (1, i, j, k)
+_SIGN = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
+# the (p, q, negated) terms of component r = p xor q, grouped by r = 0..3
+_TERMS = tuple((p, p ^ r, _SIGN[p][p ^ r] < 0) for r in range(4) for p in range(4))
+
+
+def _component_rows(coeffs):
+    """The (4, n) array [w, x1, x2, x3] of a list of quaternions."""
+    return np.array([[c.w for c in coeffs], [c.x1 for c in coeffs],
+                     [c.x2 for c in coeffs], [c.x3 for c in coeffs]])
+
+
 def slice_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Slice (stem) product; coefficient convolution c_n = Sum a_k b_{n-k}.
 
     For two polynomials the full convolution is returned; if either input
     is a truncation the result is truncated at the smallest bound whose
-    coefficients are fully determined.
+    coefficients are fully determined.  Component p of a and q of b
+    convolve into component p xor q of c with the sign of e_p e_q: 16
+    ``np.convolve`` calls, so the sums run in another order than a loop
+    over Quaternion products (they agree to rounding).
     """
     if f.exact and g.exact:
         bound = f.degree_bound + g.degree_bound
         exact = True
     else:
         exact, bound = f._bounds_with(g)
-    fa = [f.coeff(n) if n <= f.degree_bound else ZERO for n in range(bound + 1)]
-    ga = [g.coeff(n) if n <= g.degree_bound else ZERO for n in range(bound + 1)]
-    out = []
-    for n in range(bound + 1):
-        acc = ZERO
-        for k in range(n + 1):
-            acc = acc + fa[k] * ga[n - k]
-        out.append(acc)
-    return PowerSeries(out, exact=exact)
+    # the two slices hold at least bound + 2 coefficients together, so the
+    # full convolution reaches index bound
+    a = _component_rows(f.coeffs[:bound + 1])
+    b = _component_rows(g.coeffs[:bound + 1])
+    b_signed = (b, -b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.array([np.convolve(a[p], b_signed[neg][q])
+                          for p, q, neg in _TERMS])
+        c = terms.reshape(4, 4, -1).sum(axis=1)
+    return PowerSeries([Quaternion(*row) for row in c[:, :bound + 1].T.tolist()],
+                       exact=exact)
 
 
 def slice_conjugate(f: PowerSeries) -> PowerSeries:
@@ -299,9 +348,6 @@ def load_coeffs(path) -> PowerSeries:
     data = load_json(path)
     if not isinstance(data, list):
         raise ParseError(f"{path}: expected a JSON array of quadruples")
-    coeffs = []
-    for n, quad in enumerate(data):
-        if not isinstance(quad, list) or len(quad) != 4:
-            raise ParseError(f"{path}: entry {n} is not a [w, x1, x2, x3] quadruple")
-        coeffs.append(Quaternion.from_seq(quad))
+    coeffs = [quaternion_from_json(quad, f"{path}: entry {n}")
+              for n, quad in enumerate(data)]
     return PowerSeries(coeffs, exact=False)

@@ -225,3 +225,94 @@ def test_version_flag():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("slicealg ")
+
+
+def _assert_one_line_error(code, out, err, command):
+    assert code == 2 and out == ""
+    assert err.startswith(f"slicealg {command}: ") and err.count("\n") == 1
+
+
+def test_eval_bad_input_exits_2(tmp_path, capsys):
+    # E_(i,j,k) at degree 60 overflows at |x| = 1e17
+    big = tmp_path / "e.json"
+    assert main(["gen-exp", "--lambdas", "i,j,k", "--degree", "60",
+                 "-o", str(big)]) == 0
+    files = {name: tmp_path / f"{name}.json" for name in
+             ("word", "nan", "inf", "pnan")}
+    files["word"].write_text('[[1, 2, 3, "x"]]')
+    files["nan"].write_text("[[1, 2, 3, 4], [NaN, 0, 0, 0]]")
+    files["inf"].write_text("[[1, 2, 3, Infinity]]")
+    files["pnan"].write_text('{"basis": "P", "coeffs": [[1, NaN, 0, 0]]}')
+    cases = [(big, ["--at", "0.5", "--at", "1e17"], "not finite at 1e+17"),
+             (big, ["--at", "1e400"], "literal '1e400' is not finite"),
+             (big, ["--at", "1e308+1e308"], "literal '1e308+1e308' is not")]
+    cases += [(path, ["--at", "1"], "finite numbers") for path in files.values()]
+    for coeffs, flags, fragment in cases:
+        out_file = tmp_path / "out" / "v.csv"
+        code, out, err = run_cli(capsys, "eval", "--coeffs", str(coeffs),
+                                 *flags, "-o", str(out_file))
+        _assert_one_line_error(code, "", err, "eval")
+        assert fragment in err
+        assert not out_file.exists()
+        code, out, err = run_cli(capsys, "eval", "--coeffs", str(coeffs), *flags)
+        _assert_one_line_error(code, out, err, "eval")
+
+
+def test_pde_problem_file_bad_values_exit_2(tmp_path, capsys, monkeypatch):
+    import slicealg.cli as cli
+    from slicealg.errors import ParseError
+    from slicealg.pde import GridSpec, PdeProblem
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad problem")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    grid = {"counts": [5, 5, 5]}
+    bad = [{"kind": "helmholtz", "lambda": float("nan"), "grid": grid},
+           {"kind": "helmholtz", "lambda": float("inf"), "grid": grid},
+           {"kind": "helmholtz", "lambda": 1.0,
+            "grid": {"lo": [1, 1, 1], "hi": [0, 0, 0]}},
+           {"kind": "helmholtz", "grid": {"counts": [5, 5, 5],
+                                          "x0": float("nan")}},
+           {"kind": "helmholtz", "grid": {"counts": [5, 5, 5],
+                                          "lo": ["a", 0, 0]}},
+           {"kind": "helmholtz", "lambda": "one", "grid": grid},
+           {"kind": "bogus", "grid": grid},
+           {"kind": "klein-gordon", "grid": grid},
+           {"kind": "yukawa", "I": "i", "grid": grid,
+            "rhs": {"basis": "P", "coeffs": [[1, 0, 0, float("nan")]]}}]
+    for rec in bad:
+        with pytest.raises(ParseError):
+            PdeProblem.from_record(rec)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(rec))
+        code, out, err = run_cli(capsys, "pde", "--problem", str(path))
+        _assert_one_line_error(code, out, err, "pde")
+    with pytest.raises(ParseError):
+        GridSpec.from_record({"lo": [1, 1, 1], "hi": [0, 0, 0]})
+    with pytest.raises(ParseError):
+        GridSpec.from_record({"hi": [1, float("inf"), 1]})
+    # the flags go through the same checks
+    code, out, err = run_cli(capsys, "pde", "--kind", "klein-gordon",
+                             "--grid-counts", "5")
+    _assert_one_line_error(code, out, err, "pde")
+
+
+def test_solve_degree_below_order_exits_2(tmp_path, capsys):
+    problem = tmp_path / "prob.json"
+    for degree, fragment in ((-3, "degree -3 too small for a tuple of length 2"),
+                             (0, "degree 0 too small for a tuple of length 2"),
+                             ("x", "bad degree")):
+        problem.write_text(json.dumps({"lambdas": ["i", "j"],
+                                       "initial": ["1", "k"],
+                                       "degree": degree}))
+        code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
+        _assert_one_line_error(code, out, err, "solve")
+        assert fragment in err
+    code, out, err = run_cli(capsys, "gen-exp", "--lambdas", "i,j,k",
+                             "--degree", "1")
+    assert err == "slicealg gen-exp: --degree 1 too small for a tuple of length 3\n"
+    # degree m - 1 is the smallest that holds the solution
+    problem.write_text(json.dumps({"lambdas": ["i", "j"], "initial": ["1", "k"],
+                                   "degree": 1}))
+    code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
+    assert code == 0 and len(json.loads(out)) == 2
