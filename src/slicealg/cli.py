@@ -112,6 +112,11 @@ def cmd_solve(args) -> int:
         raise IoError(f"cannot read {args.problem}: {exc}") from exc
     if not isinstance(spec, dict) or "lambdas" not in spec or "initial" not in spec:
         raise ParseError(f"{args.problem}: expected keys 'lambdas', 'initial'")
+    for key in ("lambdas", "initial"):
+        if not (isinstance(spec[key], list)
+                and all(isinstance(t, str) for t in spec[key])):
+            raise ParseError(f"{args.problem}: '{key}' must be a JSON array "
+                             "of quaternion strings")
     lams = [parse_quaternion(t) for t in spec["lambdas"]]
     initial = [parse_quaternion(t) for t in spec["initial"]]
     try:

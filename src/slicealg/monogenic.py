@@ -32,7 +32,8 @@ import math
 from .errors import DomainError, ParseError
 from .fmtio import dump_json, load_json
 from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K, as_quaternion,
-                         decompose, in_blocks, quaternion_from_json)
+                         axial_combine, decompose, in_axial_blocks,
+                         quaternion_from_json)
 from .series import PowerSeries, slice_derivative
 from .sliceexpr import slice_derivative_pointwise
 
@@ -56,8 +57,8 @@ __all__ = [
 
 _UNITS = (ONE, I, J, K)
 
-# BLOCK and in_blocks live in quaternion, where series uses them too; the
-# import above keeps ``from slicealg.monogenic import BLOCK`` working.
+# BLOCK lives in quaternion, where series uses it too; the import above
+# keeps ``from slicealg.monogenic import BLOCK`` working.
 
 
 def _powers(x: Quaternion, top: int):
@@ -165,17 +166,24 @@ class MonogenicSeries:
         builds it.  Z_n is real, so it obeys Z_n = 2 x0 Z_{n-1} - |x|^2
         Z_{n-2}; P_n(z) is carried as A_n + i beta B_n, which gives
         P_n(x) = A_n + Im(x) B_n.  Only beta^2 enters: nothing divides by
-        beta and real points need no special case.  The points are taken
-        in blocks of :data:`BLOCK` (:func:`in_blocks`).
-        """
-        return in_blocks(self._sums, x0, x1, x2, x3)
+        beta and real points need no special case.
 
-    def _sums(self, x0, x1, x2, x3):
-        # The one evaluation kernel, on floats (one point) or on 1-D
-        # arrays (a block): the components of Sum A_n m_n + Im(x) Sum B_n m_n.
-        # Zero components of m_n are skipped; the arithmetic is otherwise
-        # that of the docstring of eval_components, operation for operation.
-        b2 = x1 * x1 + x2 * x2 + x3 * x3
+        This is the axial form f(x) = A(x0, beta) + omega B(x0, beta) with
+        omega = Im x / beta: the recurrence and the sums Sum A_n m_n,
+        Sum B_n m_n (the radial step) depend on (x0, beta^2) alone, so
+        they run once per distinct pair of the call; only
+        re + Im(x) im (the angular step) runs per point
+        (:func:`quaternion.in_axial_blocks`).  Each value has the bits of
+        :meth:`__call__` at that point.
+        """
+        return in_axial_blocks(self._sums, x0, x1, x2, x3)
+
+    def _sums(self, x0, b2):
+        # The radial kernel, on floats (one point) or on 1-D arrays (the
+        # distinct pairs of a call): the components of Sum A_n m_n, then of
+        # Sum B_n m_n, at (x0, b2 = beta^2).  Zero components of m_n are
+        # skipped; the arithmetic is otherwise that of the docstring of
+        # eval_components, operation for operation.
         r2 = x0 * x0 + b2
         two_x0 = 2.0 * x0
         z_prev, z_cur = 0.0, 1.0
@@ -189,15 +197,14 @@ class MonogenicSeries:
             for c, mc in m:
                 re[c] += pa * mc
                 im[c] += pb * mc
-        return (re[0] + (-x1 * im[1] - x2 * im[2] - x3 * im[3]),
-                re[1] + (x1 * im[0] + x2 * im[3] - x3 * im[2]),
-                re[2] + (-x1 * im[3] + x2 * im[0] + x3 * im[1]),
-                re[3] + (x1 * im[2] - x2 * im[1] + x3 * im[0]))
+        return re + im
 
     def __call__(self, x) -> Quaternion:
-        """Evaluate Sum_n P_n(x) m_n at one point, by the kernel of
+        """Evaluate Sum_n P_n(x) m_n at one point, by the two steps of
         :meth:`eval_components` on floats (the same values, bit for bit)."""
-        return Quaternion(*self._sums(*as_quaternion(x).as_list()))
+        x0, x1, x2, x3 = as_quaternion(x).as_list()
+        return Quaternion(*axial_combine(
+            self._sums(x0, x1 * x1 + x2 * x2 + x3 * x3), x1, x2, x3))
 
     def __repr__(self):
         return f"MonogenicSeries({[str(c) for c in self.coeffs]!r})"

@@ -27,9 +27,18 @@ recurrence of :meth:`MonogenicSeries.eval_components`, which is exact on
 the real axis.  Only the product-domain terms use the stem formula
 Delta_4 u = -(2/beta) J (u'_s - du/dx), whose division by beta is
 inherent there; the stems of all terms together are one linear map of
-the powers of z = x0 + i beta, built once per evaluator.  Grids are
-evaluated in blocks of :data:`quaternion.BLOCK` points, so the working
-memory of an evaluation does not grow with the grid.
+the powers of z = x0 + i beta, built once per evaluator.
+
+Every solution has the axial form f(x) = A(x0, beta) + omega B(x0, beta),
+omega = Im x / beta, which Fueter's theorem carries over from slice
+functions.  So a grid evaluation runs in two steps
+(:func:`quaternion.in_axial_blocks`): the series work (the P_n
+recurrence, the powers of z and the stem map) once per distinct pair
+(x0, beta^2) of the call, matched by bit pattern, and the combination
+re + Im(x) im per point.  Many grid nodes share a radius, so the first
+step runs on several times fewer points than the grid has.  Both steps take
+blocks of :data:`quaternion.BLOCK` points; only the index of each
+point's pair and the table of distinct pairs grow with the grid.
 
 No finite differences enter the *construction*; FD is used only by
 :func:`verify_pde` to certify the residuals independently.  Its report
@@ -48,7 +57,8 @@ import numpy as np
 from .errors import DomainError, GridTooSmall, ParseError, ZeroEigenvalue
 from .fmtio import dump_json, write_csv
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, decompose, \
-    format_quaternion, in_blocks, parse_quaternion, qmul, quaternion_from_json
+    format_quaternion, in_axial_blocks, parse_quaternion, qmul, \
+    quaternion_from_json
 from .series import PowerSeries, exp_series
 from .sliceexpr import SliceConstant
 from .eigensolve import gen_exp, S_lambda
@@ -202,7 +212,9 @@ class PdeProblem:
     ``lam`` is the real eigenvalue scale; ``unit_i`` the imaginary unit
     for Klein-Gordon exponentials or the Yukawa operator splitting;
     ``slice_constants`` the h-data (one per term); ``rhs`` the Yukawa
-    source; ``lam1`` the quaternionic eigenvalue of the quadratic kernel.
+    source; ``lam1`` the quaternionic eigenvalue of the quadratic kernel;
+    ``degree`` the truncation degree of the series behind a Helmholtz,
+    Klein-Gordon or quadratic solution (at least 2).
     """
 
     kind: str
@@ -229,6 +241,11 @@ class PdeProblem:
             raise ParseError(f"{self.kind} problems need an imaginary unit I")
         if self.kind == "yukawa" and self.rhs is None:
             raise ParseError("yukawa problems need a right-hand side")
+        # Delta_4 annihilates affine functions: below degree 2 the solution
+        # would be zero and pass verification vacuously
+        if self.kind != "yukawa" and self.degree < 2:
+            raise ParseError(f"degree {self.degree} too small for a "
+                             f"{self.kind} solution (need >= 2)")
 
     def to_record(self) -> dict:
         rec = {"kind": self.kind, "lambda": float(self.lam)}
@@ -324,15 +341,21 @@ class SolutionEvaluator:
         The uniform part is the P-series ``mono``.  The product-domain
         terms together are -(2/beta) J (G2/beta - P1 - J P2), with
         [G2, P1, P2] one product of the powers of z = x0 + i beta with
-        the summed linear maps of the terms (:func:`_stem_map`).  The
-        points are taken in blocks (:func:`quaternion.in_blocks`).
+        the summed linear maps of the terms (:func:`_stem_map`).  As
+        J = Im(x)/beta and J^2 = -1, that is -(2/beta) P2 +
+        Im(x) (-2/beta^2) (G2/beta - P1): f has the axial form re + Im(x) im
+        of the P-series, with re and im functions of (x0, beta^2).  So the
+        powers, the product and the radial sums of ``mono`` run once per
+        distinct pair, and only re + Im(x) im runs per point
+        (:func:`quaternion.in_axial_blocks`).
         """
         if self._stem_map is None:
             return self.mono.eval_components(x0, x1, x2, x3)
-        return in_blocks(self._block_components, x0, x1, x2, x3)
+        return in_axial_blocks(self._sums, x0, x1, x2, x3)
 
-    def _block_components(self, x0, x1, x2, x3):
-        b = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    def _sums(self, x0, b2):
+        # the radial kernel: (re, im) of f = re + Im(x) im at (x0, b2)
+        b = np.sqrt(b2)
         if not (b > 1e-9).all():
             raise DomainError("product-domain solution evaluated at a real "
                               "point; exclude the real axis from the grid")
@@ -340,13 +363,10 @@ class SolutionEvaluator:
         zp[:, 0] = 1.0
         zp[:, 1:] = (x0 + 1j * b)[:, None]
         np.multiply.accumulate(zp, axis=1, out=zp)
-        g = zp.view(float) @ self._stem_map
-        g2, p1, p2 = g[:, :4], g[:, 4:8], g[:, 8:]
-        jv = np.stack([np.zeros_like(b), x1 / b, x2 / b, x3 / b], axis=-1)
-        f = self.mono.eval_components(x0, x1, x2, x3)
-        f += (-2.0 / b)[:, None] * qmul(jv, g2 / b[:, None]
-                                        - (p1 + qmul(jv, p2)))
-        return f.T
+        g2, p1, p2 = np.split((zp.view(float) @ self._stem_map).T, 3)
+        c = -2.0 / b
+        stem = (*(c * p2), *((c / b) * (g2 / b - p1)))
+        return [m + t for m, t in zip(self.mono._sums(x0, b2), stem)]
 
     def __call__(self, x) -> Quaternion:
         x = as_quaternion(x)

@@ -250,6 +250,77 @@ def in_blocks(kernel, x0, x1, x2, x3):
     return out.reshape(shape + (4,))
 
 
+# An odd multiplier (a bijection of uint64) that mixes the bits of x0 into
+# the sort key of _distinct_pairs.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _distinct_pairs(x0, b2):
+    """The distinct pairs of the 1-D arrays (x0, b2), matched by their bit
+    patterns: returns (x0 of the pairs, b2 of the pairs, inv), where point
+    n has the pair inv[n]."""
+    k0, k2 = x0.view(np.uint64), b2.view(np.uint64)
+    # A 1-D sort key.  Equal pairs have equal keys, so each pair's points
+    # are contiguous once sorted, unless another pair has the same key;
+    # that can only split a run of equal pairs below, never merge two.
+    order = np.argsort(k2 ^ (k0 * _MIX))
+    k0, k2 = k0.take(order), k2.take(order)
+    first = np.empty(order.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(k0[1:], k0[:-1], out=first[1:])
+    first[1:] |= k2[1:] != k2[:-1]
+    ids = first.astype(np.intp)
+    np.cumsum(ids, out=ids)
+    ids -= 1
+    inv = np.empty_like(ids)
+    inv[order] = ids
+    return k0[first].view(float), k2[first].view(float), inv
+
+
+def axial_combine(sums, x1, x2, x3):
+    """The four components of re + Im(x) im, where ``sums`` holds the
+    components of re, then of im, and Im(x) = x1 i + x2 j + x3 k."""
+    re, im = sums[:4], sums[4:8]
+    return (re[0] + (-x1 * im[1] - x2 * im[2] - x3 * im[3]),
+            re[1] + (x1 * im[0] + x2 * im[3] - x3 * im[2]),
+            re[2] + (-x1 * im[3] + x2 * im[0] + x3 * im[1]),
+            re[3] + (x1 * im[2] - x2 * im[1] + x3 * im[0]))
+
+
+def in_axial_blocks(radial, x0, x1, x2, x3):
+    """Evaluate an axial function f = re + Im(x) im, with re and im
+    quaternions that depend on (x0, |Im x|^2) alone.
+
+    ``radial(x0, b2)`` is the costly step: it takes 1-D arrays of at most
+    :data:`BLOCK` distinct pairs (x0, b2 = x1*x1 + x2*x2 + x3*x3) and
+    returns the eight components of re and im there.  It runs once per
+    distinct pair of the call; :func:`axial_combine` then runs per point,
+    in blocks of :data:`BLOCK` points.  Pairs are matched by their bit
+    patterns, so every value has the bits of the two steps run on that
+    point alone, and -0.0 never merges with +0.0.  Only the index of each
+    point's pair and the table of distinct pairs grow with the input.
+    Returns the (..., 4) array of all points.
+    """
+    x0, x1, x2, x3 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+    shape = x0.shape
+    x1, x2, x3 = (v.reshape(-1) for v in (x1, x2, x3))
+    u0, ub2, inv = _distinct_pairs(x0.reshape(-1), x1 * x1 + x2 * x2 + x3 * x3)
+    table = np.empty((8, u0.size))
+    for start in range(0, u0.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        for c, v in enumerate(radial(u0[block], ub2[block])):
+            table[c, block] = v
+    out = np.empty((inv.size, 4))
+    for start in range(0, inv.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        vals = axial_combine(table.take(inv[block], axis=1),
+                             x1[block], x2[block], x3[block])
+        for c, v in enumerate(vals):
+            out[block, c] = v
+    return out.reshape(shape + (4,))
+
+
 def qmul(a, b):
     """Hamilton product of (..., 4) component arrays [w, x1, x2, x3],
     broadcasting over the leading axes (the array form of ``a * b``)."""

@@ -316,3 +316,48 @@ def test_solve_degree_below_order_exits_2(tmp_path, capsys):
                                    "degree": 1}))
     code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
     assert code == 0 and len(json.loads(out)) == 2
+
+
+def test_pde_degree_below_2_exits_2(tmp_path, capsys, monkeypatch):
+    # below degree 2 the Laplacian image is zero, which would pass vacuously
+    import slicealg.cli as cli
+    from slicealg.errors import ParseError
+    from slicealg.pde import PdeProblem
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad degree")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    kinds = (["--kind", "helmholtz"],
+             ["--kind", "klein-gordon", "--unit", "i"],
+             ["--kind", "quadratic", "--lambda1", "1+i"])
+    for kind in kinds:
+        for degree in ("-3", "0", "1"):
+            code, out, err = run_cli(capsys, "pde", *kind, "--degree", degree,
+                                     "--grid-counts", "5")
+            _assert_one_line_error(code, out, err, "pde")
+            assert f"degree {degree} too small" in err
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"kind": "helmholtz", "degree": 1,
+                                "grid": {"counts": [5, 5, 5]}}))
+    code, out, err = run_cli(capsys, "pde", "--problem", str(path))
+    _assert_one_line_error(code, out, err, "pde")
+    with pytest.raises(ParseError):
+        PdeProblem(kind="helmholtz", degree=-3)
+    # degree 2 is the smallest with a nonzero solution; yukawa ignores it
+    PdeProblem(kind="helmholtz", degree=2)
+    PdeProblem(kind="yukawa", unit_i=Quaternion(0, 1), degree=-3,
+               rhs=MonogenicSeries([1]))
+
+
+def test_solve_problem_types_exit_2(tmp_path, capsys):
+    problem = tmp_path / "prob.json"
+    for spec, key in (({"lambdas": "ij", "initial": ["1", "2"]}, "lambdas"),
+                      ({"lambdas": [1], "initial": ["1"]}, "lambdas"),
+                      ({"lambdas": {"i": 1}, "initial": ["1"]}, "lambdas"),
+                      ({"lambdas": ["i", "j"], "initial": "12"}, "initial"),
+                      ({"lambdas": ["i"], "initial": [1.5]}, "initial"),
+                      ({"lambdas": ["i"], "initial": None}, "initial")):
+        problem.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
+        _assert_one_line_error(code, out, err, "solve")
+        assert f"'{key}' must be a JSON array of quaternion strings" in err

@@ -367,3 +367,69 @@ def test_p_series_block_boundary():
         want = g(Quaternion(0.3, x1[n], x2[n], x3[n]))
         err = (Quaternion(*vals[n]) - want).norm()
         assert err <= 1e-15 * want.norm()
+
+
+def _axial_grids():
+    # a 21^3 grid with repeated radii, at a constant x0 and at x0 cycling
+    # through -0.0, +0.0 and 0.25; the origin gives points with r = 0, and
+    # four more axis points are added to the second grid
+    ax = np.linspace(-1.0, 1.0, 21)
+    x1, x2, x3 = (v.ravel() for v in np.meshgrid(ax, ax, ax, indexing="ij"))
+    yield np.full(x1.size, 0.3), x1, x2, x3
+    x0 = np.array([-0.0, 0.0, 0.25])[np.arange(x1.size) % 3]
+    axis = np.array([-0.0, 0.0, -0.0, 0.25])
+    yield (np.concatenate([x0, axis]), np.concatenate([x1, 0.0 * axis]),
+           np.concatenate([x2, -0.0 * axis]), np.concatenate([x3, 0.0 * axis]))
+
+
+def _axial_series():
+    rng = np.random.default_rng(541)
+    yield MonogenicSeries([Quaternion(*rng.uniform(-1, 1, 4))
+                           for _ in range(21)])
+    yield helmholtz_solution(1.0).mono      # real coefficients: zero columns
+
+
+def test_axial_split_is_bit_identical():
+    # every grid value has the bits of the one-point call, and of the two
+    # steps of the axial form on floats: the radial sums at (x0, |Im x|^2),
+    # then re + Im(x) im
+    from slicealg.quaternion import axial_combine
+    for g in _axial_series():
+        for x0, x1, x2, x3 in _axial_grids():
+            vals = g.eval_components(x0, x1, x2, x3)
+            radial = {}
+            for n, point in enumerate(zip(x0.tolist(), x1.tolist(),
+                                          x2.tolist(), x3.tolist())):
+                a, b, c, d = point
+                b2 = b * b + c * c + d * d
+                key = (a.hex(), b2.hex())
+                if key not in radial:
+                    radial[key] = g._sums(a, b2)
+                got = [v.hex() for v in vals[n].tolist()]
+                want = g(Quaternion(*point)).as_list()
+                assert got == [v.hex() for v in want]
+                assert got == [float(v).hex()
+                               for v in axial_combine(radial[key], b, c, d)]
+
+
+def test_radial_kernel_runs_once_per_distinct_pair(monkeypatch):
+    # timing-free guard: the radial kernel receives each distinct
+    # (x0, |Im x|^2) bit pattern of a grid exactly once
+    seen = []
+    sums = MonogenicSeries._sums
+
+    def counting(self, x0, b2):
+        seen.extend(zip(np.atleast_1d(x0).tolist(),
+                        np.atleast_1d(b2).tolist()))
+        return sums(self, x0, b2)
+    monkeypatch.setattr(MonogenicSeries, "_sums", counting)
+    for g in _axial_series():
+        for x0, x1, x2, x3 in _axial_grids():
+            seen.clear()
+            g.eval_components(x0, x1, x2, x3)
+            b2 = x1 * x1 + x2 * x2 + x3 * x3
+            want = sorted({(a.hex(), b.hex())
+                           for a, b in zip(x0.tolist(), b2.tolist())})
+            got = sorted((a.hex(), b.hex()) for a, b in seen)
+            assert got == want
+            assert len(got) < x0.size / 4
