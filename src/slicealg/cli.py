@@ -24,15 +24,13 @@ import numpy as np
 
 from . import __version__
 from .errors import IoError, ParseError, RangeError, SliceAlgError
-from .fmtio import csv_chunks, dumps_json, load_json
+from .fmtio import csv_chunks, dumps_json, load_json, write_text
 from .quaternion import Quaternion, parse_quaternion
-from .series import load_coeffs
+from .series import PowerSeries
 from .eigensolve import gen_exp, solve_with_initial
 from .monogenic import MonogenicSeries, load_monogenic
 from .sliceexpr import SliceConstant
-from .pde import (GridSpec, PdeProblem, general_quadratic_kernel,
-                  helmholtz_solution, klein_gordon_solution, verify_pde,
-                  yukawa_solve)
+from .pde import GridSpec, PdeProblem, verify_pde
 from .verify import SUITES, run_suites
 
 DEFAULT_SEED = 1729
@@ -66,29 +64,16 @@ def _read_points(args):
 def _load_series_file(path):
     """A coefficient file: JSON array -> PowerSeries, P-basis object ->
     MonogenicSeries."""
-    try:
-        data = load_json(path)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if isinstance(data, dict):
-        return load_monogenic(path)
-    return load_coeffs(path)
+    data = load_json(path)
+    cls = MonogenicSeries if isinstance(data, dict) else PowerSeries
+    return cls.from_record(data, path)
 
 
 def _write_text(text: str, path) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
-        return
-    try:
-        parent = os.path.dirname(str(path))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    else:
+        write_text(path, [text])
 
 
 def _check_degree(degree: int, m: int, name: str) -> None:
@@ -101,15 +86,12 @@ def cmd_gen_exp(args) -> int:
     lams = _parse_lambdas(args.lambdas)
     _check_degree(args.degree, len(lams), "--degree")
     f = gen_exp(lams, args.degree)
-    _write_text(dumps_json([c.as_list() for c in f.coeffs]), args.output)
+    _write_text(dumps_json(f.to_record()), args.output)
     return 0
 
 
 def cmd_solve(args) -> int:
-    try:
-        spec = load_json(args.problem)
-    except OSError as exc:
-        raise IoError(f"cannot read {args.problem}: {exc}") from exc
+    spec = load_json(args.problem)
     if not isinstance(spec, dict) or "lambdas" not in spec or "initial" not in spec:
         raise ParseError(f"{args.problem}: expected keys 'lambdas', 'initial'")
     for key in ("lambdas", "initial"):
@@ -127,7 +109,7 @@ def cmd_solve(args) -> int:
         raise ParseError("need as many initial values as eigenvalues")
     _check_degree(degree, len(lams), "degree")
     f = solve_with_initial(lams, initial, degree)
-    _write_text(dumps_json([c.as_list() for c in f.coeffs]), args.output)
+    _write_text(dumps_json(f.to_record()), args.output)
     return 0
 
 
@@ -166,27 +148,15 @@ def _grid_from_args(args) -> GridSpec:
                     fd_step=args.fd_step)
 
 
-def _constants_from_file(path):
-    data = load_json(path)
-    if not isinstance(data, list):
-        raise ParseError(f"{path}: expected a JSON array of slice-constant "
-                         "records")
-    return [SliceConstant.from_record(rec) for rec in data]
-
-
 def _problem_from_args(args) -> PdeProblem:
     if args.problem:
-        try:
-            return PdeProblem.from_record(load_json(args.problem))
-        except OSError as exc:
-            raise IoError(f"cannot read {args.problem}: {exc}") from exc
+        return PdeProblem.from_record(load_json(args.problem))
     if not args.kind:
         raise ParseError("pde needs --kind or --problem")
     unit = parse_quaternion(args.unit) if args.unit else None
-    rhs = None
-    if args.rhs:
-        rhs = load_monogenic(args.rhs)
-    constants = tuple(_constants_from_file(args.constants)) \
+    rhs = load_monogenic(args.rhs) if args.rhs else None
+    constants = SliceConstant.from_records(load_json(args.constants),
+                                           args.constants) \
         if args.constants else ()
     lam1 = parse_quaternion(args.lambda1) if args.lambda1 else None
     return PdeProblem(kind=args.kind, lam=args.lam,
@@ -195,43 +165,17 @@ def _problem_from_args(args) -> PdeProblem:
                       grid=_grid_from_args(args), degree=args.degree)
 
 
-def _build_solution(problem: PdeProblem):
-    cs = problem.slice_constants
-    if problem.kind == "helmholtz":
-        h1 = cs[0] if len(cs) > 0 else None
-        h2 = cs[1] if len(cs) > 1 else SliceConstant.uniform(0)
-        return helmholtz_solution(problem.lam, h1, h2, problem.degree)
-    if problem.kind == "klein-gordon":
-        terms = [(problem.unit_i, h) for h in cs] if cs \
-            else [(problem.unit_i, SliceConstant.uniform(1))]
-        return klein_gordon_solution(problem.lam, terms, problem.degree)
-    if problem.kind == "yukawa":
-        return yukawa_solve(problem.lam, problem.unit_i, problem.rhs)
-    h1 = cs[0] if len(cs) > 0 else None
-    h2 = cs[1] if len(cs) > 1 else None
-    return general_quadratic_kernel(problem.lam1, h1, h2, problem.degree)
-
-
 def cmd_pde(args) -> int:
     problem = _problem_from_args(args)
-    f = _build_solution(problem)
+    f = problem.solve()
     report = verify_pde(f, problem)
     if isinstance(f, MonogenicSeries):
-        coeffs_json = dumps_json(
-            {"basis": "P", "coeffs": [c.as_list() for c in f.coeffs]})
-        if args.out_prefix:
-            _write_text(coeffs_json, args.out_prefix + ".coeffs.json")
-        else:
-            sys.stdout.write(coeffs_json)
+        _write_text(dumps_json(f.to_record()),
+                    args.out_prefix + ".coeffs.json" if args.out_prefix
+                    else None)
     if args.out_prefix:
-        try:
-            parent = os.path.dirname(args.out_prefix)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            report.write_csv(args.out_prefix + ".csv")
-            report.write_summary(args.out_prefix + ".summary.json")
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out_prefix}.*: {exc}") from exc
+        report.write_csv(args.out_prefix + ".csv")
+        report.write_summary(args.out_prefix + ".summary.json")
     else:
         sys.stdout.write(dumps_json(report.summary()))
     print(f"{problem.kind}: {report.n_points} nodes, fd_step "

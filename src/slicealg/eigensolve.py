@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateViolation, RangeError, ZeroEigenvalue
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, commutes
-from .series import PowerSeries, slice_derivative
+from .series import PowerSeries, exp_series, slice_derivative
 
 __all__ = [
     "EigenTuple",
@@ -216,9 +216,7 @@ def gen_exp(lambdas, n_trunc: int = 40) -> PowerSeries:
     if n_trunc < lams.m - 1:
         raise ValueError(f"n_trunc = {n_trunc} cannot hold E_Lambda with "
                          f"m = {lams.m} (first nonzero coefficient is x^{lams.m - 1})")
-    prev = [ONE]
-    for n in range(n_trunc):
-        prev.append(prev[-1] * lams[0] / float(n + 1))
+    prev = exp_series(lams[0], n_trunc).coeffs
     for ell in range(1, lams.m):
         lam = lams[ell]
         cur = [ZERO]

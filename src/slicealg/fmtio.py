@@ -1,4 +1,4 @@
-"""Deterministic JSON/CSV emission.
+"""Deterministic JSON/CSV emission, and the package's file access.
 
 All floating values are written with 17 significant digits (``%.17g``),
 which round-trips every finite IEEE double exactly and makes repeated
@@ -9,17 +9,26 @@ arrays: :func:`csv_chunks` formats them :data:`CSV_BLOCK` rows at a time
 with one ``%.17g`` row template, which gives the bytes of
 :func:`fmt_float` without a Python call per value, and :func:`write_csv`
 streams those chunks to a file.
+
+Files are read by :func:`load_json` and written by :func:`write_text`;
+either turns a failure into one error that names the path: an
+:class:`IoError` (an ``OSError``), or a :class:`ParseError` (a
+``ValueError``) for a file that is not UTF-8 JSON.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 
 import numpy as np
 
-__all__ = ["fmt_float", "dumps_json", "dump_json", "load_json", "csv_chunks",
-           "write_csv"]
+from .errors import IoError, ParseError
+
+__all__ = ["fmt_float", "dumps_json", "dump_json", "load_json", "write_text",
+           "csv_chunks", "write_csv"]
 
 # Rows formatted per string operation of the CSV writer.
 CSV_BLOCK = 4096
@@ -90,13 +99,31 @@ def dumps_json(obj) -> str:
 
 
 def dump_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dumps_json(obj))
+    write_text(path, [dumps_json(obj)])
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document in the file ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:       # a JSON or a UTF-8 decoding error
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def write_text(path, chunks) -> None:
+    """Write the strings ``chunks`` to the file ``path``, creating its
+    directory if it is missing."""
+    try:
+        parent = os.path.dirname(os.fspath(path))
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def csv_chunks(header, rows):
@@ -123,6 +150,4 @@ def write_csv(path, header, rows) -> None:
     """Write ``header`` and numeric ``rows`` to ``path`` (:func:`csv_chunks`)."""
     chunks = csv_chunks(header, rows)
     first = next(chunks)        # the values are checked before the file opens
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(first)
-        fh.writelines(chunks)
+    write_text(path, itertools.chain([first], chunks))

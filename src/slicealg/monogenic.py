@@ -34,7 +34,7 @@ from .fmtio import dump_json, load_json
 from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K, as_quaternion,
                          axial_combine, decompose, in_axial_blocks,
                          quaternion_from_json)
-from .series import PowerSeries, slice_derivative
+from .series import PowerSeries, slice_derivative, spherical_derivative_eval
 from .sliceexpr import slice_derivative_pointwise
 
 __all__ = [
@@ -123,6 +123,22 @@ class MonogenicSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("MonogenicSeries is immutable")
+
+    @classmethod
+    def from_record(cls, data, what: str) -> "MonogenicSeries":
+        """The series of a :meth:`to_record` object; ``what`` names the
+        data in a :class:`ParseError`."""
+        if not isinstance(data, dict) or data.get("basis") != "P":
+            raise ParseError(f"{what}: expected a P-basis monogenic series")
+        raw = data.get("coeffs")
+        if not isinstance(raw, list):
+            raise ParseError(f"{what}: expected a 'coeffs' list")
+        return cls([quaternion_from_json(item, f"{what}: coefficient {n}")
+                    for n, item in enumerate(raw)])
+
+    def to_record(self) -> dict:
+        """The JSON form {"basis": "P", "coeffs": [[w, x1, x2, x3], ...]}."""
+        return {"basis": "P", "coeffs": [c.as_list() for c in self.coeffs]}
 
     @property
     def degree_bound(self) -> int:
@@ -256,21 +272,22 @@ def delta_exp(lambdas, n_trunc: int = 40) -> MonogenicSeries:
 def laplacian_pointwise(f, x, h: float = 1e-5) -> Quaternion:
     """Delta f at x from the slice decomposition (x not real).
 
-    Uses Delta f = -2 (Im x / |Im x|^2) (f'_s - df/dx) with
-    f'_s = F_2 / beta.  Accepts a PowerSeries (exact df/dx) or a
-    SliceExpr (df/dx by central difference with step h).
+    Uses Delta f = -2 (Im x / |Im x|^2) (f'_s - df/dx).  Accepts a
+    PowerSeries (f'_s by :func:`series.spherical_derivative_eval`, exact
+    df/dx) or a SliceExpr (f'_s = F_2 / beta from its stems, df/dx by
+    central difference with step h).
     """
     x = as_quaternion(x)
     sp = decompose(x)
     if sp.real:
         raise DomainError("the pointwise Laplacian formula needs Im x != 0")
     if isinstance(f, PowerSeries):
-        _, f2 = f.stem(sp.alpha, sp.beta)
+        sph = spherical_derivative_eval(f, x)
         dfdx = slice_derivative(f)(x)
     else:
         _, f2 = f.stems(sp.alpha, sp.beta, sp.j)
+        sph = f2 / sp.beta
         dfdx = slice_derivative_pointwise(f, x, h=h)
-    sph = f2 / sp.beta
     return (-2.0 / sp.beta) * (sp.j * (sph - dfdx))
 
 
@@ -309,19 +326,13 @@ def laplacian_via_partials(f: PowerSeries, x) -> Quaternion:
 
 
 def save_monogenic(path, g: MonogenicSeries) -> None:
-    """Write {"basis": "P", "coeffs": [[w, x1, x2, x3], ...]}."""
-    dump_json({"basis": "P", "coeffs": [c.as_list() for c in g.coeffs]}, path)
+    """Write :meth:`MonogenicSeries.to_record` as a JSON file."""
+    dump_json(g.to_record(), path)
 
 
 def load_monogenic(path) -> MonogenicSeries:
-    data = load_json(path)
-    if not isinstance(data, dict) or data.get("basis") != "P":
-        raise ParseError(f"{path}: expected a P-basis monogenic series")
-    raw = data.get("coeffs")
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: missing coefficient list")
-    return MonogenicSeries([quaternion_from_json(item, f"{path}: coefficient {n}")
-                            for n, item in enumerate(raw)])
+    """Read a file written by :func:`save_monogenic`."""
+    return MonogenicSeries.from_record(load_json(path), path)
 
 
 # --- finite-difference verification helpers ---------------------------------

@@ -57,10 +57,9 @@ import numpy as np
 from .errors import DomainError, GridTooSmall, ParseError, ZeroEigenvalue
 from .fmtio import dump_json, write_csv
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, decompose, \
-    format_quaternion, in_axial_blocks, parse_quaternion, qmul, \
-    quaternion_from_json
+    format_quaternion, in_axial_blocks, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
-from .sliceexpr import SliceConstant
+from .sliceexpr import SliceConstant, _require_unit_imag
 from .eigensolve import gen_exp, S_lambda
 from .monogenic import MonogenicSeries, fueter_laplacian, inv_laplacian, \
     richardson_order
@@ -198,13 +197,6 @@ def _real_lambda(lam) -> float:
     return q.w
 
 
-def _unit_imag(u) -> Quaternion:
-    q = as_quaternion(u)
-    if abs(q.w) > 1e-12 or abs(q.imag_norm() - 1.0) > 1e-12:
-        raise ParseError(f"expected a unit imaginary quaternion, got {q}")
-    return q
-
-
 @dataclass(frozen=True)
 class PdeProblem:
     """A Helmholtz / Klein-Gordon / Yukawa / quadratic-kernel instance.
@@ -256,8 +248,7 @@ class PdeProblem:
         if self.slice_constants:
             rec["slice_constants"] = [h.to_record() for h in self.slice_constants]
         if self.rhs is not None:
-            rec["rhs"] = {"basis": "P",
-                          "coeffs": [c.as_list() for c in self.rhs.coeffs]}
+            rec["rhs"] = self.rhs.to_record()
         rec["grid"] = self.grid.to_record()
         rec["degree"] = int(self.degree)
         return rec
@@ -266,38 +257,40 @@ class PdeProblem:
     def from_record(cls, rec: dict) -> "PdeProblem":
         if not isinstance(rec, dict) or "kind" not in rec:
             raise ParseError("problem record must be an object with a 'kind'")
-        kind = rec["kind"]
-        unit_i = None
-        if rec.get("I") is not None:
-            unit_i = _unit_imag(parse_quaternion(rec["I"]))
-        lam1 = None
-        if rec.get("lambda1") is not None:
-            lam1 = parse_quaternion(rec["lambda1"])
-        constants = tuple(SliceConstant.from_record(r)
-                          for r in rec.get("slice_constants", []))
-        rhs = None
-        if rec.get("rhs") is not None:
-            raw = rec["rhs"]
-            if not isinstance(raw, dict) or raw.get("basis") != "P":
-                raise ParseError("rhs must be a P-basis monogenic series record")
-            rhs = MonogenicSeries([
-                quaternion_from_json(c, f"rhs coefficient {n}")
-                for n, c in enumerate(raw.get("coeffs", []))])
+        unit_i = (None if rec.get("I") is None
+                  else _require_unit_imag(parse_quaternion(rec["I"]), "I"))
+        lam1 = (None if rec.get("lambda1") is None
+                else parse_quaternion(rec["lambda1"]))
+        constants = SliceConstant.from_records(rec.get("slice_constants", []),
+                                               "slice_constants")
+        rhs = (None if rec.get("rhs") is None
+               else MonogenicSeries.from_record(rec["rhs"], "rhs"))
         try:
             lam = float(rec.get("lambda", 1.0))
             degree = int(rec.get("degree", 40))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad problem record: {exc}") from exc
-        return cls(
-            kind=kind,
-            lam=lam,
-            unit_i=unit_i,
-            slice_constants=constants,
-            rhs=rhs,
-            lam1=lam1,
-            grid=GridSpec.from_record(rec.get("grid", {})),
-            degree=degree,
-        )
+        return cls(kind=rec["kind"], lam=lam, unit_i=unit_i,
+                   slice_constants=constants, rhs=rhs, lam1=lam1,
+                   grid=GridSpec.from_record(rec.get("grid", {})),
+                   degree=degree)
+
+    def solve(self):
+        """The solution of this problem, by the constructor of its kind: a
+        :class:`SolutionEvaluator`, or a :class:`MonogenicSeries` for
+        yukawa.  Without slice constants, helmholtz and quadratic take
+        h1 = 1, h2 = 0, and klein-gordon one term with h = 1."""
+        cs = self.slice_constants
+        h1 = cs[0] if cs else None
+        h2 = cs[1] if len(cs) > 1 else None
+        if self.kind == "helmholtz":
+            return helmholtz_solution(self.lam, h1, h2, self.degree)
+        if self.kind == "klein-gordon":
+            return klein_gordon_solution(
+                self.lam, [(self.unit_i, h) for h in cs or (ONE,)], self.degree)
+        if self.kind == "yukawa":
+            return yukawa_solve(self.lam, self.unit_i, self.rhs)
+        return general_quadratic_kernel(self.lam1, h1, h2, self.degree)
 
 
 # solution evaluators ---------------------------------------------------------
@@ -407,7 +400,7 @@ def klein_gordon_solution(lam, constants, n_trunc: int = 40) -> SolutionEvaluato
     lam = _real_lambda(lam)
     terms = []
     for unit, h in constants:
-        unit = _unit_imag(unit)
+        unit = _require_unit_imag(unit, "I")
         terms.append((_as_constant(h), exp_series(unit * lam, n_trunc)))
     return SolutionEvaluator(terms, name=f"klein-gordon(lambda={lam})")
 
@@ -437,7 +430,7 @@ def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
     polynomial, so the result is an exact MonogenicSeries.
     """
     lam = _real_lambda(lam)
-    unit = _unit_imag(unit_i)
+    unit = _require_unit_imag(unit_i, "I")
     u = inv_laplacian(h)
     v = S_lambda(unit * lam, u)
     w = S_lambda(-(unit * lam), v)

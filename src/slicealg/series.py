@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from .errors import ParseError, RangeError
+from .fmtio import dump_json, load_json
 from .quaternion import (Quaternion, ZERO, ONE, as_quaternion, decompose,
                          in_blocks, quaternion_from_json)
 
@@ -72,6 +74,20 @@ class PowerSeries:
     def truncated(cls, coeffs) -> "PowerSeries":
         """A truncation of an infinite series (tail unknown)."""
         return cls(coeffs, exact=False)
+
+    @classmethod
+    def from_record(cls, data, what: str) -> "PowerSeries":
+        """The series of a :meth:`to_record` list, read as a truncation
+        (the list carries no exactness marker); ``what`` names the data
+        in a :class:`ParseError`."""
+        if not isinstance(data, list):
+            raise ParseError(f"{what}: expected a JSON array of quadruples")
+        return cls.truncated([quaternion_from_json(quad, f"{what}: entry {n}")
+                              for n, quad in enumerate(data)])
+
+    def to_record(self) -> list:
+        """The JSON form: a list of [w, x1, x2, x3] coefficient quadruples."""
+        return [c.as_list() for c in self.coeffs]
 
     @classmethod
     def zero(cls) -> "PowerSeries":
@@ -162,22 +178,6 @@ class PowerSeries:
                           x0 * j - x1 * k + x2 * w + x3 * i + a.x2,
                           x0 * k + x1 * j - x2 * i + x3 * w + a.x3)
         return w, i, j, k
-
-    def stem(self, alpha: float, beta: float):
-        """Stem components (F1, F2) at z = alpha + i*beta.
-
-        F1 = Sum Re(z^n) a_n and F2 = Sum Im(z^n) a_n, so that the slice
-        function value at alpha + J*beta is F1 + J*F2 for every unit J.
-        """
-        z = complex(alpha, beta)
-        zp = complex(1.0, 0.0)
-        f1 = ZERO
-        f2 = ZERO
-        for a in self.coeffs:
-            f1 = f1 + a * zp.real
-            f2 = f2 + a * zp.imag
-            zp *= z
-        return f1, f2
 
     # -- linear structure -----------------------------------------------------
 
@@ -319,11 +319,19 @@ def exp_tail_bound(radius: float, lam_norm: float, n_trunc: int) -> float:
 
 def exp_truncation(radius: float, lam_norm: float, tol: float = 1e-25,
                    max_degree: int = 400) -> int:
-    """Smallest truncation degree with exp_tail_bound below ``tol``."""
+    """Smallest truncation degree with exp_tail_bound below ``tol``.
+
+    Raises :class:`RangeError` when no degree up to ``max_degree`` is
+    small enough.
+    """
     t = radius * lam_norm
     term = t * math.exp(t)  # bound for N = 0
     n = 0
-    while term > tol and n < max_degree:
+    while term > tol:
+        if n == max_degree:
+            raise RangeError(
+                f"the exp tail bound at radius {radius!r} (|lambda| = "
+                f"{lam_norm!r}) stays above {tol!r} up to degree {max_degree}")
         n += 1
         term *= t / (n + 1)
     return n
@@ -332,22 +340,11 @@ def exp_truncation(radius: float, lam_norm: float, tol: float = 1e-25,
 # -- coefficient files ---------------------------------------------------------
 
 def save_coeffs(f: PowerSeries, path) -> None:
-    """Write the coefficients as a JSON array of [w, x1, x2, x3] quadruples."""
-    from .fmtio import dump_json
-    dump_json([c.as_list() for c in f.coeffs], path)
+    """Write :meth:`PowerSeries.to_record` as a JSON file."""
+    dump_json(f.to_record(), path)
 
 
 def load_coeffs(path) -> PowerSeries:
-    """Read a coefficient file written by :func:`save_coeffs`.
-
-    Files carry no exactness marker; the result is conservatively treated
-    as a truncated series.
-    """
-    from .fmtio import load_json
-    from .errors import ParseError
-    data = load_json(path)
-    if not isinstance(data, list):
-        raise ParseError(f"{path}: expected a JSON array of quadruples")
-    coeffs = [quaternion_from_json(quad, f"{path}: entry {n}")
-              for n, quad in enumerate(data)]
-    return PowerSeries(coeffs, exact=False)
+    """Read a coefficient file written by :func:`save_coeffs`, as a
+    truncated series (:meth:`PowerSeries.from_record`)."""
+    return PowerSeries.from_record(load_json(path), path)

@@ -101,20 +101,21 @@ def lift(f: PowerSeries) -> SliceExpr:
     return SliceExpr(stem_fn, domain="slice", name="lift")
 
 
+def _constant_stems(g1, g2, domain: str, name: str) -> SliceExpr:
+    """The SliceExpr whose stems are (g1, g2) everywhere."""
+    return SliceExpr(lambda alpha, beta, j: (g1, g2), domain=domain, name=name)
+
+
 def constant_expr(c) -> SliceExpr:
     """The constant function c as a SliceExpr on all of H."""
     c = as_quaternion(c)
-
-    def stem_fn(alpha, beta, j):
-        return c, ZERO
-
-    return SliceExpr(stem_fn, domain="slice", name=f"const {format_quaternion(c)}")
+    return _constant_stems(c, ZERO, "slice", f"const {format_quaternion(c)}")
 
 
 def _require_unit_imag(u, what="unit") -> Quaternion:
     u = as_quaternion(u)
     if abs(u.w) > 1e-12 or abs(u.norm() - 1.0) > 1e-12:
-        raise ValueError(f"{what} must be a unit imaginary quaternion, got "
+        raise ParseError(f"{what} must be a unit imaginary quaternion, got "
                          f"{format_quaternion(u)}")
     return u
 
@@ -126,14 +127,8 @@ def mu(unit_i) -> SliceExpr:
     C_I+ and identically 1 on C_I-.
     """
     unit_i = _require_unit_imag(unit_i, "I")
-    f1 = Quaternion(0.5)
-    f2 = unit_i * 0.5
-
-    def stem_fn(alpha, beta, j):
-        return f1, f2
-
-    return SliceExpr(stem_fn, domain="product",
-                     name=f"mu_{format_quaternion(unit_i)}")
+    return _constant_stems(Quaternion(0.5), unit_i * 0.5, "product",
+                           f"mu_{format_quaternion(unit_i)}")
 
 
 def slice_constant_from_two_values(unit_j, unit_k, a1, a2,
@@ -158,11 +153,7 @@ def slice_constant_from_two_values(unit_j, unit_k, a1, a2,
     g1 = unit_j * (inv * a2) - unit_k * (inv * a1)
     g2 = inv * (a1 - a2)
     domain = "slice" if a1 == a2 else "product"
-
-    def stem_fn(alpha, beta, j):
-        return g1, g2
-
-    return SliceExpr(stem_fn, domain=domain, name="slice constant")
+    return _constant_stems(g1, g2, domain, "slice constant")
 
 
 @dataclass(frozen=True)
@@ -204,12 +195,7 @@ class SliceConstant:
     def expr(self) -> SliceExpr:
         if self.is_uniform:
             return constant_expr(self.a1)
-        g1, g2 = self.stems()
-
-        def stem_fn(alpha, beta, j):
-            return g1, g2
-
-        return SliceExpr(stem_fn, domain="product", name="slice constant")
+        return _constant_stems(*self.stems(), "product", "slice constant")
 
     def to_record(self) -> dict:
         return {
@@ -231,6 +217,15 @@ class SliceConstant:
         return cls.on_halves(parse_quaternion(unit),
                              parse_quaternion(a1),
                              parse_quaternion(a2))
+
+    @classmethod
+    def from_records(cls, data, what: str) -> Tuple["SliceConstant", ...]:
+        """The constants of a JSON list of :meth:`to_record` objects;
+        ``what`` names the list in a :class:`ParseError`."""
+        if not isinstance(data, list):
+            raise ParseError(f"{what}: expected a JSON array of "
+                             "slice-constant records")
+        return tuple(cls.from_record(rec) for rec in data)
 
 
 def product_expr(f: SliceExpr, g: SliceExpr, name: str = "") -> SliceExpr:

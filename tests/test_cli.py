@@ -361,3 +361,51 @@ def test_solve_problem_types_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
         _assert_one_line_error(code, out, err, "solve")
         assert f"'{key}' must be a JSON array of quaternion strings" in err
+
+
+INPUT_FILE_CASES = {
+    # id: (how to write the input file or None for a missing one, argv)
+    "rhs-missing": (None, ["pde", "--kind", "yukawa", "--unit", "i",
+                           "--rhs", "{path}"]),
+    "rhs-not-json": ("{not json", ["pde", "--kind", "yukawa", "--unit", "i",
+                                   "--rhs", "{path}"]),
+    "constants-missing": (None, ["pde", "--kind", "helmholtz",
+                                 "--exclude", "0.5", "--constants", "{path}"]),
+    "constants-not-json": ("[{", ["pde", "--kind", "helmholtz",
+                                  "--exclude", "0.5", "--constants", "{path}"]),
+    "pde-problem-not-json": ("kind: helmholtz", ["pde", "--problem", "{path}"]),
+    "solve-problem-not-json": ('{"lambdas": ["i"],',
+                               ["solve", "--problem", "{path}"]),
+    "constant-unit-not-unit": (
+        json.dumps([{"I": "2i", "a1": "1", "a2": "0"}]),
+        ["pde", "--kind", "helmholtz", "--exclude", "0.5",
+         "--constants", "{path}"]),
+    "problem-constants-not-list": (
+        json.dumps({"kind": "helmholtz", "slice_constants": 5}),
+        ["pde", "--problem", "{path}"]),
+    "problem-rhs-coeffs-not-list": (
+        json.dumps({"kind": "yukawa", "I": "i",
+                    "rhs": {"basis": "P", "coeffs": 5}}),
+        ["pde", "--problem", "{path}"]),
+    "problem-rhs-without-coeffs": (
+        json.dumps({"kind": "yukawa", "I": "i", "rhs": {"basis": "P"}}),
+        ["pde", "--problem", "{path}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_FILE_CASES))
+def test_input_files_exit_2(case, tmp_path, capsys, monkeypatch):
+    # a missing, malformed or wrongly typed input file is one exit-2 line,
+    # refused before any grid work
+    import slicealg.cli as cli
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad input file")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    text, argv = INPUT_FILE_CASES[case]
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "{path}" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_error(code, out, err, argv[0])

@@ -41,3 +41,57 @@ def test_write_csv_rejects_non_finite(tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite"):
         write_csv(path, ["x", "y"], rows)
     assert not path.exists()
+
+
+def test_load_json_errors_name_the_path(tmp_path):
+    from slicealg.errors import IoError, ParseError
+    from slicealg.fmtio import load_json
+    missing = tmp_path / "missing.json"
+    with pytest.raises(IoError, match="cannot read .*missing.json") as info:
+        load_json(missing)
+    assert isinstance(info.value, OSError)
+    for name, data in (("text.json", b"{not json"), ("latin1.json", b"[\xff]")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=name) as info:
+            load_json(path)
+        assert isinstance(info.value, ValueError)
+
+
+def test_write_text_creates_directories(tmp_path):
+    from slicealg.errors import IoError
+    from slicealg.fmtio import write_text
+    path = tmp_path / "a" / "b" / "out.txt"
+    write_text(path, ["one\n", "two\n"])
+    assert path.read_bytes() == b"one\ntwo\n"
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(IoError, match="cannot write .*file/out.txt") as info:
+        write_text(blocker / "out.txt", ["x"])
+    assert isinstance(info.value, OSError)
+    # the CSV writer goes through write_text as well
+    with pytest.raises(IoError):
+        write_csv(blocker / "out.csv", ["x"], [[1.0]])
+
+
+def test_series_records_round_trip(tmp_path):
+    import json
+    from slicealg import MonogenicSeries, PowerSeries, Quaternion
+    from slicealg.errors import ParseError
+    from slicealg.fmtio import dumps_json
+    rng = np.random.default_rng(547)
+    coeffs = [Quaternion(*q) for q in rng.standard_normal((7, 4))]
+    f = PowerSeries(coeffs)
+    back = PowerSeries.from_record(json.loads(dumps_json(f.to_record())), "f")
+    assert back.coeffs == f.coeffs and not back.exact
+    g = MonogenicSeries(coeffs)
+    rec = g.to_record()
+    assert rec["basis"] == "P"
+    assert MonogenicSeries.from_record(json.loads(dumps_json(rec)), "g").coeffs \
+        == g.coeffs
+    for bad, cls in (({"basis": "P"}, PowerSeries), ([[1, 2, 3]], PowerSeries),
+                     ([[1, 0, 0, 0]], MonogenicSeries),
+                     ({"basis": "P", "coeffs": 5}, MonogenicSeries),
+                     ({"basis": "P", "coeffs": [[1, 0, 0]]}, MonogenicSeries)):
+        with pytest.raises(ParseError, match="^data: "):
+            cls.from_record(bad, "data")

@@ -433,3 +433,44 @@ def test_radial_kernel_runs_once_per_distinct_pair(monkeypatch):
             got = sorted((a.hex(), b.hex()) for a, b in seen)
             assert got == want
             assert len(got) < x0.size / 4
+
+
+def test_problem_solve_matches_constructors():
+    # PdeProblem.solve builds the same solution, bit for bit, as calling
+    # the constructor of each kind with the problem's data
+    unit = Quaternion(0.0, 0.6, 0.0, 0.8)
+    h1 = SliceConstant.on_halves(I, ONE, Quaternion(0.5, 0.0, 1.0))
+    h2 = SliceConstant.uniform(Quaternion(0.0, 0.0, 0.0, 2.0))
+    rhs = MonogenicSeries([ONE, Quaternion(0.2, -1.0, 0.5, 0.0), J])
+    lam1 = Quaternion(1.0, 0.0, 1.0)
+    cases = [
+        (PdeProblem(kind="helmholtz", lam=1.5, degree=20),
+         helmholtz_solution(1.5, None, SliceConstant.uniform(0), 20)),
+        (PdeProblem(kind="helmholtz", lam=-0.5, slice_constants=(h1, h2),
+                    degree=25),
+         helmholtz_solution(-0.5, h1, h2, 25)),
+        (PdeProblem(kind="helmholtz", lam=0.8, slice_constants=(h1,),
+                    degree=25),
+         helmholtz_solution(0.8, h1, None, 25)),
+        (PdeProblem(kind="klein-gordon", lam=2.0, unit_i=unit, degree=30),
+         klein_gordon_solution(2.0, [(unit, SliceConstant.uniform(1))], 30)),
+        (PdeProblem(kind="klein-gordon", lam=1.0, unit_i=unit,
+                    slice_constants=(h1, h2), degree=22),
+         klein_gordon_solution(1.0, [(unit, h1), (unit, h2)], 22)),
+        (PdeProblem(kind="yukawa", lam=1.2, unit_i=unit, rhs=rhs),
+         yukawa_solve(1.2, unit, rhs)),
+        (PdeProblem(kind="quadratic", lam1=lam1, degree=18),
+         general_quadratic_kernel(lam1, None, None, 18)),
+        (PdeProblem(kind="quadratic", lam1=lam1, slice_constants=(h2, h1),
+                    degree=18),
+         general_quadratic_kernel(lam1, h2, h1, 18)),
+    ]
+    ax = np.linspace(-1.0, 1.0, 5) + 0.05     # no node on the real axis
+    g1, g2, g3 = (a.ravel() for a in np.meshgrid(ax, ax, ax, indexing="ij"))
+    x0 = np.full_like(g1, 0.3)
+    for problem, want in cases:
+        got = problem.solve()
+        assert type(got) is type(want)
+        a = got.eval_components(x0, g1, g2, g3)
+        b = want.eval_components(x0, g1, g2, g3)
+        assert a.tobytes() == b.tobytes(), problem.kind

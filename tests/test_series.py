@@ -241,3 +241,17 @@ def test_series_scalar_operators():
     assert k.coeffs == (J, J * I)
     assert (-f).coeffs == (-ONE, -I)
     assert (f - f).is_zero()
+
+
+def test_exp_truncation_refuses_at_its_cap():
+    # at |x lambda| = 400 no degree up to 400 meets the tail bound (the
+    # bound at degree 400 is about 1e345): an error, not the cap
+    from slicealg import RangeError
+    with pytest.raises(RangeError, match=r"radius 50\b.*above 1e-25.*400"):
+        exp_truncation(50, 8)
+    with pytest.raises(RangeError, match="up to degree 10"):
+        exp_truncation(1.0, 2.0, tol=1e-16, max_degree=10)
+    # a cap that is just reached with the bound met is no error
+    n = exp_truncation(1.0, 2.0, tol=1e-16)
+    assert exp_truncation(1.0, 2.0, tol=1e-16, max_degree=n) == n
+    assert exp_tail_bound(1.0, 2.0, n) <= 1e-16 < exp_tail_bound(1.0, 2.0, n - 1)
