@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["SliceAlgError", "ParseError", "IoError", "DomainError",
+           "DegenerateUnits", "StemSymmetryError", "ZeroEigenvalue",
+           "RangeError", "CertificateViolation", "GridTooSmall"]
+
 
 class SliceAlgError(Exception):
     """Base class for all slicealg-specific errors."""

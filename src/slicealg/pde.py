@@ -6,14 +6,12 @@ eigenvalue data satisfies d^2 u / dx0^2 = u * lambda^2-type identities;
 its Laplacian image f = Delta_4 u is axially monogenic, hence harmonic
 in all four variables, so Delta_3 f = -d^2 f / dx0^2 at fixed x0.  That
 single observation turns the closed-form eigenfunctions of eigensolve
-into solutions of
+into solutions of one equation, Delta_3 f + f lambda_1^2 = h, where
+Delta_3 acts in (x1, x2, x3): h = 0 and lambda_1 = lambda real (Helmholtz),
+I lambda (Klein-Gordon, exp_{I lambda}) or a + bI (quadratic kernel), or
+h axially monogenic and lambda_1 = I lambda (Yukawa).
 
-    (Delta_3 + lambda^2) f = 0        (Helmholtz,      lambda real)
-    (Delta_3 - lambda^2) f = 0        (Klein-Gordon,   exp_{I lambda})
-    Delta_3 f + (a^2-b^2) f + 2ab f I = 0   (quadratic kernel, lambda_1 = a + bI)
-    Delta_3 f - lambda^2 f = h        (Yukawa, h axially monogenic)
-
-where Delta_3 acts in (x1, x2, x3).  Solutions come in two flavours:
+Solutions come in two flavours:
 
 * a *uniform* part, Delta_4 of an ordinary power series (defined on all
   of H, real axis included);
@@ -56,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooSmall, ParseError, ZeroEigenvalue
 from .fmtio import dump_json, write_csv
-from .quaternion import Quaternion, ZERO, ONE, as_quaternion, decompose, \
+from .quaternion import Quaternion, ZERO, ONE, as_quaternion, \
     format_quaternion, in_axial_blocks, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
 from .sliceexpr import SliceConstant, _require_unit_imag
@@ -104,6 +102,14 @@ def _stem_map(h: SliceConstant, e: PowerSeries):
 
 
 # grids and problems ---------------------------------------------------------
+
+def _refuse_unknown_keys(rec: dict, keys, what: str) -> None:
+    # a misspelt key would otherwise fall back to its default silently
+    for key in rec:
+        if key not in keys:
+            raise ParseError(f"unknown {what} key {key!r}; accepted keys: "
+                             + ", ".join(keys))
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -173,6 +179,8 @@ class GridSpec:
     def from_record(cls, rec: dict) -> "GridSpec":
         if not isinstance(rec, dict):
             raise ParseError("grid record must be an object")
+        _refuse_unknown_keys(rec, ("counts", "lo", "hi", "x0",
+                                   "exclude_radius", "fd_step"), "grid")
         try:
             fields = dict(
                 counts=tuple(int(c) for c in rec.get("counts", (21, 21, 21))),
@@ -257,6 +265,9 @@ class PdeProblem:
     def from_record(cls, rec: dict) -> "PdeProblem":
         if not isinstance(rec, dict) or "kind" not in rec:
             raise ParseError("problem record must be an object with a 'kind'")
+        _refuse_unknown_keys(rec, ("kind", "lambda", "I", "lambda1",
+                                   "slice_constants", "rhs", "grid", "degree"),
+                             "problem")
         unit_i = (None if rec.get("I") is None
                   else _require_unit_imag(parse_quaternion(rec["I"]), "I"))
         lam1 = (None if rec.get("lambda1") is None
@@ -362,13 +373,7 @@ class SolutionEvaluator:
         return [m + t for m, t in zip(self.mono._sums(x0, b2), stem)]
 
     def __call__(self, x) -> Quaternion:
-        x = as_quaternion(x)
-        if self._stem_map is None:
-            return self.mono(x)
-        comps = self.eval_components(
-            np.array([x.w]), np.array([x.x1]),
-            np.array([x.x2]), np.array([x.x3]))
-        return Quaternion(*comps[0])
+        return Quaternion(*self.eval_components(*as_quaternion(x).as_list()))
 
 
 def _as_constant(h) -> SliceConstant:
@@ -479,24 +484,25 @@ class PdeReport:
                   self.rows)
 
 
-def _operator_residual(problem: PdeProblem, lap, fv, rhs_vals, factor: float):
-    """Residual of the problem's operator; ``factor`` scales lambda^2
-    (factor 4 is the deliberate lambda -> 2 lambda negative control)."""
-    kind = problem.kind
-    if kind == "helmholtz":
-        return lap + (factor * problem.lam ** 2) * fv
-    if kind == "klein-gordon":
-        return lap - (factor * problem.lam ** 2) * fv
-    if kind == "yukawa":
-        res = lap - (factor * problem.lam ** 2) * fv
-        return res - rhs_vals
-    # quadratic: Delta_3 f + (a^2-b^2) f + 2ab f I = 0
-    sp = decompose(as_quaternion(problem.lam1))
-    a, b = sp.alpha, sp.beta
-    res = lap + (factor * (a * a - b * b)) * fv
-    if b != 0.0:
-        iv = _qarr(sp.j)
-        res = res + (factor * 2.0 * a * b) * qmul(fv, iv)
+def _lambda1_squared(problem: PdeProblem) -> Quaternion:
+    """lambda_1^2 of the equation Delta_3 f + f lambda_1^2 = h that every
+    kind solves: lambda_1 = lambda (helmholtz), I lambda (klein-gordon,
+    yukawa) or the quadratic kernel's lambda_1."""
+    if problem.kind == "quadratic":
+        lam1 = as_quaternion(problem.lam1)
+        return lam1 * lam1
+    lam2 = problem.lam ** 2
+    return Quaternion(lam2 if problem.kind == "helmholtz" else -lam2)
+
+
+def _operator_residual(sq: Quaternion, lap, fv, rhs_vals, factor: float):
+    """lap + factor (f sq) - h, with sq = lambda_1^2 and h = ``rhs_vals``
+    (factor 4 is the deliberate lambda -> 2 lambda negative control).  The
+    quaternion product runs only when sq is not real."""
+    res = lap + (factor * sq.w) * fv
+    if not sq.is_real():
+        res += factor * qmul(fv, _qarr(sq.imag()))
+    res -= rhs_vals
     return res
 
 
@@ -553,7 +559,8 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
             acc += f.eval_components(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
         return acc / (step * step)
 
-    rhs_vals = None
+    sq = _lambda1_squared(problem)
+    rhs_vals = 0.0
     if problem.kind == "yukawa":
         rhs_vals = problem.rhs.eval_components(x0c, x1c, x2c, x3c)
 
@@ -563,7 +570,7 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
 
     def residual_norms(lap, factor=1.0):
         return np.linalg.norm(
-            _operator_residual(problem, lap, fv, rhs_vals, factor), axis=-1)
+            _operator_residual(sq, lap, fv, rhs_vals, factor), axis=-1)
 
     laps = {}
 

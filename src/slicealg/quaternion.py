@@ -230,26 +230,6 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 BLOCK = 8192
 
 
-def in_blocks(kernel, x0, x1, x2, x3):
-    """Evaluate ``kernel`` over broadcast coordinate arrays, block by block.
-
-    ``kernel(x0, x1, x2, x3)`` takes 1-D coordinate arrays of at most
-    :data:`BLOCK` points and returns the four components of its values.
-    Returns the (..., 4) array of all points; the kernel's working memory
-    stays bounded by the block size.
-    """
-    x0, x1, x2, x3 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
-    shape = x0.shape
-    flat = [v.reshape(-1) for v in (x0, x1, x2, x3)]
-    out = np.empty((x0.size, 4))
-    for start in range(0, x0.size, BLOCK):
-        block = slice(start, start + BLOCK)
-        for c, v in enumerate(kernel(*(x[block] for x in flat))):
-            out[block, c] = v
-    return out.reshape(shape + (4,))
-
-
 # An odd multiplier (a bijection of uint64) that mixes the bits of x0 into
 # the sort key of _distinct_pairs.
 _MIX = np.uint64(0x9E3779B97F4A7C15)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ParseError, RangeError
 from .fmtio import dump_json, load_json
-from .quaternion import (Quaternion, ZERO, ONE, as_quaternion, decompose,
-                         in_blocks, quaternion_from_json)
+from .quaternion import (BLOCK, Quaternion, ZERO, ONE, as_quaternion,
+                         decompose, quaternion_from_json)
 
 __all__ = [
     "PowerSeries",
@@ -159,12 +159,20 @@ class PowerSeries:
     def eval_components(self, x0, x1, x2, x3):
         """f(x) = Sum x^n a_n at the points (x0, x1, x2, x3); an (..., 4) array.
 
-        The points are taken in blocks of :data:`quaternion.BLOCK`
-        (:func:`quaternion.in_blocks`).  Each value has the bits of
+        The kernel runs on blocks of :data:`quaternion.BLOCK` points, so
+        its working memory stays bounded.  Each value has the bits of
         ``self(x)``; like it, an overflow gives inf or NaN components
         (numpy warns unless its error state says otherwise).
         """
-        return in_blocks(self._horner, x0, x1, x2, x3)
+        xs = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                   for v in (x0, x1, x2, x3)))
+        flat = [v.reshape(-1) for v in xs]
+        out = np.empty((flat[0].size, 4))
+        for start in range(0, flat[0].size, BLOCK):
+            block = slice(start, start + BLOCK)
+            for c, v in enumerate(self._horner(*(x[block] for x in flat))):
+                out[block, c] = v
+        return out.reshape(xs[0].shape + (4,))
 
     def _horner(self, x0, x1, x2, x3):
         # The one evaluation kernel, on floats (one point) or on 1-D arrays
@@ -325,9 +333,11 @@ def exp_truncation(radius: float, lam_norm: float, tol: float = 1e-25,
     small enough.
     """
     t = radius * lam_norm
-    term = t * math.exp(t)  # bound for N = 0
+    term = t * math.exp(t) if t < 700.0 else math.inf  # bound for N = 0
     n = 0
-    while term > tol:
+    # once the bound overflows a float, compare its logarithm instead
+    while (term > tol if term < math.inf else
+           (n + 1) * math.log(t) + t - math.lgamma(n + 2) > math.log(tol)):
         if n == max_degree:
             raise RangeError(
                 f"the exp tail bound at radius {radius!r} (|lambda| = "

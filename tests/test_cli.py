@@ -297,6 +297,31 @@ def test_pde_problem_file_bad_values_exit_2(tmp_path, capsys, monkeypatch):
     _assert_one_line_error(code, out, err, "pde")
 
 
+def test_pde_problem_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
+    # a misspelt key used to fall back to its default: "lamda" verified
+    # lambda = 1, "count" the default 21^3 grid, and both exited 0
+    import slicealg.cli as cli
+    from slicealg.errors import ParseError
+    from slicealg.pde import PdeProblem
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad problem")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    for rec, key, accepted in (
+            ({"kind": "helmholtz", "lamda": 8, "grid": {"counts": [5, 5, 5]}},
+             "'lamda'", "kind, lambda, I, lambda1, slice_constants, rhs, "
+             "grid, degree"),
+            ({"kind": "helmholtz", "lambda": 8, "grid": {"count": [5, 5, 5]}},
+             "'count'", "counts, lo, hi, x0, exclude_radius, fd_step")):
+        with pytest.raises(ParseError):
+            PdeProblem.from_record(rec)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(rec))
+        code, out, err = run_cli(capsys, "pde", "--problem", str(path))
+        _assert_one_line_error(code, out, err, "pde")
+        assert key in err and accepted in err
+
+
 def test_solve_degree_below_order_exits_2(tmp_path, capsys):
     problem = tmp_path / "prob.json"
     for degree, fragment in ((-3, "degree -3 too small for a tuple of length 2"),

@@ -474,3 +474,49 @@ def test_problem_solve_matches_constructors():
         a = got.eval_components(x0, g1, g2, g3)
         b = want.eval_components(x0, g1, g2, g3)
         assert a.tobytes() == b.tobytes(), problem.kind
+
+
+def test_helmholtz_is_the_quadratic_equation_with_real_lambda1():
+    # every kind is Delta_3 f + f lambda_1^2 = h: a Helmholtz solution
+    # verified as the quadratic kernel with lambda_1 = lambda gives the
+    # Helmholtz summary
+    f = helmholtz_solution(1.3, SliceConstant.on_halves(I, ONE, J), None, 40)
+    grid = GridSpec(counts=(7, 7, 7), fd_step=0.02, exclude_radius=0.2)
+    helm = verify_pde(f, PdeProblem(kind="helmholtz", lam=1.3, grid=grid))
+    quad = verify_pde(f, PdeProblem(kind="quadratic", lam1=Quaternion(1.3),
+                                    grid=grid))
+    assert quad.summary() == helm.summary()
+    assert quad.negative_control == helm.negative_control
+
+
+def test_klein_gordon_is_the_quadratic_equation_with_lambda1_i_lambda():
+    unit = Quaternion(0.0, 0.6, 0.0, 0.8)
+    g = klein_gordon_solution(1.1, [(unit, SliceConstant.uniform(ONE))])
+    kg = verify_pde(g, PdeProblem(kind="klein-gordon", lam=1.1, unit_i=unit,
+                                  grid=SMALL))
+    quad = verify_pde(g, PdeProblem(kind="quadratic", lam1=unit * 1.1,
+                                    grid=SMALL))
+    for key, value in kg.summary().items():
+        assert quad.summary()[key] == pytest.approx(value, rel=1e-12), key
+    assert kg.max_rel_residual < 1e-4
+
+
+def test_evaluator_call_is_bit_identical_to_eval_components():
+    rng = random.Random(547)
+    uniform = helmholtz_solution(1.3, SliceConstant.uniform(rand_q(rng)),
+                                 SliceConstant.uniform(rand_q(rng)), 30)
+    product = klein_gordon_solution(
+        0.9, [(J, SliceConstant.on_halves(I, rand_q(rng), rand_q(rng))),
+              (K, SliceConstant.uniform(rand_q(rng)))], 30)
+    pts = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(50)])
+    axis = np.array([[0.4, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    for f, points in ((uniform, np.vstack([pts, axis])), (product, pts)):
+        grid = f.eval_components(*points.T)
+        for n, p in enumerate(points):
+            got = f(Quaternion(*p)).as_list()
+            one = f.eval_components(*(p[c:c + 1] for c in range(4)))[0]
+            assert [v.hex() for v in got] == [v.hex() for v in one.tolist()]
+            if not f.product_domain:
+                # the uniform part is elementwise, so the grid has its bits
+                assert [v.hex() for v in got] == \
+                    [v.hex() for v in grid[n].tolist()]

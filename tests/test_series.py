@@ -255,3 +255,43 @@ def test_exp_truncation_refuses_at_its_cap():
     n = exp_truncation(1.0, 2.0, tol=1e-16)
     assert exp_truncation(1.0, 2.0, tol=1e-16, max_degree=n) == n
     assert exp_tail_bound(1.0, 2.0, n) <= 1e-16 < exp_tail_bound(1.0, 2.0, n - 1)
+
+
+# degrees from the float recurrence of exp_truncation (default tol 1e-25,
+# cap 400); None marks the RangeError of the cap
+_EXP_TRUNCATION = {
+    (0.1, 0.25): 10, (0.1, 8.0): 23, (0.1, 30.0): 37,
+    (0.5, 0.25): 14, (0.5, 2.0): 25, (0.5, 16.0): 60, (0.5, 30.0): 88,
+    (1.0, 1.0): 25, (1.0, 8.0): 60, (1.0, 30.0): 145,
+    (1.8, 1.0): 30, (1.8, 8.0): 86, (1.8, 30.0): 233,
+    (3.0, 0.25): 23, (3.0, 8.0): 123, (3.0, 30.0): 363,
+    (5.0, 2.0): 69, (5.0, 16.0): 327, (5.0, 30.0): None,
+    (8.0, 8.0): 269, (8.0, 16.0): None,
+    (12.5, 1.0): 79, (12.5, 8.0): 399, (12.5, 16.0): None,
+    (50, 8): None, (100, 8): None, (700, 1): None, (1e300, 1e300): None,
+    (math.inf, 1.0): None,
+}
+
+
+@pytest.mark.parametrize("radius, lam_norm", list(_EXP_TRUNCATION))
+def test_exp_truncation_sweep_ends_in_a_degree_or_range_error(radius,
+                                                               lam_norm):
+    # past |x lambda| ~ 709 the first bound t e^t overflows a float; that
+    # must end in the cap's RangeError too, not in an OverflowError
+    from slicealg import RangeError
+    want = _EXP_TRUNCATION[radius, lam_norm]
+    if want is None:
+        with pytest.raises(RangeError, match="up to degree 400"):
+            exp_truncation(radius, lam_norm)
+    else:
+        assert exp_truncation(radius, lam_norm) == want
+
+
+def test_exp_truncation_past_float_range_uses_the_log_bound():
+    # with a cap high enough, t = 800 has a degree; it is the first N
+    # whose log bound (N+1) log t + t - log (N+1)! is below log tol
+    n = exp_truncation(100, 8, max_degree=10_000)
+
+    def log_bound(k):
+        return (k + 1) * math.log(800) + 800 - math.lgamma(k + 2)
+    assert log_bound(n) <= math.log(1e-25) < log_bound(n - 1)
