@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import IoError, ParseError, RangeError, SliceAlgError
-from .fmtio import csv_chunks, dumps_json, load_json, write_text
+from .errors import ParseError, RangeError, SliceAlgError
+from .fmtio import csv_chunks, dumps_json, load_json, read_text, write_text
 from .quaternion import Quaternion, parse_quaternion
 from .series import PowerSeries
 from .eigensolve import gen_exp, solve_with_initial
@@ -45,19 +45,9 @@ def _parse_lambdas(text: str):
 
 def _read_points(args):
     """The points of --points and --at, in order, as an (N, 4) array."""
-    points = []
-    if args.points:
-        try:
-            with open(args.points, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise IoError(f"cannot read points file: {exc}") from exc
-        for line in lines:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                points.append(parse_quaternion(line))
-    for lit in args.at or ():
-        points.append(parse_quaternion(lit))
+    lines = read_text(args.points).split("\n") if args.points else []
+    lits = [t for t in map(str.strip, lines) if t and not t.startswith("#")]
+    points = [parse_quaternion(t) for t in lits + (args.at or [])]
     return np.array([x.as_list() for x in points], dtype=float).reshape(-1, 4)
 
 
@@ -167,8 +157,10 @@ def _problem_from_args(args) -> PdeProblem:
 
 def cmd_pde(args) -> int:
     problem = _problem_from_args(args)
-    f = problem.solve()
-    report = verify_pde(f, problem)
+    # an overflow shows up as inf/NaN values, refused by verify_pde
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = problem.solve()
+        report = verify_pde(f, problem)
     if isinstance(f, MonogenicSeries):
         _write_text(dumps_json(f.to_record()),
                     args.out_prefix + ".coeffs.json" if args.out_prefix

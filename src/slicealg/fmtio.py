@@ -10,10 +10,10 @@ with one ``%.17g`` row template, which gives the bytes of
 :func:`fmt_float` without a Python call per value, and :func:`write_csv`
 streams those chunks to a file.
 
-Files are read by :func:`load_json` and written by :func:`write_text`;
-either turns a failure into one error that names the path: an
-:class:`IoError` (an ``OSError``), or a :class:`ParseError` (a
-``ValueError``) for a file that is not UTF-8 JSON.
+Files are read by :func:`read_text` and :func:`load_json`, and written
+by :func:`write_text`; each turns a failure into one error that names the
+path: an :class:`IoError` (an ``OSError``), or a :class:`ParseError` (a
+``ValueError``) for a file that is not UTF-8 (or not JSON).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import IoError, ParseError
 
-__all__ = ["fmt_float", "dumps_json", "dump_json", "load_json", "write_text",
-           "csv_chunks", "write_csv"]
+__all__ = ["fmt_float", "dumps_json", "dump_json", "read_text", "load_json",
+           "write_text", "csv_chunks", "write_csv"]
 
 # Rows formatted per string operation of the CSV writer.
 CSV_BLOCK = 4096
@@ -102,14 +102,23 @@ def dump_json(obj, path) -> None:
     write_text(path, [dumps_json(obj)])
 
 
-def load_json(path):
-    """The JSON document in the file ``path``."""
+def read_text(path) -> str:
+    """The text of the UTF-8 file ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:       # a JSON or a UTF-8 decoding error
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def load_json(path):
+    """The JSON document in the file ``path``."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

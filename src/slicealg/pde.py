@@ -11,21 +11,19 @@ Delta_3 acts in (x1, x2, x3): h = 0 and lambda_1 = lambda real (Helmholtz),
 I lambda (Klein-Gordon, exp_{I lambda}) or a + bI (quadratic kernel), or
 h axially monogenic and lambda_1 = I lambda (Yukawa).
 
-Solutions come in two flavours:
-
-* a *uniform* part, Delta_4 of an ordinary power series (defined on all
-  of H, real axis included);
-* *product-domain* terms Delta_4(h . e) with h a genuine two-valued
-  slice constant; these are singular on the real axis and grids must
-  carry an exclusion ball around it.
-
-Everything a grid needs is evaluated in closed form.  The uniform part
-and the Yukawa solutions are P-series Sum P_n m_n, evaluated by the O(n)
-recurrence of :meth:`MonogenicSeries.eval_components`, which is exact on
-the real axis.  Only the product-domain terms use the stem formula
-Delta_4 u = -(2/beta) J (u'_s - du/dx), whose division by beta is
-inherent there; the stems of all terms together are one linear map of
-the powers of z = x0 + i beta, built once per evaluator.
+Every Helmholtz, Klein-Gordon and quadratic solution is a sum of terms
+Delta_4(h . e), h a slice constant with stems (h1, h2) and e a power
+series, so it is Delta_4(u + J w) for two power series u = Sum h1 e and
+w = Sum h2 e.  Everything a grid needs is evaluated in closed form.  If
+every h is uniform (w = 0), and for Yukawa, the solution is a P-series
+Sum P_n m_n, defined on all of H and evaluated by the O(n) recurrence of
+:meth:`MonogenicSeries.eval_components`, exact on the real axis.  A
+genuine two-valued h makes the solution singular on the real axis, so
+grids must carry an exclusion ball around it.  It is evaluated by the
+stem formula Delta_4 F = -(2/beta) J (F'_s - dF/dx), whose division by
+beta is inherent there; the stems of u + J w and of its slice derivative
+are one linear map of the powers of z = x0 + i beta, built once per
+evaluator.
 
 Every solution has the axial form f(x) = A(x0, beta) + omega B(x0, beta),
 omega = Im x / beta, which Fueter's theorem carries over from slice
@@ -52,7 +50,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmall, ParseError, ZeroEigenvalue
+from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
+    ZeroEigenvalue
 from .fmtio import dump_json, write_csv
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, \
     format_quaternion, in_axial_blocks, parse_quaternion, qmul
@@ -78,27 +77,6 @@ _KINDS = ("helmholtz", "klein-gordon", "yukawa", "quadratic")
 
 def _qarr(q: Quaternion):
     return np.array(q.as_list())
-
-
-def _stem_map(h: SliceConstant, e: PowerSeries):
-    """The linear map from powers of z to the stems of Delta_4(h . e).
-
-    With z = alpha + i beta, h = h1 + J h2 and e = Sum x^n a_n, the stem
-    formula needs G2 = h1 F2 + h2 F1, P1 = h1 D1 - h2 D2 and
-    P2 = h1 D2 + h2 D1, where F1 + i F2 = Sum z^n a_n and D1 + i D2 =
-    Sum z^n (n+1) a_{n+1} (the slice derivative).  Each is linear in Re z^n
-    and Im z^n, so the (2n, 12) array returned maps the interleaved row
-    [Re z^0, Im z^0, Re z^1, Im z^1, ...] to [G2, P1, P2].
-    """
-    h1, h2 = (_qarr(q) for q in h.stems())
-    a = np.array([c.as_list() for c in e.coeffs])
-    da = np.zeros_like(a)
-    da[:-1] = np.arange(1.0, len(a))[:, None] * a[1:]
-    h1a, h2a, h1d, h2d = qmul(h1, a), qmul(h2, a), qmul(h1, da), qmul(h2, da)
-    out = np.empty((2 * len(a), 12))
-    out[0::2] = np.hstack([h2a, h1d, h2d])
-    out[1::2] = np.hstack([h1a, -h2d, h1d])
-    return out
 
 
 # grids and problems ---------------------------------------------------------
@@ -309,51 +287,49 @@ class PdeProblem:
 class SolutionEvaluator:
     """Pointwise/vectorized evaluator for f = Sum_t Delta_4(h_t . e_t).
 
-    Uniform constants are folded into a single power series u (so that
-    part of f is fueter_laplacian(u), defined on all of H); genuine
-    two-valued slice constants keep their stem form and restrict the
-    evaluator to the product domain H \\ R.
+    The stems (h1, h2) of the constants fold the terms into two power
+    series, u = Sum_t h1 e_t and w = Sum_t h2 e_t (zero-padded to the
+    longest degree), with f = Delta_4(u + J w).  If every constant is
+    uniform (h2 = 0), f is the P-series ``mono`` = Delta_4 u on all of H;
+    a two-valued constant restricts f to the product domain H \\ R.
     """
 
-    def __init__(self, terms: Sequence[Tuple[SliceConstant, PowerSeries]],
-                 name: str = ""):
-        u = None
-        maps = []
+    def __init__(self, terms: Sequence[Tuple[SliceConstant, PowerSeries]]):
+        n = max((len(e.coeffs) for _, e in terms), default=1)
+        uw = np.zeros((2, n, 4))
         for h, e in terms:
-            if h.is_uniform:
-                if h.a1.is_zero():
-                    continue
-                ue = h.a1 * e
-                u = ue if u is None else u + ue
-            else:
-                maps.append(_stem_map(h, e))
-        self.name = name
-        self.mono = fueter_laplacian(u) if u is not None else MonogenicSeries([ZERO])
-        self._stem_map = None
-        if maps:
-            self._stem_map = np.zeros((max(len(m) for m in maps), 12))
-            for m in maps:
-                self._stem_map[:len(m)] += m
+            a = np.array([c.as_list() for c in e.coeffs])
+            for part, stem in zip(uw, h.stems()):
+                part[:len(a)] += qmul(_qarr(stem), a)
+        self.mono = fueter_laplacian(
+            PowerSeries([Quaternion(*c) for c in uw[0].tolist()]))
+        self._map = None
+        if not all(h.is_uniform for h, _ in terms):
+            duw = np.zeros_like(uw)         # the slice derivatives u', w'
+            duw[:, :-1] = np.arange(1.0, n)[:, None] * uw[:, 1:]
+            (u, w), (du, dw) = uw, duw
+            self._map = np.empty((2 * n, 12))
+            self._map[0::2] = np.hstack([w, du, dw])
+            self._map[1::2] = np.hstack([u, -dw, du])
 
     @property
     def product_domain(self) -> bool:
-        return self._stem_map is not None
+        return self._map is not None
 
     def eval_components(self, x0, x1, x2, x3):
         """f at the points (x0, x1, x2, x3); returns an (..., 4) array.
 
-        The uniform part is the P-series ``mono``.  The product-domain
-        terms together are -(2/beta) J (G2/beta - P1 - J P2), with
-        [G2, P1, P2] one product of the powers of z = x0 + i beta with
-        the summed linear maps of the terms (:func:`_stem_map`).  As
-        J = Im(x)/beta and J^2 = -1, that is -(2/beta) P2 +
-        Im(x) (-2/beta^2) (G2/beta - P1): f has the axial form re + Im(x) im
-        of the P-series, with re and im functions of (x0, beta^2).  So the
-        powers, the product and the radial sums of ``mono`` run once per
-        distinct pair, and only re + Im(x) im runs per point
-        (:func:`quaternion.in_axial_blocks`).
+        Without a two-valued constant, f is the P-series ``mono``.  Else
+        f = -(2/beta) J (G2/beta - P1 - J P2), the stem formula for u + J w:
+        with U1 + i U2 = Sum z^n u_n at z = x0 + i beta, and W, U', W'
+        alike for w and the slice derivatives, G2 = U2 + W1,
+        P1 = U'1 - W'2 and P2 = U'2 + W'1, one product of the powers of z
+        with the (2n, 12) map.  As J = Im(x)/beta, f = re + Im(x) im with
+        re = -(2/beta) P2 and im = -(2/beta^2) (G2/beta - P1), functions
+        of (x0, beta^2), so the powers and the product run once per
+        distinct pair (:func:`quaternion.in_axial_blocks`).
         """
-        if self._stem_map is None:
+        if self._map is None:
             return self.mono.eval_components(x0, x1, x2, x3)
         return in_axial_blocks(self._sums, x0, x1, x2, x3)
 
@@ -363,14 +339,13 @@ class SolutionEvaluator:
         if not (b > 1e-9).all():
             raise DomainError("product-domain solution evaluated at a real "
                               "point; exclude the real axis from the grid")
-        zp = np.empty((b.size, len(self._stem_map) // 2), dtype=complex)
+        zp = np.empty((b.size, len(self._map) // 2), dtype=complex)
         zp[:, 0] = 1.0
         zp[:, 1:] = (x0 + 1j * b)[:, None]
         np.multiply.accumulate(zp, axis=1, out=zp)
-        g2, p1, p2 = np.split((zp.view(float) @ self._stem_map).T, 3)
+        g2, p1, p2 = np.split((zp.view(float) @ self._map).T, 3)
         c = -2.0 / b
-        stem = (*(c * p2), *((c / b) * (g2 / b - p1)))
-        return [m + t for m, t in zip(self.mono._sums(x0, b2), stem)]
+        return [*(c * p2), *((c / b) * (g2 / b - p1))]
 
     def __call__(self, x) -> Quaternion:
         return Quaternion(*self.eval_components(*as_quaternion(x).as_list()))
@@ -393,7 +368,7 @@ def helmholtz_solution(lam, h1=None, h2=None, n_trunc: int = 40) -> SolutionEval
     h2 = _as_constant(ZERO if h2 is None else h2)
     terms = [(h1, exp_series(Quaternion(lam), n_trunc)),
              (h2, exp_series(Quaternion(-lam), n_trunc))]
-    return SolutionEvaluator(terms, name=f"helmholtz(lambda={lam})")
+    return SolutionEvaluator(terms)
 
 
 def klein_gordon_solution(lam, constants, n_trunc: int = 40) -> SolutionEvaluator:
@@ -407,7 +382,7 @@ def klein_gordon_solution(lam, constants, n_trunc: int = 40) -> SolutionEvaluato
     for unit, h in constants:
         unit = _require_unit_imag(unit, "I")
         terms.append((_as_constant(h), exp_series(unit * lam, n_trunc)))
-    return SolutionEvaluator(terms, name=f"klein-gordon(lambda={lam})")
+    return SolutionEvaluator(terms)
 
 
 def general_quadratic_kernel(lam1, h1=None, h2=None,
@@ -425,7 +400,7 @@ def general_quadratic_kernel(lam1, h1=None, h2=None,
     h2 = _as_constant(ZERO if h2 is None else h2)
     terms = [(h1, gen_exp([lam1, -lam1], n_trunc)),
              (h2, exp_series(-lam1, n_trunc))]
-    return SolutionEvaluator(terms, name=f"quadratic(lambda1={lam1})")
+    return SolutionEvaluator(terms)
 
 
 def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
@@ -491,7 +466,7 @@ def _lambda1_squared(problem: PdeProblem) -> Quaternion:
     if problem.kind == "quadratic":
         lam1 = as_quaternion(problem.lam1)
         return lam1 * lam1
-    lam2 = problem.lam ** 2
+    lam2 = problem.lam * problem.lam
     return Quaternion(lam2 if problem.kind == "helmholtz" else -lam2)
 
 
@@ -526,9 +501,9 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     The Laplacian Delta_3 is approximated by second-order central
     differences at fixed x0, at steps h and h/2 (Richardson order
     estimate); the relative residual is |residual| / max|f| over kept
-    nodes.  A negative control re-evaluates the residual with
-    lambda -> 2 lambda from the same samples, and monogenicity of f is
-    spot-checked with the fd_crf differences at five nodes.
+    nodes; a value or residual that is not finite raises RangeError.  A
+    negative control re-evaluates the residual with lambda -> 2 lambda
+    from the same samples; fd_crf spot-checks monogenicity at five nodes.
     """
     grid = problem.grid
     h = grid.effective_fd_step
@@ -580,6 +555,11 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
 
     max_rel, _, order = richardson_order(max_rel_residual, h, floor=1e-11)
     res_h = residual_norms(laps[h])
+    rows = np.column_stack([x0c, x1c, x2c, x3c, fv, res_h])
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():       # an overflow in the series or in the stencil
+        raise RangeError(f"the solution or its residual is not finite at "
+                         f"{bad.sum()} of {len(rows)} grid nodes")
     mean_rel = float(res_h.mean()) / div
     neg = residual_norms(laps[h], 4.0)
 
@@ -603,5 +583,5 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         negative_control=float(neg.max()) / div,
         monogenicity_max_rel=monog_rel,
         monogenicity_order=monog_order,
-        rows=np.column_stack([x0c, x1c, x2c, x3c, fv, res_h]),
+        rows=rows,
     )

@@ -47,6 +47,8 @@ __all__ = [
     "load_coeffs",
 ]
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 class PowerSeries:
     """Coefficients a_0 ... a_N of f(x) = Sum x^n a_n.
@@ -319,10 +321,27 @@ def exp_series(lam, n_trunc: int = 40) -> PowerSeries:
     return PowerSeries(coeffs, exact=False)
 
 
+def _tail_t(radius: float, lam_norm: float) -> float:
+    t = radius * lam_norm           # |x*lam|; refused if NaN or negative
+    if not t >= 0.0:
+        raise RangeError(f"the exp tail bound needs radius * |lambda| >= 0, "
+                         f"got radius {radius!r}, |lambda| {lam_norm!r}")
+    return t
+
+
+def _log_tail(t: float, n: int) -> float:
+    """log of the bound t^{N+1} e^t / (N+1)!, finite where the bound is not."""
+    return (n + 1) * math.log(t) + t - math.lgamma(n + 2)
+
+
 def exp_tail_bound(radius: float, lam_norm: float, n_trunc: int) -> float:
     """Bound on |exp tail| past degree N: |x*lam|^{N+1} e^{|x*lam|} / (N+1)!."""
-    t = radius * lam_norm
-    return t ** (n_trunc + 1) / math.factorial(n_trunc + 1) * math.exp(t)
+    t = _tail_t(radius, lam_norm)
+    try:
+        return t ** (n_trunc + 1) / math.factorial(n_trunc + 1) * math.exp(t)
+    except OverflowError:           # a factor leaves the float range
+        log_bound = _log_tail(t, n_trunc)
+        return math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else math.inf
 
 
 def exp_truncation(radius: float, lam_norm: float, tol: float = 1e-25,
@@ -332,12 +351,12 @@ def exp_truncation(radius: float, lam_norm: float, tol: float = 1e-25,
     Raises :class:`RangeError` when no degree up to ``max_degree`` is
     small enough.
     """
-    t = radius * lam_norm
+    t = _tail_t(radius, lam_norm)
     term = t * math.exp(t) if t < 700.0 else math.inf  # bound for N = 0
     n = 0
     # once the bound overflows a float, compare its logarithm instead
     while (term > tol if term < math.inf else
-           (n + 1) * math.log(t) + t - math.lgamma(n + 2) > math.log(tol)):
+           _log_tail(t, n) > math.log(tol)):
         if n == max_degree:
             raise RangeError(
                 f"the exp tail bound at radius {radius!r} (|lambda| = "

@@ -258,6 +258,37 @@ def test_eval_bad_input_exits_2(tmp_path, capsys):
         _assert_one_line_error(code, out, err, "eval")
 
 
+def test_eval_points_file_not_utf8_exits_2(tmp_path, capsys):
+    coeffs = tmp_path / "e.json"
+    assert main(["gen-exp", "--lambdas", "i", "--degree", "4",
+                 "-o", str(coeffs)]) == 0
+    points = tmp_path / "pts.txt"
+    points.write_bytes(b"0.5\n\xff\n")
+    for path, fragment in ((points, "pts.txt: 'utf-8' codec"),
+                           (tmp_path / "none.txt", "cannot read ")):
+        code, out, err = run_cli(capsys, "eval", "--coeffs", str(coeffs),
+                                 "--points", str(path))
+        _assert_one_line_error(code, out, err, "eval")
+        assert fragment in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "1e300"],
+    ["--x0", "1e300"],
+    ["--x0", "1e300", "--out-prefix", "{prefix}"],
+])
+def test_pde_overflow_exits_2(flags, tmp_path, capsys):
+    # a solution that overflows on the grid is one exit-2 line, refused
+    # before any output
+    prefix = tmp_path / "out" / "PREFIX"
+    flags = [str(prefix) if a == "{prefix}" else a for a in flags]
+    code, out, err = run_cli(capsys, "pde", "--kind", "helmholtz",
+                             "--grid-counts", "5", *flags)
+    _assert_one_line_error(code, out, err, "pde")
+    assert "not finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pde_problem_file_bad_values_exit_2(tmp_path, capsys, monkeypatch):
     import slicealg.cli as cli
     from slicealg.errors import ParseError

@@ -58,6 +58,21 @@ def test_load_json_errors_name_the_path(tmp_path):
         assert isinstance(info.value, ValueError)
 
 
+def test_read_text_errors_name_the_path(tmp_path):
+    from slicealg.errors import IoError, ParseError
+    from slicealg.fmtio import read_text
+    path = tmp_path / "points.txt"
+    path.write_bytes(b"1+i\r\n# x\n")
+    assert read_text(path) == "1+i\n# x\n"
+    with pytest.raises(IoError, match="cannot read .*missing.txt") as info:
+        read_text(tmp_path / "missing.txt")
+    assert isinstance(info.value, OSError)
+    path.write_bytes(b"0.5\n\xff\n")
+    with pytest.raises(ParseError, match="points.txt.*can't decode") as info:
+        read_text(path)
+    assert isinstance(info.value, ValueError)
+
+
 def test_write_text_creates_directories(tmp_path):
     from slicealg.errors import IoError
     from slicealg.fmtio import write_text

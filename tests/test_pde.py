@@ -520,3 +520,41 @@ def test_evaluator_call_is_bit_identical_to_eval_components():
                 # the uniform part is elementwise, so the grid has its bits
                 assert [v.hex() for v in got] == \
                     [v.hex() for v in grid[n].tolist()]
+
+
+def test_uniform_terms_of_mixed_degree_add_up():
+    # terms of different degrees are padded to the longest, not truncated
+    # to the shortest: the evaluator of a sum is the sum of the evaluators
+    rng = random.Random(607)
+    terms = [(SliceConstant.uniform(rand_q(rng)), exp_series(Quaternion(1.5), 40)),
+             (SliceConstant.uniform(rand_q(rng)), exp_series(J * 2.0, 12))]
+    f = SolutionEvaluator(terms)
+    assert not f.product_domain
+    pts = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(40)])
+    got = f.eval_components(*pts.T)
+    want = sum(SolutionEvaluator([t]).eval_components(*pts.T) for t in terms)
+    scale = np.linalg.norm(want, axis=-1).max()
+    assert np.abs(got - want).max() <= 1e-15 * scale
+
+
+def test_product_domain_evaluator_skips_the_p_series(monkeypatch):
+    # uniform and two-valued terms alike go through the one stem map: the
+    # P-series radial kernel never runs for a product-domain evaluator
+    calls = []
+    sums = MonogenicSeries._sums
+
+    def counting(self, x0, b2):
+        calls.append(np.size(b2))
+        return sums(self, x0, b2)
+    monkeypatch.setattr(MonogenicSeries, "_sums", counting)
+    f = SolutionEvaluator([
+        (SliceConstant.on_halves(I, ONE, ZERO), exp_series(Quaternion(1.0), 30)),
+        (SliceConstant.uniform(Quaternion(0.5, 0.0, 1.0, 0.0)),
+         exp_series(K * 1.5, 20))])
+    assert f.product_domain
+    x1, x2, x3 = np.random.default_rng(611).uniform(0.2, 1.0, (3, 50))
+    f.eval_components(0.1, x1, x2, x3)
+    f(Quaternion(0.2, 0.3, -0.1, 0.4))
+    assert calls == []
+    helmholtz_solution(1.0).eval_components(0.1, x1, x2, x3)
+    assert calls == [50]

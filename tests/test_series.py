@@ -295,3 +295,24 @@ def test_exp_truncation_past_float_range_uses_the_log_bound():
     def log_bound(k):
         return (k + 1) * math.log(800) + 800 - math.lgamma(k + 2)
     assert log_bound(n) <= math.log(1e-25) < log_bound(n - 1)
+
+
+def test_exp_tail_bound_past_float_range_uses_the_log_bound():
+    # 800^2914 / 2914! and e^800 leave the float range, the bound does not;
+    # it agrees with the degree exp_truncation finds
+    assert exp_tail_bound(100, 8, 2913) <= 1e-25 < exp_tail_bound(100, 8, 2912)
+    assert exp_truncation(100, 8, max_degree=10_000) == 2913
+    assert 0.0 <= exp_tail_bound(1.0, 8.0, 300) < 1e-300
+    assert exp_tail_bound(100, 8, 10) == math.inf
+    # where the direct form is finite, it is the value
+    assert exp_tail_bound(2.0, 3.0, 4) == 6.0 ** 5 / 120 * math.exp(6.0)
+
+
+@pytest.mark.parametrize("radius, lam_norm",
+                         [(float("nan"), 8.0), (-1.0, 8.0), (1.0, -0.5)])
+def test_exp_tail_bound_refuses_nan_and_negative_arguments(radius, lam_norm):
+    from slicealg import RangeError
+    with pytest.raises(RangeError, match=r"radius \* \|lambda\| >= 0"):
+        exp_truncation(radius, lam_norm)
+    with pytest.raises(RangeError, match=r"radius \* \|lambda\| >= 0"):
+        exp_tail_bound(radius, lam_norm, 10)
