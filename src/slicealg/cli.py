@@ -27,13 +27,16 @@ from .errors import ParseError, RangeError, SliceAlgError
 from .fmtio import csv_chunks, dumps_json, load_json, read_text, write_text
 from .quaternion import Quaternion, parse_quaternion
 from .series import PowerSeries
-from .eigensolve import gen_exp, solve_with_initial
-from .monogenic import MonogenicSeries, load_monogenic
-from .sliceexpr import SliceConstant
-from .pde import GridSpec, PdeProblem, verify_pde
-from .verify import SUITES, run_suites
+
+# Each command imports the other modules it uses, so that a process
+# compiles only those: gen-exp and solve never load pde, verify, monogenic
+# or sliceexpr, and pde never loads verify.
 
 DEFAULT_SEED = 1729
+
+# the names of verify.SUITES, which --suite offers without importing verify
+SUITE_NAMES = ("quaternion", "series", "sliceexpr", "eigensolve",
+               "monogenic", "pde")
 
 
 def _parse_lambdas(text: str):
@@ -55,8 +58,10 @@ def _load_series_file(path):
     """A coefficient file: JSON array -> PowerSeries, P-basis object ->
     MonogenicSeries."""
     data = load_json(path)
-    cls = MonogenicSeries if isinstance(data, dict) else PowerSeries
-    return cls.from_record(data, path)
+    if isinstance(data, dict):
+        from .monogenic import MonogenicSeries
+        return MonogenicSeries.from_record(data, path)
+    return PowerSeries.from_record(data, path)
 
 
 def _write_text(text: str, path) -> None:
@@ -73,6 +78,7 @@ def _check_degree(degree: int, m: int, name: str) -> None:
 
 
 def cmd_gen_exp(args) -> int:
+    from .eigensolve import gen_exp
     lams = _parse_lambdas(args.lambdas)
     _check_degree(args.degree, len(lams), "--degree")
     f = gen_exp(lams, args.degree)
@@ -81,6 +87,7 @@ def cmd_gen_exp(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .eigensolve import solve_with_initial
     spec = load_json(args.problem)
     if not isinstance(spec, dict) or "lambdas" not in spec or "initial" not in spec:
         raise ParseError(f"{args.problem}: expected keys 'lambdas', 'initial'")
@@ -129,7 +136,8 @@ def _axis_values(text: str, flag: str, kind):
     return values * 3 if len(values) == 1 else values
 
 
-def _grid_from_args(args) -> GridSpec:
+def _grid_from_args(args):
+    from .pde import GridSpec
     # GridSpec refuses non-finite values, empty boxes and wrong axis counts
     return GridSpec(counts=_axis_values(args.grid_counts, "--grid-counts", int),
                     lo=_axis_values(args.grid_lo, "--grid-lo", float),
@@ -138,7 +146,10 @@ def _grid_from_args(args) -> GridSpec:
                     fd_step=args.fd_step)
 
 
-def _problem_from_args(args) -> PdeProblem:
+def _problem_from_args(args):
+    from .monogenic import load_monogenic
+    from .pde import PdeProblem
+    from .sliceexpr import SliceConstant
     if args.problem:
         return PdeProblem.from_record(load_json(args.problem))
     if not args.kind:
@@ -155,7 +166,15 @@ def _problem_from_args(args) -> PdeProblem:
                       grid=_grid_from_args(args), degree=args.degree)
 
 
+def verify_pde(f, problem):
+    """:func:`pde.verify_pde`, imported on the first call (cmd_pde calls
+    through this name)."""
+    from .pde import verify_pde
+    return verify_pde(f, problem)
+
+
 def cmd_pde(args) -> int:
+    from .monogenic import MonogenicSeries
     problem = _problem_from_args(args)
     # an overflow shows up as inf/NaN values, refused by verify_pde
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,10 +197,8 @@ def cmd_pde(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        names = [name for name, _ in SUITES]
-    else:
-        names = [args.suite]
+    from .verify import run_suites
+    names = SUITE_NAMES if args.suite == "all" else [args.suite]
     return run_suites(names, args.seed)
 
 
@@ -258,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("--suite", default="all",
-                   choices=["all"] + [name for name, _ in SUITES])
+                   choices=["all", *SUITE_NAMES])
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (overrides SLICEALG_SEED)")
     p.set_defaults(func=cmd_verify)

@@ -32,7 +32,7 @@ import math
 from .errors import DomainError, ParseError
 from .fmtio import dump_json, load_json
 from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K, as_quaternion,
-                         axial_combine, decompose, in_axial_blocks,
+                         RadialTable, axial_combine, decompose,
                          quaternion_from_json)
 from .series import PowerSeries, slice_derivative, spherical_derivative_eval
 from .sliceexpr import slice_derivative_pointwise
@@ -189,10 +189,16 @@ class MonogenicSeries:
         Sum B_n m_n (the radial step) depend on (x0, beta^2) alone, so
         they run once per distinct pair of the call; only
         re + Im(x) im (the angular step) runs per point
-        (:func:`quaternion.in_axial_blocks`).  Each value has the bits of
+        (:class:`quaternion.RadialTable`).  Each value has the bits of
         :meth:`__call__` at that point.
         """
-        return in_axial_blocks(self._sums, x0, x1, x2, x3)
+        return self.radial_table()(x0, x1, x2, x3)
+
+    def radial_table(self) -> RadialTable:
+        """An evaluator like :meth:`eval_components` for point sets taken
+        one after another: the radial step runs once per distinct pair of
+        all of them."""
+        return RadialTable(self._sums)
 
     def _sums(self, x0, b2):
         # The radial kernel, on floats (one point) or on 1-D arrays (the

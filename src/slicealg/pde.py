@@ -28,16 +28,19 @@ evaluator.
 Every solution has the axial form f(x) = A(x0, beta) + omega B(x0, beta),
 omega = Im x / beta, which Fueter's theorem carries over from slice
 functions.  So a grid evaluation runs in two steps
-(:func:`quaternion.in_axial_blocks`): the series work (the P_n
+(:class:`quaternion.RadialTable`): the series work (the P_n
 recurrence, the powers of z and the stem map) once per distinct pair
-(x0, beta^2) of the call, matched by bit pattern, and the combination
+(x0, beta^2), matched by bit pattern, and the combination
 re + Im(x) im per point.  Many grid nodes share a radius, so the first
 step runs on several times fewer points than the grid has.  Both steps take
 blocks of :data:`quaternion.BLOCK` points; only the index of each
 point's pair and the table of distinct pairs grow with the grid.
 
 No finite differences enter the *construction*; FD is used only by
-:func:`verify_pde` to certify the residuals independently.  Its report
+:func:`verify_pde` to certify the residuals independently.  Its 13 point
+sets (the nodes and the six shifts of the Delta_3 stencil at two steps)
+share one table of distinct pairs, so a pair that several sets meet goes
+through the series work once.  Its report
 keeps the nodes, values and residual norms as one (n, 9) float array,
 ``PdeReport.rows``, which :func:`fmtio.write_csv` writes block by block.
 """
@@ -54,7 +57,7 @@ from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
     ZeroEigenvalue
 from .fmtio import dump_json, write_csv
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, \
-    format_quaternion, in_axial_blocks, parse_quaternion, qmul
+    RadialTable, format_quaternion, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
 from .sliceexpr import SliceConstant, _require_unit_imag
 from .eigensolve import gen_exp, S_lambda
@@ -327,11 +330,17 @@ class SolutionEvaluator:
         with the (2n, 12) map.  As J = Im(x)/beta, f = re + Im(x) im with
         re = -(2/beta) P2 and im = -(2/beta^2) (G2/beta - P1), functions
         of (x0, beta^2), so the powers and the product run once per
-        distinct pair (:func:`quaternion.in_axial_blocks`).
+        distinct pair (:class:`quaternion.RadialTable`).
         """
+        return self.radial_table()(x0, x1, x2, x3)
+
+    def radial_table(self) -> RadialTable:
+        """An evaluator like :meth:`eval_components` for point sets taken
+        one after another: the radial step runs once per distinct pair of
+        all of them."""
         if self._map is None:
-            return self.mono.eval_components(x0, x1, x2, x3)
-        return in_axial_blocks(self._sums, x0, x1, x2, x3)
+            return self.mono.radial_table()
+        return RadialTable(self._sums)
 
     def _sums(self, x0, b2):
         # the radial kernel: (re, im) of f = re + Im(x) im at (x0, b2)
@@ -524,15 +533,10 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         raise GridTooSmall("no grid nodes survive the exclusion ball")
     x0c = np.full_like(x1c, grid.x0)
 
-    fv = f.eval_components(x0c, x1c, x2c, x3c)
-
-    def lap3(step):
-        acc = -6.0 * fv
-        for dx1, dx2, dx3 in ((step, 0.0, 0.0), (-step, 0.0, 0.0),
-                              (0.0, step, 0.0), (0.0, -step, 0.0),
-                              (0.0, 0.0, step), (0.0, 0.0, -step)):
-            acc += f.eval_components(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
-        return acc / (step * step)
+    # the values, then Delta_3 at h and at h/2: 13 point sets, with the
+    # radial step once per distinct pair of all of them
+    evaluate = f.radial_table()
+    fv = evaluate(x0c, x1c, x2c, x3c)
 
     sq = _lambda1_squared(problem)
     rhs_vals = 0.0
@@ -543,25 +547,28 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     scale = float(fnorm.max())
     div = scale if scale > 0.0 else 1.0
 
-    def residual_norms(lap, factor=1.0):
-        return np.linalg.norm(
-            _operator_residual(sq, lap, fv, rhs_vals, factor), axis=-1)
+    def residuals(step, *factors):
+        # the residual norms for each factor, with Delta_3 f at step
+        acc = -6.0 * fv
+        for dx1, dx2, dx3 in ((step, 0.0, 0.0), (-step, 0.0, 0.0),
+                              (0.0, step, 0.0), (0.0, -step, 0.0),
+                              (0.0, 0.0, step), (0.0, 0.0, -step)):
+            acc += evaluate(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
+        lap = acc / (step * step)
+        return [np.linalg.norm(_operator_residual(sq, lap, fv, rhs_vals, k),
+                               axis=-1) for k in factors]
 
-    laps = {}
-
-    def max_rel_residual(step):
-        laps[step] = lap3(step)
-        return float(residual_norms(laps[step]).max()) / div
-
-    max_rel, _, order = richardson_order(max_rel_residual, h, floor=1e-11)
-    res_h = residual_norms(laps[h])
+    res_h, neg = residuals(h, 1.0, 4.0)
+    res = {h: res_h, h / 2.0: residuals(h / 2.0, 1.0)[0]}
+    del evaluate                    # drops the table
+    max_rel, _, order = richardson_order(
+        lambda step: float(res[step].max()) / div, h, floor=1e-11)
     rows = np.column_stack([x0c, x1c, x2c, x3c, fv, res_h])
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():       # an overflow in the series or in the stencil
         raise RangeError(f"the solution or its residual is not finite at "
                          f"{bad.sum()} of {len(rows)} grid nodes")
     mean_rel = float(res_h.mean()) / div
-    neg = residual_norms(laps[h], 4.0)
 
     # monogenicity spot checks
     spots = np.unique(np.linspace(0, x1c.size - 1, 5).astype(int))

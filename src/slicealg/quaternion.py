@@ -79,8 +79,8 @@ class Quaternion:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Quaternion(self.w + other.w, self.x1 + other.x1,
-                          self.x2 + other.x2, self.x3 + other.x3)
+        return _quat(self.w + other.w, self.x1 + other.x1,
+                     self.x2 + other.x2, self.x3 + other.x3)
 
     __radd__ = __add__
 
@@ -88,8 +88,8 @@ class Quaternion:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Quaternion(self.w - other.w, self.x1 - other.x1,
-                          self.x2 - other.x2, self.x3 - other.x3)
+        return _quat(self.w - other.w, self.x1 - other.x1,
+                     self.x2 - other.x2, self.x3 - other.x3)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -98,19 +98,19 @@ class Quaternion:
         return other - self
 
     def __neg__(self):
-        return Quaternion(-self.w, -self.x1, -self.x2, -self.x3)
+        return _quat(-self.w, -self.x1, -self.x2, -self.x3)
 
     def __pos__(self):
         return self
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x1 * other,
-                              self.x2 * other, self.x3 * other)
+            s = float(other)
+            return _quat(self.w * s, self.x1 * s, self.x2 * s, self.x3 * s)
         if not isinstance(other, Quaternion):
             return NotImplemented
         a, b = self, other
-        return Quaternion(
+        return _quat(
             a.w * b.w - a.x1 * b.x1 - a.x2 * b.x2 - a.x3 * b.x3,
             a.w * b.x1 + a.x1 * b.w + a.x2 * b.x3 - a.x3 * b.x2,
             a.w * b.x2 - a.x1 * b.x3 + a.x2 * b.w + a.x3 * b.x1,
@@ -119,16 +119,16 @@ class Quaternion:
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x1 * other,
-                              self.x2 * other, self.x3 * other)
+            s = float(other)
+            return _quat(self.w * s, self.x1 * s, self.x2 * s, self.x3 * s)
         return NotImplemented
 
     def __truediv__(self, other):
         # Division is only defined for real divisors; quaternion division
         # is ambiguous (left vs right), use q * p.inverse() explicitly.
         if isinstance(other, (int, float)):
-            return Quaternion(self.w / other, self.x1 / other,
-                              self.x2 / other, self.x3 / other)
+            s = float(other)
+            return _quat(self.w / s, self.x1 / s, self.x2 / s, self.x3 / s)
         return NotImplemented
 
     def conjugate(self) -> "Quaternion":
@@ -185,11 +185,29 @@ class Quaternion:
         return format_quaternion(self)
 
 
+# The arithmetic above builds its results by setting the four slots
+# directly, which skips __init__ and its float() calls: every value it
+# passes is already a Python float, as scalar operands go through float()
+# first (an np.float64 would otherwise leak into the components).
+_new = object.__new__
+_set_w, _set_x1, _set_x2, _set_x3 = (Quaternion.__dict__[name].__set__
+                                     for name in Quaternion.__slots__)
+
+
+def _quat(w, x1, x2, x3):
+    q = _new(Quaternion)
+    _set_w(q, w)
+    _set_x1(q, x1)
+    _set_x2(q, x2)
+    _set_x3(q, x3)
+    return q
+
+
 def _coerce(value):
     if isinstance(value, Quaternion):
         return value
     if isinstance(value, (int, float)):
-        return Quaternion(value)
+        return _quat(float(value), 0.0, 0.0, 0.0)
     return NotImplemented
 
 
@@ -267,38 +285,68 @@ def axial_combine(sums, x1, x2, x3):
             re[3] + (x1 * im[2] - x2 * im[1] + x3 * im[0]))
 
 
-def in_axial_blocks(radial, x0, x1, x2, x3):
+class RadialTable:
     """Evaluate an axial function f = re + Im(x) im, with re and im
-    quaternions that depend on (x0, |Im x|^2) alone.
+    quaternions that depend on (x0, |Im x|^2) alone, on point sets one
+    after another.
 
     ``radial(x0, b2)`` is the costly step: it takes 1-D arrays of at most
     :data:`BLOCK` distinct pairs (x0, b2 = x1*x1 + x2*x2 + x3*x3) and
-    returns the eight components of re and im there.  It runs once per
-    distinct pair of the call; :func:`axial_combine` then runs per point,
-    in blocks of :data:`BLOCK` points.  Pairs are matched by their bit
-    patterns, so every value has the bits of the two steps run on that
-    point alone, and -0.0 never merges with +0.0.  Only the index of each
-    point's pair and the table of distinct pairs grow with the input.
-    Returns the (..., 4) array of all points.
+    returns the eight components of re and im there.  The table keeps the
+    pairs met so far with their radial values: each call looks its pairs
+    up in it, and only the missing ones go through ``radial``, so it runs
+    once per distinct pair of all the calls.  :func:`axial_combine` then
+    runs per point, in blocks of :data:`BLOCK` points.  Pairs are matched
+    by their bit patterns, so every value has the bits of the two steps
+    run on that point alone, and -0.0 never merges with +0.0.  Only the
+    table and the index of each point's pair grow with the input.
     """
-    x0, x1, x2, x3 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
-    shape = x0.shape
-    x1, x2, x3 = (v.reshape(-1) for v in (x1, x2, x3))
-    u0, ub2, inv = _distinct_pairs(x0.reshape(-1), x1 * x1 + x2 * x2 + x3 * x3)
-    table = np.empty((8, u0.size))
-    for start in range(0, u0.size, BLOCK):
-        block = slice(start, start + BLOCK)
-        for c, v in enumerate(radial(u0[block], ub2[block])):
-            table[c, block] = v
-    out = np.empty((inv.size, 4))
-    for start in range(0, inv.size, BLOCK):
-        block = slice(start, start + BLOCK)
-        vals = axial_combine(table.take(inv[block], axis=1),
-                             x1[block], x2[block], x3[block])
-        for c, v in enumerate(vals):
-            out[block, c] = v
-    return out.reshape(shape + (4,))
+
+    def __init__(self, radial):
+        self.radial = radial
+        self.x0, self.b2 = np.empty(0), np.empty(0)     # the pairs
+        self.sums = np.empty((0, 8))    # their radial values, row by row
+
+    def __call__(self, x0, x1, x2, x3):
+        """f at the points (x0, x1, x2, x3); returns an (..., 4) array."""
+        x0, x1, x2, x3 = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+        shape = x0.shape
+        x1, x2, x3 = (v.reshape(-1) for v in (x1, x2, x3))
+        u0, ub2, inv = _distinct_pairs(x0.reshape(-1),
+                                       x1 * x1 + x2 * x2 + x3 * x3)
+        # the row of each of these pairs in the table: the distinct pairs
+        # of the table and these together tell which pairs it lacks
+        known = self.x0.size
+        union, _, ids = _distinct_pairs(np.concatenate([self.x0, u0]),
+                                        np.concatenate([self.b2, ub2]))
+        row = np.full(union.size, -1)
+        row[ids[:known]] = np.arange(known)
+        row = row.take(ids[known:])
+        new = row < 0
+        u0, ub2 = u0[new], ub2[new]
+        fresh = np.empty((8, u0.size))
+        for start in range(0, u0.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            for c, v in enumerate(self.radial(u0[block], ub2[block])):
+                fresh[c, block] = v
+        row[new] = np.arange(known, known + u0.size)
+        self.x0 = np.concatenate([self.x0, u0])
+        self.b2 = np.concatenate([self.b2, ub2])
+        # rows are appended in place (no view of sums ever leaves the
+        # table): a grown copy per call would fragment the heap and leave
+        # the process larger
+        self.sums.resize((known + u0.size, 8), refcheck=False)
+        self.sums[known:] = fresh.T
+        inv = row.take(inv)
+        out = np.empty((inv.size, 4))
+        for start in range(0, inv.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            vals = axial_combine(self.sums.take(inv[block], axis=0).T,
+                                 x1[block], x2[block], x3[block])
+            for c, v in enumerate(vals):
+                out[block, c] = v
+        return out.reshape(shape + (4,))
 
 
 def qmul(a, b):

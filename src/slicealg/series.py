@@ -335,7 +335,14 @@ def _log_tail(t: float, n: int) -> float:
 
 
 def exp_tail_bound(radius: float, lam_norm: float, n_trunc: int) -> float:
-    """Bound on |exp tail| past degree N: |x*lam|^{N+1} e^{|x*lam|} / (N+1)!."""
+    """Bound on |exp tail| past degree N: |x*lam|^{N+1} e^{|x*lam|} / (N+1)!.
+
+    N = -1 (no term kept) gives e^{|x*lam|}; a degree below -1 raises
+    :class:`RangeError`.
+    """
+    if n_trunc < -1:
+        raise RangeError(f"the exp tail bound needs a degree >= -1, "
+                         f"got {n_trunc!r}")
     t = _tail_t(radius, lam_norm)
     try:
         return t ** (n_trunc + 1) / math.factorial(n_trunc + 1) * math.exp(t)

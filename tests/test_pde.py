@@ -558,3 +558,78 @@ def test_product_domain_evaluator_skips_the_p_series(monkeypatch):
     assert calls == []
     helmholtz_solution(1.0).eval_components(0.1, x1, x2, x3)
     assert calls == [50]
+
+
+def _stencil_problems():
+    # a uniform solution (the P-series) and a product-domain one (the stem
+    # map) on 15^3 grids
+    yield PdeProblem(kind="helmholtz", lam=1.0, degree=30,
+                     grid=GridSpec(counts=(15, 15, 15), x0=0.1))
+    yield PdeProblem(kind="helmholtz", lam=1.0, degree=30,
+                     slice_constants=(SliceConstant.on_halves(I, ONE, ZERO),
+                                      SliceConstant.on_halves(
+                                          J, Quaternion(0.5), ONE)),
+                     grid=GridSpec(counts=(15, 15, 15), exclude_radius=0.5,
+                                   fd_step=0.005))
+
+
+def _stencil_sets(report):
+    """The 13 point sets of verify_pde: the kept nodes, then the six shifts
+    of the Delta_3 stencil at fd_step and at fd_step / 2."""
+    x0, x1, x2, x3 = report.rows[:, :4].T
+    yield x0, x1, x2, x3
+    for step in (report.fd_step, report.fd_step / 2.0):
+        for d1, d2, d3 in ((step, 0.0, 0.0), (-step, 0.0, 0.0),
+                           (0.0, step, 0.0), (0.0, -step, 0.0),
+                           (0.0, 0.0, step), (0.0, 0.0, -step)):
+            yield x0, x1 + d1, x2 + d2, x3 + d3
+
+
+def test_stencil_runs_the_radial_kernel_once_per_distinct_pair(monkeypatch):
+    # timing-free guard: over the 13 point sets of one verify_pde, the
+    # radial kernel receives each distinct (x0, |Im x|^2) bit pattern
+    # exactly once (the CRF spot checks, which evaluate on their own, are
+    # left out)
+    import slicealg.pde as pde
+    monkeypatch.setattr(pde, "_fd_crf_at",
+                        lambda f, centres, h: np.zeros((len(centres), 4)))
+    for problem in _stencil_problems():
+        f = problem.solve()
+        kernel = SolutionEvaluator if f.product_domain else MonogenicSeries
+        sums = kernel._sums
+        seen = []
+
+        def counting(self, x0, b2):
+            seen.extend(zip(x0.tolist(), b2.tolist()))
+            return sums(self, x0, b2)
+        monkeypatch.setattr(kernel, "_sums", counting)
+        report = verify_pde(f, problem)
+        monkeypatch.setattr(kernel, "_sums", sums)
+        want = set()
+        for x0, x1, x2, x3 in _stencil_sets(report):
+            b2 = x1 * x1 + x2 * x2 + x3 * x3
+            want |= {(a.hex(), b.hex()) for a, b in zip(x0.tolist(),
+                                                         b2.tolist())}
+        got = sorted((a.hex(), b.hex()) for a, b in seen)
+        assert got == sorted(want)
+        assert len(got) < 13 * len(report.rows) / 3
+
+
+def test_uniform_stencil_rows_are_bit_identical_to_separate_calls():
+    # the shared radial table changes no bit: the rows of a uniform
+    # verify_pde are those of 13 separate eval_components calls
+    from slicealg.pde import _lambda1_squared, _operator_residual
+    problem = next(_stencil_problems())
+    f = problem.solve()
+    report = verify_pde(f, problem)
+    fv, *shifted = [f.eval_components(*points)
+                    for points in _stencil_sets(report)]
+    lap = -6.0 * fv
+    for vals in shifted[:6]:
+        lap += vals
+    lap /= report.fd_step * report.fd_step
+    res = np.linalg.norm(_operator_residual(_lambda1_squared(problem), lap,
+                                            fv, 0.0, 1.0), axis=-1)
+    want = np.column_stack([report.rows[:, :4], fv, res])
+    assert report.rows.view(np.uint64).tolist() == \
+        want.view(np.uint64).tolist()

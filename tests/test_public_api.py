@@ -1,7 +1,13 @@
 """The package's public names come from its modules' ``__all__`` lists."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
+
+import pytest
 
 import slicealg
 
@@ -16,8 +22,8 @@ def test_exports_are_the_union_of_module_all():
         for public in module.__all__:
             homes[public] = module
     homes["run_suites"] = importlib.import_module("slicealg.verify")
-    exported = {n for n, v in vars(slicealg).items()
-                if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    exported = {n for n in dir(slicealg) if not n.startswith("_")
+                and not isinstance(getattr(slicealg, n), types.ModuleType)}
     assert exported == set(homes)
     for name, module in homes.items():
         assert getattr(slicealg, name) is getattr(module, name)
@@ -29,3 +35,61 @@ def test_every_exception_class_is_public():
                if isinstance(v, type) and issubclass(v, Exception)
                and v.__module__ == errors.__name__}
     assert set(errors.__all__) == classes
+
+
+# a child interpreter imports the slicealg under test
+_ENV = dict(os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(slicealg.__file__)))
+
+
+def _modules_loaded(code):
+    """The slicealg modules a fresh interpreter holds after running code."""
+    probe = (code + "\nimport sys\nprint(' '.join(sorted(m for m in "
+             "sys.modules if m.startswith('slicealg.'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=_ENV).stdout
+    return {m.split(".", 1)[1] for m in out.split()}
+
+
+def _command(*argv):
+    return ("import contextlib, io\nfrom slicealg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert main({list(argv)!r}) == 0")
+
+
+def test_each_command_imports_only_what_it_uses(tmp_path):
+    # timing-free: which modules a command loads, in a fresh interpreter
+    heavy = {"pde", "verify", "monogenic", "sliceexpr"}
+    assert not _modules_loaded("import slicealg.cli") \
+        & (heavy | {"eigensolve"})
+    assert not _modules_loaded(_command("gen-exp", "--lambdas", "i,j",
+                                        "--degree", "8")) & heavy
+    problem = tmp_path / "ivp.json"
+    problem.write_text(json.dumps({"lambdas": ["i", "1+j"],
+                                   "initial": ["1", "k"], "degree": 8}))
+    assert not _modules_loaded(_command("solve", "--problem",
+                                        str(problem))) & heavy
+    loaded = _modules_loaded(_command("pde", "--kind", "helmholtz",
+                                      "--grid-counts", "5"))
+    assert "pde" in loaded and "verify" not in loaded
+
+
+def test_star_import_gives_the_exports():
+    # the names load on first use; a star import still binds every export
+    # that dir() lists (the union test above), as the same objects
+    namespace = {}
+    exec("from slicealg import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == {
+        n for n in dir(slicealg) if not n.startswith("_")
+        and not isinstance(getattr(slicealg, n), types.ModuleType)}
+    for name, value in namespace.items():
+        assert value is getattr(slicealg, name)
+    with pytest.raises(AttributeError):
+        slicealg.no_such_name
+
+
+def test_cli_suite_choices_are_the_verify_suites():
+    from slicealg import cli, verify
+    assert list(cli.SUITE_NAMES) == [name for name, _ in verify.SUITES]

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from slicealg import (
@@ -155,3 +156,35 @@ def test_as_quaternion_coercions():
     assert as_quaternion(I) is I
     with pytest.raises(TypeError):
         as_quaternion("i")  # strings go through parse_quaternion instead
+
+
+def test_arithmetic_has_the_bits_of_the_public_constructor():
+    # the arithmetic sets the slots directly; a scalar operand goes through
+    # float() first, so no np.float64, int or bool lands in a component,
+    # and each result has the bits and repr of Quaternion(...) on the
+    # same formula
+    rng = random.Random(907)
+    for _ in range(200):
+        a, b = rand_q(rng), rand_q(rng)
+        (aw, a1, a2, a3), (bw, b1, b2, b3) = a.as_list(), b.as_list()
+        for s in (np.float64(rng.uniform(-3, 3)), rng.randint(1, 9), True,
+                  rng.uniform(-3, 3)):
+            pairs = [
+                (a + b, Quaternion(aw + bw, a1 + b1, a2 + b2, a3 + b3)),
+                (a - b, Quaternion(aw - bw, a1 - b1, a2 - b2, a3 - b3)),
+                (-a, Quaternion(-aw, -a1, -a2, -a3)),
+                (a * b, Quaternion(aw * bw - a1 * b1 - a2 * b2 - a3 * b3,
+                                   aw * b1 + a1 * bw + a2 * b3 - a3 * b2,
+                                   aw * b2 - a1 * b3 + a2 * bw + a3 * b1,
+                                   aw * b3 + a1 * b2 - a2 * b1 + a3 * bw)),
+                (a + s, Quaternion(aw + s, a1 + 0.0, a2 + 0.0, a3 + 0.0)),
+                (s - a, Quaternion(s - aw, 0.0 - a1, 0.0 - a2, 0.0 - a3)),
+                (a * s, Quaternion(aw * s, a1 * s, a2 * s, a3 * s)),
+                (s * a, Quaternion(aw * s, a1 * s, a2 * s, a3 * s)),
+                (a / s, Quaternion(aw / s, a1 / s, a2 / s, a3 / s)),
+            ]
+            for got, want in pairs:
+                assert all(type(v) is float for v in got.as_list())
+                assert [v.hex() for v in got.as_list()] == \
+                    [v.hex() for v in want.as_list()]
+                assert repr(got) == repr(want)

@@ -308,6 +308,17 @@ def test_exp_tail_bound_past_float_range_uses_the_log_bound():
     assert exp_tail_bound(2.0, 3.0, 4) == 6.0 ** 5 / 120 * math.exp(6.0)
 
 
+def test_exp_tail_bound_refuses_a_degree_below_minus_one():
+    # N = -1 keeps no term, so the whole of e^t is tail; a lower degree
+    # means nothing and is refused, naming it
+    from slicealg import RangeError
+    assert exp_tail_bound(1.0, 1.0, -1) == math.exp(1.0)
+    assert exp_tail_bound(0.0, 1.0, -1) == 1.0
+    for radius, n in ((1.0, -5), (0.0, -3), (1.0, -2)):
+        with pytest.raises(RangeError, match=f"degree >= -1, got {n}$"):
+            exp_tail_bound(radius, 1.0, n)
+
+
 @pytest.mark.parametrize("radius, lam_norm",
                          [(float("nan"), 8.0), (-1.0, 8.0), (1.0, -0.5)])
 def test_exp_tail_bound_refuses_nan_and_negative_arguments(radius, lam_norm):
