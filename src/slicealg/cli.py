@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError, RangeError, SliceAlgError
-from .fmtio import csv_chunks, dumps_json, load_json, read_text, write_text
+from .fmtio import csv_chunks, dumps_json, int_from_json, load_json, \
+    read_text, write_text
 from .quaternion import Quaternion, parse_quaternion
 from .series import PowerSeries
 
@@ -99,7 +100,7 @@ def cmd_solve(args) -> int:
     lams = [parse_quaternion(t) for t in spec["lambdas"]]
     initial = [parse_quaternion(t) for t in spec["initial"]]
     try:
-        degree = int(spec.get("degree", args.degree))
+        degree = int_from_json(spec.get("degree", args.degree), "degree")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{args.problem}: bad degree: {exc}") from exc
     if len(initial) != len(lams):
@@ -136,34 +137,34 @@ def _axis_values(text: str, flag: str, kind):
     return values * 3 if len(values) == 1 else values
 
 
-def _grid_from_args(args):
-    from .pde import GridSpec
-    # GridSpec refuses non-finite values, empty boxes and wrong axis counts
-    return GridSpec(counts=_axis_values(args.grid_counts, "--grid-counts", int),
-                    lo=_axis_values(args.grid_lo, "--grid-lo", float),
-                    hi=_axis_values(args.grid_hi, "--grid-hi", float),
-                    x0=args.x0, exclude_radius=args.exclude,
-                    fd_step=args.fd_step)
+# the keys of the pde flags in a problem record, where not the flag's name
+_RECORD_KEYS = {"--unit": "I", "--constants": "slice_constants",
+                "--grid-counts": "counts", "--grid-lo": "lo", "--grid-hi": "hi",
+                "--exclude": "exclude_radius", "--fd-step": "fd_step"}
 
 
 def _problem_from_args(args):
-    from .monogenic import load_monogenic
-    from .pde import PdeProblem
-    from .sliceexpr import SliceConstant
+    """The problem of a --problem file, or the record of the flags given: a
+    key that no flag gives keeps its default on PdeProblem or GridSpec."""
+    from dataclasses import fields
+    from .pde import GridSpec, PdeProblem
+    given = {"--" + d.replace("_", "-"): v for d, v in vars(args).items()
+             if v is not None and d not in ("command", "func", "problem", "out_prefix")}
     if args.problem:
+        if given:
+            raise ParseError("--problem excludes " + ", ".join(given))
         return PdeProblem.from_record(load_json(args.problem))
     if not args.kind:
         raise ParseError("pde needs --kind or --problem")
-    unit = parse_quaternion(args.unit) if args.unit else None
-    rhs = load_monogenic(args.rhs) if args.rhs else None
-    constants = SliceConstant.from_records(load_json(args.constants),
-                                           args.constants) \
-        if args.constants else ()
-    lam1 = parse_quaternion(args.lambda1) if args.lambda1 else None
-    return PdeProblem(kind=args.kind, lam=args.lam,
-                      unit_i=unit,
-                      slice_constants=constants, rhs=rhs, lam1=lam1,
-                      grid=_grid_from_args(args), degree=args.degree)
+    rec = {}
+    for flag, value in given.items():
+        if flag in ("--rhs", "--constants"):
+            value = load_json(value)
+        elif flag.startswith("--grid-"):
+            value = _axis_values(value, flag, int if flag == "--grid-counts" else float)
+        rec[_RECORD_KEYS.get(flag, flag[2:])] = value
+    rec["grid"] = {f.name: rec.pop(f.name) for f in fields(GridSpec) if f.name in rec}
+    return PdeProblem.from_record(rec)
 
 
 def verify_pde(f, problem):
@@ -251,23 +252,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pde", help="construct and verify a PDE solution")
-    p.add_argument("--problem", help="JSON problem file (overrides flags)")
+    p.add_argument("--problem",
+                   help="JSON problem record (no other flag but --out-prefix)")
     p.add_argument("--kind",
                    choices=["helmholtz", "klein-gordon", "yukawa", "quadratic"])
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="real eigenvalue scale")
+    p.add_argument("--lambda", type=float, help="real eigenvalue scale")
     p.add_argument("--lambda1", help="quaternion literal for the quadratic kernel")
     p.add_argument("--unit", help="imaginary unit literal (klein-gordon/yukawa)")
     p.add_argument("--rhs", help="P-basis JSON file (yukawa right-hand side)")
     p.add_argument("--constants", help="JSON file with slice-constant records")
-    p.add_argument("--degree", type=int, default=40)
-    p.add_argument("--grid-counts", default="21,21,21")
-    p.add_argument("--grid-lo", default="-1,-1,-1")
-    p.add_argument("--grid-hi", default="1,1,1")
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--exclude", type=float, default=0.0,
+    p.add_argument("--degree", type=int)
+    p.add_argument("--grid-counts")
+    p.add_argument("--grid-lo")
+    p.add_argument("--grid-hi")
+    p.add_argument("--x0", type=float)
+    p.add_argument("--exclude", type=float,
                    help="exclusion radius around the real axis")
-    p.add_argument("--fd-step", type=float, default=None)
+    p.add_argument("--fd-step", type=float)
     p.add_argument("--out-prefix",
                    help="write PREFIX.csv / PREFIX.summary.json "
                         "(default: summary to stdout)")

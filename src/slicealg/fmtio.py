@@ -28,7 +28,7 @@ import numpy as np
 from .errors import IoError, ParseError
 
 __all__ = ["fmt_float", "dumps_json", "dump_json", "read_text", "load_json",
-           "write_text", "csv_chunks", "write_csv"]
+           "int_from_json", "write_text", "csv_chunks", "write_csv"]
 
 # Rows formatted per string operation of the CSV writer.
 CSV_BLOCK = 4096
@@ -120,6 +120,13 @@ def load_json(path):
         return json.loads(text)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def int_from_json(value, what: str) -> int:
+    """``int(value)``, which would truncate a fraction or read a boolean."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{what} must be an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 def write_text(path, chunks) -> None:

@@ -54,8 +54,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
-    ZeroEigenvalue
-from .fmtio import dump_json, write_csv
+    SliceAlgError, ZeroEigenvalue
+from .fmtio import dump_json, int_from_json, write_csv
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, \
     RadialTable, format_quaternion, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
@@ -84,12 +84,25 @@ def _qarr(q: Quaternion):
 
 # grids and problems ---------------------------------------------------------
 
-def _refuse_unknown_keys(rec: dict, keys, what: str) -> None:
-    # a misspelt key would otherwise fall back to its default silently
+def _record_fields(rec: dict, fields: dict, what: str) -> dict:
+    """The fields of the keys in ``rec``, by ``fields``: key -> (field,
+    convert).  An absent key keeps its default, so a misspelt one is refused."""
     for key in rec:
-        if key not in keys:
+        if key not in fields:
             raise ParseError(f"unknown {what} key {key!r}; accepted keys: "
-                             + ", ".join(keys))
+                             + ", ".join(fields))
+    try:
+        return {field: convert(rec[key])
+                for key, (field, convert) in fields.items() if key in rec}
+    except SliceAlgError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad {what} record: {exc}") from exc
+
+
+def _optional(convert):
+    # a JSON null reads as None
+    return lambda value: None if value is None else convert(value)
 
 
 @dataclass(frozen=True)
@@ -160,21 +173,15 @@ class GridSpec:
     def from_record(cls, rec: dict) -> "GridSpec":
         if not isinstance(rec, dict):
             raise ParseError("grid record must be an object")
-        _refuse_unknown_keys(rec, ("counts", "lo", "hi", "x0",
-                                   "exclude_radius", "fd_step"), "grid")
-        try:
-            fields = dict(
-                counts=tuple(int(c) for c in rec.get("counts", (21, 21, 21))),
-                lo=tuple(float(v) for v in rec.get("lo", (-1.0, -1.0, -1.0))),
-                hi=tuple(float(v) for v in rec.get("hi", (1.0, 1.0, 1.0))),
-                x0=float(rec.get("x0", 0.0)),
-                exclude_radius=float(rec.get("exclude_radius", 0.0)),
-                fd_step=(None if rec.get("fd_step") is None
-                         else float(rec["fd_step"])),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad grid record: {exc}") from exc
-        return cls(**fields)
+        return cls(**_record_fields(rec, {
+            "counts": ("counts", lambda cs: tuple(
+                int_from_json(c, "grid counts") for c in cs)),
+            "lo": ("lo", lambda vs: tuple(map(float, vs))),
+            "hi": ("hi", lambda vs: tuple(map(float, vs))),
+            "x0": ("x0", float),
+            "exclude_radius": ("exclude_radius", float),
+            "fd_step": ("fd_step", _optional(float)),
+        }, "grid"))
 
 
 def _real_lambda(lam) -> float:
@@ -246,26 +253,19 @@ class PdeProblem:
     def from_record(cls, rec: dict) -> "PdeProblem":
         if not isinstance(rec, dict) or "kind" not in rec:
             raise ParseError("problem record must be an object with a 'kind'")
-        _refuse_unknown_keys(rec, ("kind", "lambda", "I", "lambda1",
-                                   "slice_constants", "rhs", "grid", "degree"),
-                             "problem")
-        unit_i = (None if rec.get("I") is None
-                  else _require_unit_imag(parse_quaternion(rec["I"]), "I"))
-        lam1 = (None if rec.get("lambda1") is None
-                else parse_quaternion(rec["lambda1"]))
-        constants = SliceConstant.from_records(rec.get("slice_constants", []),
-                                               "slice_constants")
-        rhs = (None if rec.get("rhs") is None
-               else MonogenicSeries.from_record(rec["rhs"], "rhs"))
-        try:
-            lam = float(rec.get("lambda", 1.0))
-            degree = int(rec.get("degree", 40))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad problem record: {exc}") from exc
-        return cls(kind=rec["kind"], lam=lam, unit_i=unit_i,
-                   slice_constants=constants, rhs=rhs, lam1=lam1,
-                   grid=GridSpec.from_record(rec.get("grid", {})),
-                   degree=degree)
+        return cls(**_record_fields(rec, {
+            "kind": ("kind", lambda kind: kind),
+            "lambda": ("lam", float),
+            "I": ("unit_i", _optional(
+                lambda t: _require_unit_imag(parse_quaternion(t), "I"))),
+            "lambda1": ("lam1", _optional(parse_quaternion)),
+            "slice_constants": ("slice_constants", lambda data:
+                SliceConstant.from_records(data, "slice_constants")),
+            "rhs": ("rhs", _optional(
+                lambda data: MonogenicSeries.from_record(data, "rhs"))),
+            "grid": ("grid", GridSpec.from_record),
+            "degree": ("degree", lambda n: int_from_json(n, "degree")),
+        }, "problem"))
 
     def solve(self):
         """The solution of this problem, by the constructor of its kind: a

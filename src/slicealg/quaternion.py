@@ -62,14 +62,6 @@ class Quaternion:
     def __setattr__(self, name, value):
         raise AttributeError("Quaternion is immutable")
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_seq(cls, seq) -> "Quaternion":
-        """Build from a length-4 sequence [w, x1, x2, x3]."""
-        w, x1, x2, x3 = seq
-        return cls(w, x1, x2, x3)
-
     def as_list(self):
         return [self.w, self.x1, self.x2, self.x3]
 
@@ -117,11 +109,7 @@ class Quaternion:
             a.w * b.x3 + a.x1 * b.x2 - a.x2 * b.x1 + a.x3 * b.w,
         )
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            s = float(other)
-            return _quat(self.w * s, self.x1 * s, self.x2 * s, self.x3 * s)
-        return NotImplemented
+    __rmul__ = __mul__      # a real scalar commutes with every quaternion
 
     def __truediv__(self, other):
         # Division is only defined for real divisors; quaternion division
@@ -313,16 +301,14 @@ class RadialTable:
             *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
         shape = x0.shape
         x1, x2, x3 = (v.reshape(-1) for v in (x1, x2, x3))
-        u0, ub2, inv = _distinct_pairs(x0.reshape(-1),
-                                       x1 * x1 + x2 * x2 + x3 * x3)
-        # the row of each of these pairs in the table: the distinct pairs
-        # of the table and these together tell which pairs it lacks
+        # one search over the table's pairs (distinct, and first) and the
+        # points': a pair that no table row holds is new
         known = self.x0.size
-        union, _, ids = _distinct_pairs(np.concatenate([self.x0, u0]),
-                                        np.concatenate([self.b2, ub2]))
-        row = np.full(union.size, -1)
+        u0, ub2, ids = _distinct_pairs(
+            np.concatenate([self.x0, x0.reshape(-1)]),
+            np.concatenate([self.b2, x1 * x1 + x2 * x2 + x3 * x3]))
+        row = np.full(u0.size, -1)
         row[ids[:known]] = np.arange(known)
-        row = row.take(ids[known:])
         new = row < 0
         u0, ub2 = u0[new], ub2[new]
         fresh = np.empty((8, u0.size))
@@ -338,7 +324,7 @@ class RadialTable:
         # the process larger
         self.sums.resize((known + u0.size, 8), refcheck=False)
         self.sums[known:] = fresh.T
-        inv = row.take(inv)
+        inv = row.take(ids[known:])
         out = np.empty((inv.size, 4))
         for start in range(0, inv.size, BLOCK):
             block = slice(start, start + BLOCK)

@@ -194,12 +194,7 @@ class PowerSeries:
     def _bounds_with(self, other: "PowerSeries"):
         if self.exact and other.exact:
             return True, max(self.degree_bound, other.degree_bound)
-        bounds = []
-        if not self.exact:
-            bounds.append(self.degree_bound)
-        if not other.exact:
-            bounds.append(other.degree_bound)
-        return False, min(bounds)
+        return False, min(f.degree_bound for f in (self, other) if not f.exact)
 
     def __add__(self, other):
         if not isinstance(other, PowerSeries):

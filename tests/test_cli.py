@@ -465,3 +465,116 @@ def test_input_files_exit_2(case, tmp_path, capsys, monkeypatch):
     argv = [str(path) if a == "{path}" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     _assert_one_line_error(code, out, err, argv[0])
+
+
+def test_pde_problem_file_refuses_problem_flags(tmp_path, capsys, monkeypatch):
+    # the flags used to be ignored: the file's helmholtz lambda = 1 was
+    # verified and the run exited 0
+    import slicealg.cli as cli
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started despite refused flags")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"kind": "helmholtz",
+                                "grid": {"counts": [5, 5, 5]}}))
+    code, out, err = run_cli(capsys, "pde", "--problem", str(path),
+                             "--kind", "klein-gordon", "--lambda", "8")
+    _assert_one_line_error(code, out, err, "pde")
+    assert "--kind, --lambda" in err
+    for flags in (["--grid-counts", "7"], ["--fd-step", "0.01"],
+                  ["--exclude", "0.5"], ["--degree", "40"]):
+        code, out, err = run_cli(capsys, "pde", "--problem", str(path), *flags)
+        _assert_one_line_error(code, out, err, "pde")
+        assert flags[0] in err
+    # --out-prefix is the one flag that goes with --problem
+    monkeypatch.undo()
+    prefix = tmp_path / "run"
+    code, out, _ = run_cli(capsys, "pde", "--problem", str(path),
+                           "--out-prefix", str(prefix))
+    assert code == 0 and out == ""
+    assert (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("rec", [
+    {"kind": "helmholtz", "grid": {"counts": [5.7, 5, 5]}},
+    {"kind": "helmholtz", "grid": {"counts": [True, 5, 5]}},
+    {"kind": "helmholtz", "degree": 40.9, "grid": {"counts": [5, 5, 5]}},
+    {"kind": "helmholtz", "degree": True, "grid": {"counts": [5, 5, 5]}},
+])
+def test_pde_record_integers_exit_2(rec, tmp_path, capsys, monkeypatch):
+    # int() used to truncate 5.7 and 40.9 and read true as 1, and the run
+    # exited 0
+    import slicealg.cli as cli
+    from slicealg.errors import ParseError
+    from slicealg.pde import PdeProblem
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad integer")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    with pytest.raises(ParseError, match="must be an integer"):
+        PdeProblem.from_record(rec)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run_cli(capsys, "pde", "--problem", str(path))
+    _assert_one_line_error(code, out, err, "pde")
+    assert "must be an integer" in err
+
+
+def test_record_integral_floats_read_as_integers(tmp_path, capsys):
+    from slicealg.pde import PdeProblem
+    p = PdeProblem.from_record({"kind": "helmholtz", "degree": 30.0,
+                                "grid": {"counts": [5.0, 7, 9]}})
+    assert p.degree == 30 and p.grid.counts == (5, 7, 9)
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({"lambdas": ["i", "j"],
+                                   "initial": ["1", "k"], "degree": 3.0}))
+    code, out, _ = run_cli(capsys, "solve", "--problem", str(problem))
+    assert code == 0 and len(json.loads(out)) == 4
+
+
+def test_solve_degree_must_be_an_integer(tmp_path, capsys):
+    problem = tmp_path / "prob.json"
+    for degree, shown in ((7.5, "7.5"), (True, "true")):
+        problem.write_text(json.dumps({"lambdas": ["i", "j"],
+                                       "initial": ["1", "k"],
+                                       "degree": degree}))
+        code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
+        _assert_one_line_error(code, out, err, "solve")
+        assert f"degree must be an integer, got {shown}" in err
+
+
+def test_pde_flags_and_problem_file_make_the_same_problem(tmp_path):
+    # the flags are a problem record: the same record as a file gives the
+    # same problem, and a key that no flag gives keeps its default
+    import slicealg.cli as cli
+    from slicealg.pde import GridSpec, PdeProblem
+    consts = tmp_path / "consts.json"
+    consts.write_text(json.dumps([{"I": "i", "a1": "1", "a2": "0"}]))
+    args = cli.build_parser().parse_args(
+        ["pde", "--kind", "helmholtz", "--lambda", "2", "--degree", "30",
+         "--constants", str(consts), "--grid-counts", "7,9,11",
+         "--grid-lo", "-2", "--exclude", "0.25"])
+    p = cli._problem_from_args(args)
+    assert p == PdeProblem.from_record(p.to_record())
+    assert p.grid == GridSpec(counts=(7, 9, 11), lo=(-2.0, -2.0, -2.0),
+                              exclude_radius=0.25)
+    assert p.degree == 30 and p.lam == 2.0 and p.unit_i is None
+    bare = cli._problem_from_args(
+        cli.build_parser().parse_args(["pde", "--kind", "helmholtz"]))
+    assert bare == PdeProblem(kind="helmholtz")
+
+
+def test_pde_rhs_content_error_names_the_record_key(tmp_path, capsys):
+    # a malformed --rhs file is refused under its record key; a missing
+    # one still names the path
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"basis": "P"}))
+    code, out, err = run_cli(capsys, "pde", "--kind", "yukawa", "--unit", "i",
+                             "--rhs", str(rhs))
+    _assert_one_line_error(code, out, err, "pde")
+    assert err == "slicealg pde: rhs: expected a 'coeffs' list\n"
+    code, out, err = run_cli(capsys, "pde", "--kind", "yukawa", "--unit", "i",
+                             "--rhs", str(tmp_path / "missing.json"))
+    _assert_one_line_error(code, out, err, "pde")
+    assert "missing.json" in err

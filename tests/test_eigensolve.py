@@ -381,3 +381,30 @@ def test_f_mu_lambda_range_guards():
         f_mu_lambda(I, I)           # |mu| = |lambda|
     with pytest.raises(RangeError):
         f_mu_lambda(2.0 * I, J)     # |mu| > |lambda|
+
+
+def test_verify_roundtrip_bound_passes_the_seeds_it_failed():
+    # an absolute 1e-9 on D(S(p)) - p failed these seeds by rounding alone
+    import io
+    from slicealg.verify import run_suites
+    for seed in (5, 9, 10):
+        out = io.StringIO()
+        assert run_suites(["eigensolve"], seed, out) == 0, out.getvalue()
+
+
+def test_verify_roundtrip_bound_catches_a_left_inverse(monkeypatch):
+    # lambda^-1 on the left solves the wrong recurrence for a
+    # noncommuting lambda; the rounding bound refuses it
+    import io
+    import slicealg.verify as verify
+    from slicealg.series import PowerSeries
+
+    def s_left(lam, p):
+        lam_inv, nxt, out = lam.inverse(), ZERO, [ZERO] * len(p.coeffs)
+        for k in range(p.degree_bound, -1, -1):
+            nxt = out[k] = lam_inv * (nxt * float(k + 1) - p.coeffs[k])
+        return PowerSeries(out, exact=True)
+    monkeypatch.setattr(verify, "S_lambda", s_left)
+    out = io.StringIO()
+    assert verify.run_suites(["eigensolve"], 1729, out) == 1
+    assert "FAIL eigensolve: D(S(p)) != p" in out.getvalue()

@@ -633,3 +633,22 @@ def test_uniform_stencil_rows_are_bit_identical_to_separate_calls():
     want = np.column_stack([report.rows[:, :4], fv, res])
     assert report.rows.view(np.uint64).tolist() == \
         want.view(np.uint64).tolist()
+
+
+def test_records_convert_only_the_keys_present():
+    # an absent key keeps the dataclass default; null reads as None where
+    # the field may be None and is refused elsewhere
+    from slicealg.errors import ParseError
+    assert GridSpec.from_record({}) == GridSpec()
+    assert PdeProblem.from_record({"kind": "helmholtz"}) == \
+        PdeProblem(kind="helmholtz")
+    p = PdeProblem.from_record({"kind": "helmholtz", "I": None,
+                                "lambda1": None, "rhs": None,
+                                "grid": {"fd_step": None}})
+    assert p == PdeProblem(kind="helmholtz")
+    for rec in ({"kind": "helmholtz", "lambda": None},
+                {"kind": "helmholtz", "degree": None},
+                {"kind": "helmholtz", "grid": {"counts": None}},
+                {"kind": "helmholtz", "grid": None}):
+        with pytest.raises(ParseError):
+            PdeProblem.from_record(rec)
