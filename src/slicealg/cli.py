@@ -101,6 +101,8 @@ def cmd_solve(args) -> int:
     initial = [parse_quaternion(t) for t in spec["initial"]]
     try:
         degree = int_from_json(spec.get("degree", args.degree), "degree")
+    except ParseError as exc:       # names the key already
+        raise ParseError(f"{args.problem}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{args.problem}: bad degree: {exc}") from exc
     if len(initial) != len(lams):

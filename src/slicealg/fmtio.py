@@ -5,9 +5,12 @@ which round-trips every finite IEEE double exactly and makes repeated
 runs byte-identical; NaN and infinities are refused with ``ValueError``.
 The JSON writer keeps dict insertion order and renders flat numeric
 lists (e.g. quaternion quadruples) on one line.  CSV bodies are numeric
-arrays: :func:`csv_chunks` formats them :data:`CSV_BLOCK` rows at a time
-with one ``%.17g`` row template, which gives the bytes of
-:func:`fmt_float` without a Python call per value, and :func:`write_csv`
+arrays: :func:`csv_chunks` formats each distinct value of a column once,
+matched by bit pattern (so -0.0 and 0.0 stay apart): the distinct values
+of a column that repeats values in one ``%.17g`` operation, and the values
+of a column with none in a ``%.17g`` slot of the row template, which it
+fills :data:`CSV_BLOCK` rows at a time.  That gives the bytes of
+:func:`fmt_float` without a Python call per value; :func:`write_csv`
 streams those chunks to a file.
 
 Files are read by :func:`read_text` and :func:`load_json`, and written
@@ -28,9 +31,10 @@ import numpy as np
 from .errors import IoError, ParseError
 
 __all__ = ["fmt_float", "dumps_json", "dump_json", "read_text", "load_json",
-           "int_from_json", "write_text", "csv_chunks", "write_csv"]
+           "int_from_json", "float_from_json", "write_text", "csv_chunks",
+           "write_csv"]
 
-# Rows formatted per string operation of the CSV writer.
+# Rows filled into the CSV row template per string operation.
 CSV_BLOCK = 4096
 
 
@@ -129,6 +133,13 @@ def int_from_json(value, what: str) -> int:
     return int(value)
 
 
+def float_from_json(value, what: str) -> float:
+    """``float(value)``, which would read a boolean as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ParseError(f"{what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def write_text(path, chunks) -> None:
     """Write the strings ``chunks`` to the file ``path``, creating its
     directory if it is missing."""
@@ -148,6 +159,11 @@ def csv_chunks(header, rows):
     ``rows`` is an (n, k) array or anything ``np.asarray`` turns into
     one.  Every value is written as :func:`fmt_float` writes it; a NaN or
     an infinity raises ``ValueError`` before any text is produced.
+
+    A column that repeats values (grid coordinates, a solution at nodes
+    the grid's symmetry maps onto each other) has each distinct bit
+    pattern formatted once and a ``%s`` slot in the row template; a
+    column with none keeps a ``%.17g`` slot on its floats.
     """
     data = np.asarray(rows, dtype=float)
     bad = ~np.isfinite(data)
@@ -156,9 +172,21 @@ def csv_chunks(header, rows):
     yield ",".join(header) + "\n"
     if data.size == 0:
         return
-    line = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    slots, columns = [], []       # (values, index of each row's value)
+    for bits in data.view(np.uint64).T:
+        keys, inverse = np.unique(bits, return_inverse=True)
+        values = keys.view(float)
+        if keys.size == len(bits):
+            slots.append("%.17g")
+        else:
+            slots.append("%s")
+            text = "%.17g\n" * keys.size % tuple(values.tolist())
+            values = np.array(text.split("\n"), dtype=object)
+        columns.append((values, inverse))
+    line = ",".join(slots) + "\n"
     for start in range(0, len(data), CSV_BLOCK):
-        block = data[start:start + CSV_BLOCK]
+        part = slice(start, start + CSV_BLOCK)
+        block = np.column_stack([values[index[part]] for values, index in columns])
         yield (line * len(block)) % tuple(block.ravel().tolist())
 
 

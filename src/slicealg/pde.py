@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
     SliceAlgError, ZeroEigenvalue
-from .fmtio import dump_json, int_from_json, write_csv
+from .fmtio import dump_json, float_from_json, int_from_json, write_csv
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion, \
     RadialTable, format_quaternion, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
@@ -103,6 +103,11 @@ def _record_fields(rec: dict, fields: dict, what: str) -> dict:
 def _optional(convert):
     # a JSON null reads as None
     return lambda value: None if value is None else convert(value)
+
+
+def _number(what):
+    # a JSON number as a float; a boolean is refused
+    return lambda value: float_from_json(value, what)
 
 
 @dataclass(frozen=True)
@@ -176,11 +181,11 @@ class GridSpec:
         return cls(**_record_fields(rec, {
             "counts": ("counts", lambda cs: tuple(
                 int_from_json(c, "grid counts") for c in cs)),
-            "lo": ("lo", lambda vs: tuple(map(float, vs))),
-            "hi": ("hi", lambda vs: tuple(map(float, vs))),
-            "x0": ("x0", float),
-            "exclude_radius": ("exclude_radius", float),
-            "fd_step": ("fd_step", _optional(float)),
+            "lo": ("lo", lambda vs: tuple(map(_number("grid lo"), vs))),
+            "hi": ("hi", lambda vs: tuple(map(_number("grid hi"), vs))),
+            "x0": ("x0", _number("grid x0")),
+            "exclude_radius": ("exclude_radius", _number("grid exclude_radius")),
+            "fd_step": ("fd_step", _optional(_number("grid fd_step"))),
         }, "grid"))
 
 
@@ -255,7 +260,7 @@ class PdeProblem:
             raise ParseError("problem record must be an object with a 'kind'")
         return cls(**_record_fields(rec, {
             "kind": ("kind", lambda kind: kind),
-            "lambda": ("lam", float),
+            "lambda": ("lam", _number("lambda")),
             "I": ("unit_i", _optional(
                 lambda t: _require_unit_imag(parse_quaternion(t), "I"))),
             "lambda1": ("lam1", _optional(parse_quaternion)),

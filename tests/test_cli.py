@@ -544,6 +544,44 @@ def test_solve_degree_must_be_an_integer(tmp_path, capsys):
         assert f"degree must be an integer, got {shown}" in err
 
 
+def test_solve_bad_degree_names_the_key_once(tmp_path, capsys):
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({"lambdas": ["i", "j"], "initial": ["1", "k"],
+                                   "degree": 7.5}))
+    code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
+    _assert_one_line_error(code, out, err, "solve")
+    text = err.replace(str(problem), "FILE")    # tmp_path holds the test name
+    assert text.count("degree") == 1
+    assert text == "slicealg solve: FILE: degree must be an integer, got 7.5\n"
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("lambda", True, "true"), ("lo", [-1, True, -1], "true"),
+    ("hi", [1, 1, False], "false"), ("x0", False, "false"),
+    ("exclude_radius", False, "false"), ("fd_step", True, "true")])
+def test_pde_problem_file_refuses_booleans_as_numbers(tmp_path, capsys,
+                                                      monkeypatch, key, value,
+                                                      shown):
+    # a JSON true used to read as 1.0 and false as 0.0, and the run exited 0
+    import slicealg.cli as cli
+    from slicealg.errors import ParseError
+    from slicealg.pde import PdeProblem
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad problem")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    rec = {"kind": "helmholtz", "grid": {"counts": [5, 5, 5]}}
+    (rec if key == "lambda" else rec["grid"])[key] = value
+    message = f"{key} must be a number, got {shown}"
+    with pytest.raises(ParseError, match=message):
+        PdeProblem.from_record(rec)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run_cli(capsys, "pde", "--problem", str(path))
+    _assert_one_line_error(code, out, err, "pde")
+    assert message in err
+
+
 def test_pde_flags_and_problem_file_make_the_same_problem(tmp_path):
     # the flags are a problem record: the same record as a file gives the
     # same problem, and a key that no flag gives keeps its default

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slicealg.fmtio import CSV_BLOCK, fmt_float, write_csv
+from slicealg.fmtio import CSV_BLOCK, csv_chunks, fmt_float, write_csv
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e17, -1e17, 3.0, -12.0,
            2.0 ** 52, 2.0 ** 53 + 2.0, 0.1, 1.0 / 3.0, 1.7976931348623157e308]
@@ -39,6 +39,71 @@ def test_write_csv_rejects_non_finite(tmp_path, bad):
     rows[-1, 1] = bad
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match="non-finite"):
+        write_csv(path, ["x", "y"], rows)
+    assert not path.exists()
+
+
+def test_write_csv_repeated_values_match_fmt_float(tmp_path):
+    # grid-like columns: a constant x0, coordinates that repeat, values
+    # symmetric under x1 <-> x2 and signs, over more than one block
+    axis = np.linspace(-1.0, 1.0, 21)
+    x1, x2, x3 = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
+    assert len(x1) > 2 * CSV_BLOCK
+    rng = np.random.default_rng(557)
+    rows = np.column_stack([np.full_like(x1, 0.1), x1, x2, x3,
+                            np.exp(-(x1 * x1 + x2 * x2)), np.abs(x1 * x2) / 3.0,
+                            np.sin(x3) * 1e-300, rng.standard_normal(len(x1))])
+    header = ["x0", "x1", "x2", "x3", "a", "b", "c", "d"]
+    path = tmp_path / "grid.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == _expected(header, rows)
+    # still streamed CSV_BLOCK rows at a time
+    assert len(list(csv_chunks(header, rows))) == 1 + -(-len(rows) // CSV_BLOCK)
+
+
+def test_write_csv_keeps_the_sign_of_zero(tmp_path):
+    # values are matched by bit pattern: -0.0 == 0.0, but they print apart
+    col = np.tile([0.0, -0.0, 0.0, 1.0, -0.0], CSV_BLOCK // 2)
+    rows = np.column_stack([col, -col])
+    path = tmp_path / "zeros.csv"
+    write_csv(path, ["a", "b"], rows)
+    assert path.read_bytes() == _expected(["a", "b"], rows)
+    assert path.read_text().splitlines()[1:4] == ["0,-0", "-0,0", "0,-0"]
+
+
+def test_write_csv_repeating_beside_distinct_columns(tmp_path):
+    rng = np.random.default_rng(563)
+    n = CSV_BLOCK + 7
+    distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    repeats = rng.choice(SPECIAL, n)
+    for rows in (np.column_stack([distinct, repeats, distinct[::-1]]),
+                 np.column_stack([repeats, distinct]),
+                 np.column_stack([distinct, repeats])[::2]):
+        header = [f"c{j}" for j in range(rows.shape[1])]
+        path = tmp_path / "mixed.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == _expected(header, rows)
+
+
+def test_write_csv_single_row_and_empty_body(tmp_path):
+    path = tmp_path / "one.csv"
+    for rows in ([[-0.0, 0.1, 5e-324]], [[2.0, 2.0, 2.0]], [[7.0]]):
+        header = ["h"] * len(rows[0])
+        write_csv(path, header, rows)
+        assert path.read_bytes() == _expected(header, rows)
+    for rows in (np.empty((0, 3)), []):
+        write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_bytes() == b"a,b,c\n"
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_write_csv_rejects_non_finite_in_any_column(tmp_path, column):
+    # column 0 repeats one value, column 1 has no repeats
+    rows = np.column_stack([np.full(CSV_BLOCK + 3, 0.5),
+                            np.arange(CSV_BLOCK + 3.0)])
+    rows[CSV_BLOCK + 1, column] = float("nan")
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="non-finite value in output: nan"):
         write_csv(path, ["x", "y"], rows)
     assert not path.exists()
 

@@ -243,6 +243,25 @@ def test_report_files(tmp_path):
     assert rep.summary()["richardson_order"] is None
 
 
+def test_report_csv_bytes_match_fmt_float(tmp_path):
+    # the grid coordinates and the symmetric solution values repeat, and
+    # the CSV writer formats each distinct value once
+    from slicealg.fmtio import fmt_float
+    h1 = SliceConstant.on_halves(I, ONE, ZERO)
+    h2 = SliceConstant.on_halves(J, Quaternion(0.5), ONE)
+    cases = [(helmholtz_solution(1.0), GridSpec(counts=(21, 21, 21), x0=0.3)),
+             (helmholtz_solution(1.0, h1, h2),
+              GridSpec(counts=(21, 21, 21), exclude_radius=0.5, fd_step=0.005))]
+    for f, grid in cases:
+        report = verify_pde(f, PdeProblem(kind="helmholtz", lam=1.0, grid=grid))
+        assert len(np.unique(report.rows[:, 1])) == 21
+        path = tmp_path / "report.csv"
+        report.write_csv(path)
+        lines = ["x0,x1,x2,x3,f_w,f_x1,f_x2,f_x3,residual_norm"]
+        lines += [",".join(map(fmt_float, row)) for row in report.rows]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_evaluator_matches_componentwise_eval():
     f = helmholtz_solution(1.0)
     assert not f.product_domain
