@@ -17,10 +17,9 @@ environment variable, else a fixed default.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .errors import ParseError, RangeError, SliceAlgError
@@ -29,9 +28,10 @@ from .fmtio import csv_chunks, dumps_json, int_from_json, load_json, \
 from .quaternion import Quaternion, parse_quaternion
 from .series import PowerSeries
 
-# Each command imports the other modules it uses, so that a process
-# compiles only those: gen-exp and solve never load pde, verify, monogenic
-# or sliceexpr, and pde never loads verify.
+# Each command imports the other modules it uses, and numpy, where it
+# builds arrays, so that a process loads only those: gen-exp and solve run
+# on the scalar algebra and never load numpy, pde, verify, monogenic or
+# sliceexpr (nor does --version), and pde never loads verify.
 
 DEFAULT_SEED = 1729
 
@@ -49,6 +49,7 @@ def _parse_lambdas(text: str):
 
 def _read_points(args):
     """The points of --points and --at, in order, as an (N, 4) array."""
+    import numpy as np
     lines = read_text(args.points).split("\n") if args.points else []
     lits = [t for t in map(str.strip, lines) if t and not t.startswith("#")]
     points = [parse_quaternion(t) for t in lits + (args.at or [])]
@@ -72,6 +73,16 @@ def _write_text(text: str, path) -> None:
         write_text(path, [text])
 
 
+def _write_coeffs(f, path) -> None:
+    """Write the coefficient record of the series ``f``; an overflowed
+    coefficient is refused first, as one error."""
+    for n, c in enumerate(f.coeffs):
+        if not all(map(math.isfinite, c.as_list())):
+            raise RangeError(f"coefficient {n} of the series is not finite: "
+                             f"{c.as_list()}")
+    _write_text(dumps_json(f.to_record()), path)
+
+
 def _check_degree(degree: int, m: int, name: str) -> None:
     """A solution of order m needs coefficients up to index m - 1."""
     if degree < m - 1:
@@ -82,8 +93,7 @@ def cmd_gen_exp(args) -> int:
     from .eigensolve import gen_exp
     lams = _parse_lambdas(args.lambdas)
     _check_degree(args.degree, len(lams), "--degree")
-    f = gen_exp(lams, args.degree)
-    _write_text(dumps_json(f.to_record()), args.output)
+    _write_coeffs(gen_exp(lams, args.degree), args.output)
     return 0
 
 
@@ -103,17 +113,15 @@ def cmd_solve(args) -> int:
         degree = int_from_json(spec.get("degree", args.degree), "degree")
     except ParseError as exc:       # names the key already
         raise ParseError(f"{args.problem}: {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{args.problem}: bad degree: {exc}") from exc
     if len(initial) != len(lams):
         raise ParseError("need as many initial values as eigenvalues")
     _check_degree(degree, len(lams), "degree")
-    f = solve_with_initial(lams, initial, degree)
-    _write_text(dumps_json(f.to_record()), args.output)
+    _write_coeffs(solve_with_initial(lams, initial, degree), args.output)
     return 0
 
 
 def cmd_eval(args) -> int:
+    import numpy as np
     f = _load_series_file(args.coeffs)
     pts = _read_points(args)
     # an overflow shows up as inf/NaN values, refused below as one error
@@ -177,6 +185,7 @@ def verify_pde(f, problem):
 
 
 def cmd_pde(args) -> int:
+    import numpy as np
     from .monogenic import MonogenicSeries
     problem = _problem_from_args(args)
     # an overflow shows up as inf/NaN values, refused by verify_pde

@@ -26,8 +26,6 @@ import json
 import math
 import os
 
-import numpy as np
-
 from .errors import IoError, ParseError
 
 __all__ = ["fmt_float", "dumps_json", "dump_json", "read_text", "load_json",
@@ -126,18 +124,29 @@ def load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _json_number(value, what: str):
+    """``value`` if it is a JSON number: int() and float() would read the
+    string "2" as 2."""
+    if not isinstance(value, (int, float)):
+        raise ParseError(f"bad {what}: expected a JSON number, got "
+                         f"{json.dumps(value)}")
+    return value
+
+
 def int_from_json(value, what: str) -> int:
-    """``int(value)``, which would truncate a fraction or read a boolean."""
+    """``int(value)``, which would read a string, truncate a fraction or
+    read a boolean."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ParseError(f"{what} must be an integer, got {json.dumps(value)}")
-    return int(value)
+    return int(_json_number(value, what))
 
 
 def float_from_json(value, what: str) -> float:
-    """``float(value)``, which would read a boolean as 0.0 or 1.0."""
+    """``float(value)``, which would read a string, or a boolean as 0.0 or
+    1.0."""
     if isinstance(value, bool):
         raise ParseError(f"{what} must be a number, got {json.dumps(value)}")
-    return float(value)
+    return float(_json_number(value, what))
 
 
 def write_text(path, chunks) -> None:
@@ -165,6 +174,7 @@ def csv_chunks(header, rows):
     pattern formatted once and a ``%s`` slot in the row template; a
     column with none keeps a ``%.17g`` slot on its floats.
     """
+    import numpy as np
     data = np.asarray(rows, dtype=float)
     bad = ~np.isfinite(data)
     if bad.any():

@@ -19,8 +19,6 @@ import math
 import re
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .errors import ParseError
 
 __all__ = [
@@ -238,18 +236,19 @@ BLOCK = 8192
 
 # An odd multiplier (a bijection of uint64) that mixes the bits of x0 into
 # the sort key of _distinct_pairs.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+_MIX = 0x9E3779B97F4A7C15
 
 
 def _distinct_pairs(x0, b2):
     """The distinct pairs of the 1-D arrays (x0, b2), matched by their bit
     patterns: returns (x0 of the pairs, b2 of the pairs, inv), where point
     n has the pair inv[n]."""
+    import numpy as np
     k0, k2 = x0.view(np.uint64), b2.view(np.uint64)
     # A 1-D sort key.  Equal pairs have equal keys, so each pair's points
     # are contiguous once sorted, unless another pair has the same key;
     # that can only split a run of equal pairs below, never merge two.
-    order = np.argsort(k2 ^ (k0 * _MIX))
+    order = np.argsort(k2 ^ (k0 * np.uint64(_MIX)))
     k0, k2 = k0.take(order), k2.take(order)
     first = np.empty(order.size, dtype=bool)
     first[:1] = True
@@ -291,12 +290,14 @@ class RadialTable:
     """
 
     def __init__(self, radial):
+        import numpy as np
         self.radial = radial
         self.x0, self.b2 = np.empty(0), np.empty(0)     # the pairs
         self.sums = np.empty((0, 8))    # their radial values, row by row
 
     def __call__(self, x0, x1, x2, x3):
         """f at the points (x0, x1, x2, x3); returns an (..., 4) array."""
+        import numpy as np
         x0, x1, x2, x3 = np.broadcast_arrays(
             *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
         shape = x0.shape
@@ -338,6 +339,7 @@ class RadialTable:
 def qmul(a, b):
     """Hamilton product of (..., 4) component arrays [w, x1, x2, x3],
     broadcasting over the leading axes (the array form of ``a * b``)."""
+    import numpy as np
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack([

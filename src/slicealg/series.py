@@ -25,8 +25,7 @@ Hamilton sign table), so neither path builds a Quaternion per term.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .errors import ParseError, RangeError
 from .fmtio import dump_json, load_json
@@ -47,7 +46,7 @@ __all__ = [
     "load_coeffs",
 ]
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class PowerSeries:
@@ -166,6 +165,7 @@ class PowerSeries:
         ``self(x)``; like it, an overflow gives inf or NaN components
         (numpy warns unless its error state says otherwise).
         """
+        import numpy as np
         xs = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                    for v in (x0, x1, x2, x3)))
         flat = [v.reshape(-1) for v in xs]
@@ -239,6 +239,7 @@ _TERMS = tuple((p, p ^ r, _SIGN[p][p ^ r] < 0) for r in range(4) for p in range(
 
 def _component_rows(coeffs):
     """The (4, n) array [w, x1, x2, x3] of a list of quaternions."""
+    import numpy as np
     return np.array([[c.w for c in coeffs], [c.x1 for c in coeffs],
                      [c.x2 for c in coeffs], [c.x3 for c in coeffs]])
 
@@ -253,6 +254,7 @@ def slice_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     ``np.convolve`` calls, so the sums run in another order than a loop
     over Quaternion products (they agree to rounding).
     """
+    import numpy as np
     if f.exact and g.exact:
         bound = f.degree_bound + g.degree_bound
         exact = True

@@ -616,3 +616,66 @@ def test_pde_rhs_content_error_names_the_record_key(tmp_path, capsys):
                              "--rhs", str(tmp_path / "missing.json"))
     _assert_one_line_error(code, out, err, "pde")
     assert "missing.json" in err
+
+
+def test_gen_exp_and_solve_overflow_exit_2(tmp_path, capsys):
+    # lambda^2 / 2 overflows at lambda = 1e200: this used to end in a
+    # ValueError traceback and exit 1
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({"lambdas": ["1e200", "i"],
+                                   "initial": ["1", "k"], "degree": 5}))
+    for command, flags, fragment in (
+            ("gen-exp", ["--lambdas", "1e200", "--degree", "3"],
+             "coefficient 2 of the series is not finite: [inf, 0.0, 0.0, 0.0]"),
+            ("solve", ["--problem", str(problem)],
+             "coefficient 3 of the series is not finite")):
+        out_file = tmp_path / "out" / "f.json"
+        code, out, err = run_cli(capsys, command, *flags, "-o", str(out_file))
+        _assert_one_line_error(code, out, err, command)
+        assert fragment in err
+        assert not out_file.exists()
+        code, out, err = run_cli(capsys, command, *flags)
+        _assert_one_line_error(code, out, err, command)
+
+
+@pytest.mark.parametrize("key, value, what, shown", [
+    ("lambda", "2", "lambda", '"2"'), ("degree", "30", "degree", '"30"'),
+    ("counts", ["5", "5", "5"], "grid counts", '"5"'),
+    ("x0", "0.5", "grid x0", '"0.5"'), ("lo", [-1, "-1", -1], "grid lo", '"-1"'),
+    ("hi", [1, 1, None], "grid hi", "null"),
+    ("exclude_radius", "0", "grid exclude_radius", '"0"'),
+    ("fd_step", "0.01", "grid fd_step", '"0.01"')])
+def test_pde_problem_file_refuses_strings_as_numbers(tmp_path, capsys,
+                                                     monkeypatch, key, value,
+                                                     what, shown):
+    # float() and int() read the string "2" as 2, and the run exited 0
+    import slicealg.cli as cli
+    from slicealg.errors import ParseError
+    from slicealg.pde import PdeProblem
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad problem")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    rec = {"kind": "helmholtz", "grid": {"counts": [5, 5, 5]}}
+    (rec if key in ("lambda", "degree") else rec["grid"])[key] = value
+    message = f"bad {what}: expected a JSON number, got {shown}"
+    with pytest.raises(ParseError, match=message):
+        PdeProblem.from_record(rec)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run_cli(capsys, "pde", "--problem", str(path))
+    _assert_one_line_error(code, out, err, "pde")
+    assert err == f"slicealg pde: {message}\n"
+
+
+def test_solve_degree_string_exits_2(tmp_path, capsys):
+    problem = tmp_path / "prob.json"
+    for degree in ("7", None, [7]):
+        problem.write_text(json.dumps({"lambdas": ["i", "j"],
+                                       "initial": ["1", "k"],
+                                       "degree": degree}))
+        code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
+        _assert_one_line_error(code, out, err, "solve")
+        text = err.replace(str(problem), "FILE")
+        assert text == ("slicealg solve: FILE: bad degree: expected a JSON "
+                        f"number, got {json.dumps(degree)}\n")

@@ -175,3 +175,15 @@ def test_series_records_round_trip(tmp_path):
                      ({"basis": "P", "coeffs": [[1, 0, 0]]}, MonogenicSeries)):
         with pytest.raises(ParseError, match="^data: "):
             cls.from_record(bad, "data")
+
+
+def test_json_number_converters_take_numbers_only():
+    # int() and float() read the string "2" as 2; a record holds numbers
+    from slicealg.errors import ParseError
+    from slicealg.fmtio import float_from_json, int_from_json
+    assert int_from_json(3, "n") == 3 and int_from_json(3.0, "n") == 3
+    assert float_from_json(2, "n") == 2.0 and float_from_json(-0.5, "n") == -0.5
+    for convert in (int_from_json, float_from_json):
+        for value in ("2", None, [2], {"n": 2}):
+            with pytest.raises(ParseError, match="^bad n: expected a JSON number"):
+                convert(value, "n")

@@ -75,6 +75,38 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
     assert "pde" in loaded and "verify" not in loaded
 
 
+# child programs: the CLI on its argv, and the scalar library API
+_CLI = "from slicealg.cli import main\nsys.exit(main(sys.argv[1:]))"
+_LIBRARY = ("from slicealg import Quaternion, PowerSeries, gen_exp, "
+            "solve_with_initial\n"
+            "i, j = Quaternion(0, 1), Quaternion(0, 0, 1)\n"
+            "print(gen_exp([i, j, 1 + j], 12).coeffs)\n"
+            "print(solve_with_initial([i, j], [Quaternion(1), j], 12).coeffs)\n"
+            "print(PowerSeries([1, i])(j))")
+
+
+def test_scalar_commands_run_without_numpy(tmp_path):
+    # --version, gen-exp and solve build no array, so they never import
+    # numpy: with every import of it failing, they print the same bytes
+    problem = tmp_path / "ivp.json"
+    problem.write_text(json.dumps({"lambdas": ["i", "1+j", "0.5k"],
+                                   "initial": ["1", "k", "1+i"],
+                                   "degree": 30}))
+    cases = [(_CLI, ["--version"], 0),
+             (_CLI, ["gen-exp", "--lambdas", "i,j,1+k", "--degree", "60"], 0),
+             (_CLI, ["solve", "--problem", str(problem)], 0),
+             (_CLI, ["gen-exp", "--lambdas", "1e200", "--degree", "3"], 2),
+             (_LIBRARY, [], 0)]
+    for code, argv, returncode in cases:
+        free, blocked = (subprocess.run(
+            [sys.executable, "-c", "import sys\n" + block + code, *argv],
+            capture_output=True, env=_ENV, timeout=120)
+            for block in ("", "sys.modules['numpy'] = None\n"))
+        assert blocked.returncode == free.returncode == returncode, blocked.stderr
+        assert (blocked.stdout, blocked.stderr) == (free.stdout, free.stderr)
+        assert blocked.stdout or returncode
+
+
 def test_star_import_gives_the_exports():
     # the names load on first use; a star import still binds every export
     # that dir() lists (the union test above), as the same objects
