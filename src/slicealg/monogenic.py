@@ -35,7 +35,6 @@ from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K, as_quaternion,
                          RadialTable, axial_combine, decompose,
                          quaternion_from_json)
 from .series import PowerSeries, slice_derivative, spherical_derivative_eval
-from .sliceexpr import slice_derivative_pointwise
 
 __all__ = [
     "MonogenicSeries",
@@ -291,6 +290,7 @@ def laplacian_pointwise(f, x, h: float = 1e-5) -> Quaternion:
         sph = spherical_derivative_eval(f, x)
         dfdx = slice_derivative(f)(x)
     else:
+        from .sliceexpr import slice_derivative_pointwise
         _, f2 = f.stems(sp.alpha, sp.beta, sp.j)
         sph = f2 / sp.beta
         dfdx = slice_derivative_pointwise(f, x, h=h)

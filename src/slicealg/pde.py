@@ -34,7 +34,11 @@ recurrence, the powers of z and the stem map) once per distinct pair
 re + Im(x) im per point.  Many grid nodes share a radius, so the first
 step runs on several times fewer points than the grid has.  Both steps take
 blocks of :data:`quaternion.BLOCK` points; only the index of each
-point's pair and the table of distinct pairs grow with the grid.
+point's pair and the table of distinct pairs grow with the grid.  A
+P-series value has the bits of a one-point evaluation.  The stem map is
+a matrix product, which BLAS may round differently with the number of
+pairs in a block, so a product-domain value may differ from a one-point
+evaluation by about 1e-14 relative.
 
 No finite differences enter the *construction*; FD is used only by
 :func:`verify_pde` to certify the residuals independently.  Its 13 point
@@ -49,20 +53,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
     SliceAlgError, ZeroEigenvalue
 from .fmtio import dump_json, float_from_json, int_from_json, write_csv
-from .quaternion import Quaternion, ZERO, ONE, as_quaternion, \
-    RadialTable, format_quaternion, parse_quaternion, qmul
+from .quaternion import Quaternion, ZERO, ONE, _require_unit_imag, \
+    as_quaternion, RadialTable, format_quaternion, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
-from .sliceexpr import SliceConstant, _require_unit_imag
-from .eigensolve import gen_exp, S_lambda
 from .monogenic import MonogenicSeries, fueter_laplacian, inv_laplacian, \
     richardson_order
+
+if TYPE_CHECKING:   # sliceexpr and eigensolve load where a kind uses them
+    from .sliceexpr import SliceConstant
 
 __all__ = [
     "GridSpec",
@@ -108,6 +113,12 @@ def _optional(convert):
 def _number(what):
     # a JSON number as a float; a boolean is refused
     return lambda value: float_from_json(value, what)
+
+
+def _slice_constants(data) -> Tuple[SliceConstant, ...]:
+    # the slice_constants list of a problem record
+    from .sliceexpr import SliceConstant
+    return SliceConstant.from_records(data, "slice_constants")
 
 
 @dataclass(frozen=True)
@@ -264,8 +275,7 @@ class PdeProblem:
             "I": ("unit_i", _optional(
                 lambda t: _require_unit_imag(parse_quaternion(t), "I"))),
             "lambda1": ("lam1", _optional(parse_quaternion)),
-            "slice_constants": ("slice_constants", lambda data:
-                SliceConstant.from_records(data, "slice_constants")),
+            "slice_constants": ("slice_constants", _slice_constants),
             "rhs": ("rhs", _optional(
                 lambda data: MonogenicSeries.from_record(data, "rhs"))),
             "grid": ("grid", GridSpec.from_record),
@@ -366,6 +376,7 @@ class SolutionEvaluator:
 
 
 def _as_constant(h) -> SliceConstant:
+    from .sliceexpr import SliceConstant
     if isinstance(h, SliceConstant):
         return h
     return SliceConstant.uniform(as_quaternion(h))
@@ -407,6 +418,7 @@ def general_quadratic_kernel(lam1, h1=None, h2=None,
     Delta_3 f + (a^2 - b^2) f + 2ab f I = 0; b = 0 reduces to Helmholtz
     and a = 0 to Klein-Gordon.
     """
+    from .eigensolve import gen_exp
     lam1 = as_quaternion(lam1)
     if lam1.is_zero():
         raise ZeroEigenvalue("quadratic kernel needs lambda_1 != 0")
@@ -423,6 +435,7 @@ def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
     f = -Delta_4 S_{-I lam} S_{I lam} (inv_laplacian h); everything stays
     polynomial, so the result is an exact MonogenicSeries.
     """
+    from .eigensolve import S_lambda
     lam = _real_lambda(lam)
     unit = _require_unit_imag(unit_i, "I")
     u = inv_laplacian(h)
@@ -575,8 +588,9 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
                          f"{bad.sum()} of {len(rows)} grid nodes")
     mean_rel = float(res_h.mean()) / div
 
-    # monogenicity spot checks
-    spots = np.unique(np.linspace(0, x1c.size - 1, 5).astype(int))
+    # monogenicity spot checks at five nodes spread over the grid, each
+    # once (np.unique would import numpy.ma, which nothing else needs)
+    spots = sorted(set(np.linspace(0, x1c.size - 1, 5).astype(int).tolist()))
     centres = np.stack([x0c[spots], x1c[spots], x2c[spots], x3c[spots]],
                        axis=-1)
     monog_rel, _, monog_order = richardson_order(

@@ -223,6 +223,16 @@ def as_quaternion(value) -> "Quaternion":
     return q
 
 
+def _require_unit_imag(u, what="unit") -> "Quaternion":
+    """``u`` as a Quaternion, refused with :class:`ParseError` naming
+    ``what`` unless it is a unit imaginary quaternion (to 1e-12)."""
+    u = as_quaternion(u)
+    if abs(u.w) > 1e-12 or abs(u.norm() - 1.0) > 1e-12:
+        raise ParseError(f"{what} must be a unit imaginary quaternion, got "
+                         f"{format_quaternion(u)}")
+    return u
+
+
 ZERO = Quaternion(0.0)
 ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
@@ -284,9 +294,14 @@ class RadialTable:
     up in it, and only the missing ones go through ``radial``, so it runs
     once per distinct pair of all the calls.  :func:`axial_combine` then
     runs per point, in blocks of :data:`BLOCK` points.  Pairs are matched
-    by their bit patterns, so every value has the bits of the two steps
-    run on that point alone, and -0.0 never merges with +0.0.  Only the
-    table and the index of each point's pair grow with the input.
+    by their bit patterns, so -0.0 never merges with +0.0.  The second
+    step is elementwise, so a value has the bits of the two steps run on
+    that point alone whenever ``radial`` is elementwise too, as the
+    P-series recurrence is.  A ``radial`` built on a matrix product, such
+    as the stem map of ``pde.SolutionEvaluator``, is not: BLAS may round a
+    row differently with the number of rows in the block (by about 1e-14
+    relative), so its values depend on which pairs share a call.  Only
+    the table and the index of each point's pair grow with the input.
     """
 
     def __init__(self, radial):

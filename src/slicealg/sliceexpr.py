@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from .errors import DegenerateUnits, DomainError, ParseError, StemSymmetryError
-from .quaternion import (Quaternion, ZERO, as_quaternion, decompose,
-                         format_quaternion, parse_quaternion)
+from .quaternion import (Quaternion, ZERO, _require_unit_imag, as_quaternion,
+                         decompose, format_quaternion, parse_quaternion)
 from .series import PowerSeries, exp_series
 
 __all__ = [
@@ -110,14 +110,6 @@ def constant_expr(c) -> SliceExpr:
     """The constant function c as a SliceExpr on all of H."""
     c = as_quaternion(c)
     return _constant_stems(c, ZERO, "slice", f"const {format_quaternion(c)}")
-
-
-def _require_unit_imag(u, what="unit") -> Quaternion:
-    u = as_quaternion(u)
-    if abs(u.w) > 1e-12 or abs(u.norm() - 1.0) > 1e-12:
-        raise ParseError(f"{what} must be a unit imaginary quaternion, got "
-                         f"{format_quaternion(u)}")
-    return u
 
 
 def mu(unit_i) -> SliceExpr:

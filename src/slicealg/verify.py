@@ -17,15 +17,11 @@ from .quaternion import Quaternion, ZERO, ONE, I, J, commutes, decompose, \
     format_quaternion, parse_quaternion
 from .series import PowerSeries, exp_series, normal, slice_conjugate, \
     slice_derivative, spherical_derivative_eval
-from .sliceexpr import SliceConstant, lift, mu, product_expr, recover_constants, \
-    slice_constant_from_two_values, verify_stem_symmetry
 from .eigensolve import CoeffBoundCert, E_lambda_op, S_lambda, \
     apply_D, f_mu_lambda, gen_exp, kernel_basis, solve_with_initial
-from .monogenic import MonogenicSeries, apply_L, delta_exp, eval_P, eval_Z, \
-    fd_crf, fueter_laplacian, inv_laplacian, \
-    laplacian_pointwise, laplacian_via_partials, richardson_order
-from .pde import GridSpec, PdeProblem, helmholtz_solution, \
-    klein_gordon_solution, verify_pde, yukawa_solve
+
+# sliceexpr, monogenic and pde are imported by the suites that check them,
+# so that a run of the other suites loads neither them nor numpy
 
 __all__ = ["SUITES", "run_suites", "random_quaternion", "random_unit_imag",
            "random_polynomial"]
@@ -105,6 +101,9 @@ def check_series(rng: random.Random) -> str:
 
 
 def check_sliceexpr(rng: random.Random) -> str:
+    from .sliceexpr import SliceConstant, lift, mu, product_expr, \
+        recover_constants, slice_constant_from_two_values, \
+        verify_stem_symmetry
     for _ in range(25):
         p = random_polynomial(rng, 5)
         f = lift(p)
@@ -225,6 +224,9 @@ def check_eigensolve(rng: random.Random) -> str:
 
 
 def check_monogenic(rng: random.Random) -> str:
+    from .monogenic import apply_L, delta_exp, eval_P, eval_Z, fd_crf, \
+        fueter_laplacian, inv_laplacian, laplacian_pointwise, \
+        laplacian_via_partials, richardson_order
     t = rng.uniform(-1.5, 1.5)
     for n in range(7):
         got = eval_P(n, Quaternion(t))
@@ -263,6 +265,9 @@ def check_monogenic(rng: random.Random) -> str:
 
 
 def check_pde(rng: random.Random) -> str:
+    from .monogenic import MonogenicSeries
+    from .pde import GridSpec, PdeProblem, helmholtz_solution, \
+        klein_gordon_solution, verify_pde, yukawa_solve
     grid = GridSpec(counts=(7, 7, 7), fd_step=0.025)
     f = helmholtz_solution(1.0, n_trunc=40)
     rep = verify_pde(f, PdeProblem(kind="helmholtz", lam=1.0, grid=grid))

@@ -541,6 +541,25 @@ def test_evaluator_call_is_bit_identical_to_eval_components():
                     [v.hex() for v in grid[n].tolist()]
 
 
+def test_product_domain_grid_agrees_with_one_point_calls():
+    # the stem map is a matrix product, and BLAS may round a pair
+    # differently with the number of pairs in its block: a grid value need
+    # not have the bits of the one-point call, but agrees to 1e-13
+    rng = random.Random(661)
+    product = klein_gordon_solution(
+        0.9, [(J, SliceConstant.on_halves(I, rand_q(rng), rand_q(rng))),
+              (K, SliceConstant.uniform(rand_q(rng)))], 30)
+    ax = np.linspace(-1.0, 1.0, 15)
+    g1, g2, g3 = (v.ravel() for v in np.meshgrid(ax, ax, ax, indexing="ij"))
+    keep = np.sqrt(g1 * g1 + g2 * g2 + g3 * g3) > 0.3
+    points = np.stack([np.full(keep.sum(), 0.2), g1[keep], g2[keep],
+                       g3[keep]], axis=-1)
+    grid = product.eval_components(*points.T)
+    for p, got in zip(points, grid):
+        want = np.array(product(Quaternion(*p)).as_list())
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_uniform_terms_of_mixed_degree_add_up():
     # terms of different degrees are padded to the longest, not truncated
     # to the shortest: the evaluator of a sum is the sum of the evaluators

@@ -107,6 +107,70 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         assert blocked.stdout or returncode
 
 
+def _rhs_file(tmp_path):
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"basis": "P", "coeffs": [
+        [1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, -0.5], [0.25, 0.0, 0.0, 1.0]]}))
+    return str(rhs)
+
+
+def test_pde_kinds_import_only_what_they_use(tmp_path):
+    # timing-free: a yukawa run never loads sliceexpr, and a helmholtz or
+    # klein-gordon run never loads eigensolve
+    yukawa = _modules_loaded(_command(
+        "pde", "--kind", "yukawa", "--unit", "i", "--lambda", "1",
+        "--rhs", _rhs_file(tmp_path), "--grid-counts", "5"))
+    assert "pde" in yukawa and "sliceexpr" not in yukawa
+    for argv in (["--kind", "helmholtz"],
+                 ["--kind", "klein-gordon", "--unit", "j"]):
+        loaded = _modules_loaded(_command("pde", *argv, "--grid-counts", "5"))
+        assert "pde" in loaded and "eigensolve" not in loaded
+
+
+def test_pde_and_verify_run_without_numpy_ma(tmp_path):
+    # np.unique without return_index, return_inverse or return_counts
+    # imports numpy.ma on NumPy 2; nothing needs it: with every import of
+    # it failing, pde and verify print the same bytes and write the same
+    # files
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy\nprint('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, env=_ENV, check=True)
+    if probe.stdout.strip() == "True":
+        pytest.skip("importing numpy loads numpy.ma already")
+    rhs = _rhs_file(tmp_path)
+    cases = [["pde", "--kind", "yukawa", "--unit", "i", "--lambda", "1",
+              "--rhs", rhs, "--grid-counts", "9"],
+             ["pde", "--kind", "helmholtz", "--grid-counts", "11",
+              "--out-prefix", "{}/helmholtz"],
+             ["verify", "--suite", "all", "--seed", "5"]]
+    for argv in cases:
+        free, blocked = (subprocess.run(
+            [sys.executable, "-c", "import sys\n" + block + _CLI,
+             *(a.format(tmp_path / name) for a in argv)],
+            capture_output=True, env=_ENV, timeout=120)
+            for name, block in (("free", ""),
+                                ("blocked", "sys.modules['numpy.ma'] = None\n")))
+        assert blocked.returncode == free.returncode == 0, blocked.stderr
+        assert (blocked.stdout, blocked.stderr) == (free.stdout, free.stderr)
+    for suffix in (".csv", ".summary.json"):
+        assert (tmp_path / "blocked" / ("helmholtz" + suffix)).read_bytes() \
+            == (tmp_path / "free" / ("helmholtz" + suffix)).read_bytes()
+
+
+def test_scalar_verify_suites_run_without_numpy():
+    # verify imports sliceexpr, monogenic and pde in the suites that check
+    # them, so the suites that build no array run with numpy blocked
+    for suite in ("quaternion", "sliceexpr", "eigensolve", "monogenic"):
+        argv = ["verify", "--suite", suite, "--seed", "5"]
+        free, blocked = (subprocess.run(
+            [sys.executable, "-c", "import sys\n" + block + _CLI, *argv],
+            capture_output=True, env=_ENV, timeout=120)
+            for block in ("", "sys.modules['numpy'] = None\n"))
+        assert blocked.returncode == free.returncode == 0, blocked.stderr
+        assert (blocked.stdout, blocked.stderr) == (free.stdout, free.stderr)
+
+
 def test_star_import_gives_the_exports():
     # the names load on first use; a star import still binds every export
     # that dir() lists (the union test above), as the same objects

@@ -188,3 +188,14 @@ def test_arithmetic_has_the_bits_of_the_public_constructor():
                 assert [v.hex() for v in got.as_list()] == \
                     [v.hex() for v in want.as_list()]
                 assert repr(got) == repr(want)
+
+
+def test_require_unit_imag_lives_in_quaternion():
+    # the unit check is a quaternion predicate; sliceexpr re-exports it
+    from slicealg import quaternion, sliceexpr
+    assert sliceexpr._require_unit_imag is quaternion._require_unit_imag
+    unit = Quaternion(0.0, 0.6, 0.0, 0.8)
+    assert quaternion._require_unit_imag(unit, "I") is unit
+    for bad in (Quaternion(0.1, 0.6, 0.0, 0.8), 2.0 * J, ONE):
+        with pytest.raises(ParseError, match="I must be a unit imaginary"):
+            quaternion._require_unit_imag(bad, "I")
