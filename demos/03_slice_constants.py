@@ -7,6 +7,9 @@ mu_I of a half slice, and "slice constants" that take one value on the
 upper half of a slice and another on the lower half.  These are genuine
 slice functions -- their stems satisfy the even/odd symmetry -- but they
 live on the product domain H \\ R and are constant along each half slice.
+
+Each is a pair (u, w) of power series, f(x) = u(x) + J w(x) with
+J = Im x / |Im x|; ``*`` is the slice product of pairs.
 """
 
 import random
@@ -21,14 +24,14 @@ from slicealg import (
     exp_series,
     lift,
     mu,
-    pointwise_slice_product,
-    product_expr,
     recover_constants,
     slice_constant_from_two_values,
     verify_stem_symmetry,
 )
 
 m = mu(I)
+# the pair of degree 0 (1/2, I/2): mu_I(x) = 1/2 + J I/2
+print("mu_i = u + J w with u =", m.u.coeffs[0], " w =", m.w.coeffs[0])
 
 # mu_I vanishes on C_I^+ and is 1 on C_I^-
 up = Quaternion(0.4, 1.3, 0.0, 0.0)       # Im part along +i
@@ -44,11 +47,12 @@ try:
 except DomainError as exc:
     print("mu_i on R     : DomainError:", exc)
 
-# idempotent: mu * mu = mu under the pointwise slice product
+# idempotent: mu * mu = mu under the slice product of pairs
 pt = Quaternion(-0.2, 0.7, -0.4, 1.1)
-print("\n(mu*mu - mu)(x) =", (pointwise_slice_product(m, m, pt) - m(pt)).norm())
+print("\n(mu*mu - mu)(x) =", ((m * m)(pt) - m(pt)).norm())
 
-# the stem symmetry F(conj z) = conj_2 F(z) is checkable numerically
+# the values are F1 + J F2 of the stems on the whole sphere: a numerical
+# cross-check of the two evaluation routes
 rng = random.Random(3)
 samples = [Quaternion(rng.uniform(-2, 2), rng.uniform(0.1, 2),
                       rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
@@ -66,7 +70,7 @@ xk = Quaternion(0.5, 0.0, 0.0, 2.0)   # on C_K^+
 print("\nc on C_J^+:", c(xj), " (wanted", str(a1) + ")")
 print("c on C_K^+:", c(xk), " (wanted", str(a2) + ")")
 
-# the slice derivative of a slice constant vanishes identically, even
+# the slice derivative (u', w') of a slice constant is (0, 0), even
 # though the function is wildly non-constant across slices
 from slicealg import slice_derivative_pointwise
 print("c'(x) at a random point:", slice_derivative_pointwise(c, pt).norm())
@@ -81,7 +85,7 @@ print("as expr, on C_i^+:", sc.expr()(up))
 # multiply a slice constant into an entire function and read the pair
 # back off by sampling -- this is how Klein-Gordon solutions are built
 lam = J * 2.0
-g = product_expr(sc.expr(), lift(exp_series(lam, 60)))
+g = sc.expr() * lift(exp_series(lam, 60))
 b1, b2 = recover_constants(g, lam, I)
 print("\nrecovered a1:", b1)
 print("recovered a2:", b2)

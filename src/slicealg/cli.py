@@ -300,10 +300,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             args.seed = _pick_seed(args.seed)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except SliceAlgError as exc:
         print(f"slicealg {args.command}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): flush the rest to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

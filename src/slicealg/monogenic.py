@@ -274,13 +274,12 @@ def delta_exp(lambdas, n_trunc: int = 40) -> MonogenicSeries:
     return fueter_laplacian(gen_exp(lambdas, n_trunc))
 
 
-def laplacian_pointwise(f, x, h: float = 1e-5) -> Quaternion:
+def laplacian_pointwise(f, x) -> Quaternion:
     """Delta f at x from the slice decomposition (x not real).
 
     Uses Delta f = -2 (Im x / |Im x|^2) (f'_s - df/dx).  Accepts a
-    PowerSeries (f'_s by :func:`series.spherical_derivative_eval`, exact
-    df/dx) or a SliceExpr (f'_s = F_2 / beta from its stems, df/dx by
-    central difference with step h).
+    PowerSeries (f'_s by :func:`series.spherical_derivative_eval`) or a
+    SliceExpr (f'_s = F_2 / beta from its stems); df/dx is exact in both.
     """
     x = as_quaternion(x)
     sp = decompose(x)
@@ -290,10 +289,9 @@ def laplacian_pointwise(f, x, h: float = 1e-5) -> Quaternion:
         sph = spherical_derivative_eval(f, x)
         dfdx = slice_derivative(f)(x)
     else:
-        from .sliceexpr import slice_derivative_pointwise
-        _, f2 = f.stems(sp.alpha, sp.beta, sp.j)
+        _, f2 = f.stems(sp.alpha, sp.beta)
         sph = f2 / sp.beta
-        dfdx = slice_derivative_pointwise(f, x, h=h)
+        dfdx = f.derivative()(x)
     return (-2.0 / sp.beta) * (sp.j * (sph - dfdx))
 
 

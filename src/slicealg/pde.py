@@ -83,10 +83,6 @@ __all__ = [
 
 _KINDS = ("helmholtz", "klein-gordon", "yukawa", "quadratic")
 
-def _qarr(q: Quaternion):
-    return np.array(q.as_list())
-
-
 # grids and problems ---------------------------------------------------------
 
 def _record_fields(rec: dict, fields: dict, what: str) -> dict:
@@ -305,20 +301,21 @@ class PdeProblem:
 class SolutionEvaluator:
     """Pointwise/vectorized evaluator for f = Sum_t Delta_4(h_t . e_t).
 
-    The stems (h1, h2) of the constants fold the terms into two power
-    series, u = Sum_t h1 e_t and w = Sum_t h2 e_t (zero-padded to the
-    longest degree), with f = Delta_4(u + J w).  If every constant is
+    Each term h_t . e_t is the pair (h1 e_t, h2 e_t), h_t with stems
+    (h1, h2); the sums, zero-padded to the longest degree, are two power
+    series u and w with f = Delta_4(u + J w).  If every constant is
     uniform (h2 = 0), f is the P-series ``mono`` = Delta_4 u on all of H;
     a two-valued constant restricts f to the product domain H \\ R.
     """
 
     def __init__(self, terms: Sequence[Tuple[SliceConstant, PowerSeries]]):
+        from .sliceexpr import lift
         n = max((len(e.coeffs) for _, e in terms), default=1)
         uw = np.zeros((2, n, 4))
         for h, e in terms:
-            a = np.array([c.as_list() for c in e.coeffs])
-            for part, stem in zip(uw, h.stems()):
-                part[:len(a)] += qmul(_qarr(stem), a)
+            term = h.expr() * lift(e)
+            for part, series in zip(uw, (term.u, term.w)):
+                part[:len(series.coeffs)] += [c.as_list() for c in series.coeffs]
         self.mono = fueter_laplacian(
             PowerSeries([Quaternion(*c) for c in uw[0].tolist()]))
         self._map = None
@@ -503,7 +500,7 @@ def _operator_residual(sq: Quaternion, lap, fv, rhs_vals, factor: float):
     quaternion product runs only when sq is not real."""
     res = lap + (factor * sq.w) * fv
     if not sq.is_real():
-        res += factor * qmul(fv, _qarr(sq.imag()))
+        res += factor * qmul(fv, np.array(sq.imag().as_list()))
     res -= rhs_vals
     return res
 

@@ -252,18 +252,22 @@ def slice_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     coefficients are fully determined.  Component p of a and q of b
     convolve into component p xor q of c with the sign of e_p e_q: 16
     ``np.convolve`` calls, so the sums run in another order than a loop
-    over Quaternion products (they agree to rounding).
+    over Quaternion products (they agree to rounding).  A factor with one
+    coefficient scales the other without numpy, in the Hamilton order and
+    the sequential sum of the convolutions, so with their bits.
     """
-    import numpy as np
     if f.exact and g.exact:
         bound = f.degree_bound + g.degree_bound
         exact = True
     else:
         exact, bound = f._bounds_with(g)
+    a, b = f.coeffs[:bound + 1], g.coeffs[:bound + 1]
+    if len(a) == 1 or len(b) == 1:
+        return PowerSeries([p * q for p in a for q in b], exact=exact)
+    import numpy as np
     # the two slices hold at least bound + 2 coefficients together, so the
     # full convolution reaches index bound
-    a = _component_rows(f.coeffs[:bound + 1])
-    b = _component_rows(g.coeffs[:bound + 1])
+    a, b = _component_rows(a), _component_rows(b)
     b_signed = (b, -b)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.array([np.convolve(a[p], b_signed[neg][q])

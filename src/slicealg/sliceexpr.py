@@ -1,27 +1,30 @@
-"""Evaluation layer for slice functions that are not power series.
+"""Slice functions beyond power series, as pairs of power series.
 
-A slice function on an axially symmetric domain is determined by its stem
-components: f(alpha + J*beta) = F1(alpha, beta) + J * F2(alpha, beta), the
-same (F1, F2) for every unit imaginary J on the sphere.  This module
-represents such functions by on-demand stem evaluators (:class:`SliceExpr`)
-and implements the pieces that have no global power series: the
-slice-constant building blocks mu_I, two-value slice constants via the
-representation formula, and pointwise slice products.
+A slice function is determined by its stems: f(alpha + J beta) =
+F1(alpha, beta) + J F2(alpha, beta), the same (F1, F2) for every unit
+imaginary J.  A :class:`SliceExpr` is a pair (u, w) of power series with
+f(x) = u(x) + J w(x), J = Im x / |Im x|; its stems are (U1 - W2, U2 + W1),
+with U1 + i U2 = Sum z^n u_n at z = alpha + i beta and W alike.  J is a
+slice function with stems (0, 1) that commutes under the slice product, so
+the operations are exact algebra on pairs: the product ``*`` is
+(u1 u2 - w1 w2, u1 w2 + w1 u2), the slice derivative (u', w'), a power
+series f the pair (f, 0), and mu_I and the two-value slice constants are
+pairs of degree 0.
 
-Domains come in two kinds.  A *slice domain* meets the real axis; a
-*product domain* does not (mu_I lives on H \\ R).  Evaluating a
-product-domain expression at a real point raises :class:`DomainError`.
+A pair with w = 0 lives on a *slice domain*, all of H; otherwise on the
+*product domain* H \\ R (as mu_I does), where evaluating it at a real
+point raises :class:`DomainError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import DegenerateUnits, DomainError, ParseError, StemSymmetryError
 from .quaternion import (Quaternion, ZERO, _require_unit_imag, as_quaternion,
                          decompose, format_quaternion, parse_quaternion)
-from .series import PowerSeries, exp_series
+from .series import PowerSeries, exp_series, exp_truncation, slice_derivative
 
 __all__ = [
     "SliceExpr",
@@ -37,79 +40,82 @@ __all__ = [
     "verify_stem_symmetry",
 ]
 
-StemFn = Callable[[float, float, Optional[Quaternion]], Tuple[Quaternion, Quaternion]]
+
+_OFF_AXIS = "a product-domain slice expression is undefined on the real axis"
 
 
+def _stems_of(f: PowerSeries, alpha: float, beta: float):
+    # (F1, F2) with F1 + i F2 = Sum z^n a_n at z = alpha + i beta: a complex
+    # Horner sweep per component of the coefficients
+    z = complex(alpha, beta)
+    acc = [0j] * 4
+    for a in reversed(f.coeffs):
+        acc = [s * z + c for s, c in zip(acc, a.as_list())]
+    return Quaternion(*(s.real for s in acc)), Quaternion(*(s.imag for s in acc))
+
+
+@dataclass(frozen=True)
 class SliceExpr:
-    """A slice function given by a stem evaluator.
+    """The slice function f(x) = u(x) + J w(x), J = Im x / |Im x|.
 
-    The evaluator maps (alpha, beta, J) with beta >= 0 to the stem pair
-    (F1, F2); J is only a probe hint (needed by probe-based evaluators such
-    as :func:`lift`) and the result must not depend on it.  ``domain`` is
-    ``"slice"`` when the function extends across the real axis and
-    ``"product"`` when it does not.
+    ``domain`` is ``"slice"`` when w = 0, so that f is the series u on all
+    of H, and ``"product"`` otherwise: f is then undefined on the real axis.
     """
 
-    __slots__ = ("_stem_fn", "domain", "name")
+    u: PowerSeries
+    w: PowerSeries
 
-    def __init__(self, stem_fn: StemFn, domain: str = "slice", name: str = ""):
-        if domain not in ("slice", "product"):
-            raise ValueError(f"unknown domain kind {domain!r}")
-        self._stem_fn = stem_fn
-        self.domain = domain
-        self.name = name
+    @property
+    def domain(self) -> str:
+        return "slice" if self.w.is_zero() else "product"
 
     def stems(self, alpha: float, beta: float, j: Optional[Quaternion] = None):
-        """Stem components (F1, F2) at z = alpha + i*beta (beta >= 0)."""
+        """Stem components (F1, F2) at z = alpha + i*beta (beta >= 0).
+
+        ``j`` is ignored: the stems of a pair do not depend on the unit.
+        """
         if beta < 0.0:
             raise ValueError("beta must be non-negative")
         if beta == 0.0 and self.domain == "product":
-            raise DomainError(
-                f"{self.name or 'slice expression'} is undefined on the real axis")
-        return self._stem_fn(alpha, beta, j)
+            raise DomainError(_OFF_AXIS)
+        u1, u2 = _stems_of(self.u, alpha, beta)
+        w1, w2 = _stems_of(self.w, alpha, beta)
+        return u1 - w2, u2 + w1
 
-    def __call__(self, x, default_j: Optional[Quaternion] = None) -> Quaternion:
-        sp = decompose(as_quaternion(x), default_j)
-        f1, f2 = self.stems(sp.alpha, sp.beta, sp.j)
+    def __call__(self, x) -> Quaternion:
+        x = as_quaternion(x)
+        if self.domain == "slice":
+            return self.u(x)
+        sp = decompose(x)
         if sp.real:
-            return f1  # F2 vanishes on the real axis
-        return f1 + sp.j * f2
+            raise DomainError(_OFF_AXIS)
+        return self.u(x) + sp.j * self.w(x)
 
-    def __repr__(self):
-        label = f" {self.name!r}" if self.name else ""
-        return f"<SliceExpr{label} on {self.domain} domain>"
+    def __mul__(self, other: "SliceExpr") -> "SliceExpr":
+        """The slice product, (u1 u2 - w1 w2, u1 w2 + w1 u2)."""
+        if not isinstance(other, SliceExpr):
+            return NotImplemented
+        (u1, w1), (u2, w2) = (self.u, self.w), (other.u, other.w)
+        return SliceExpr(u1 * u2 - w1 * w2, u1 * w2 + w1 * u2)
+
+    def derivative(self) -> "SliceExpr":
+        """The slice derivative, (u', w')."""
+        return SliceExpr(slice_derivative(self.u), slice_derivative(self.w))
 
 
 def lift(f: PowerSeries) -> SliceExpr:
-    """View a power series as a SliceExpr by probing on the given slice.
-
-    Stems are recovered from two point values:
-    F1 = 1/2 (f(alpha + J beta) + f(alpha - J beta)),
-    F2 = -J * 1/2 (f(alpha + J beta) - f(alpha - J beta));
-    the outcome is independent of which unit J is used to probe.
-    """
-
-    def stem_fn(alpha, beta, j):
-        if beta == 0.0:
-            return f(Quaternion(alpha)), ZERO
-        if j is None:
-            raise ValueError("probing a non-real point requires a unit J")
-        fp = f(Quaternion(alpha) + j * beta)
-        fm = f(Quaternion(alpha) - j * beta)
-        return 0.5 * (fp + fm), -0.5 * (j * (fp - fm))
-
-    return SliceExpr(stem_fn, domain="slice", name="lift")
+    """The power series f as a SliceExpr: the pair (f, 0)."""
+    return SliceExpr(f, PowerSeries.zero())
 
 
-def _constant_stems(g1, g2, domain: str, name: str) -> SliceExpr:
-    """The SliceExpr whose stems are (g1, g2) everywhere."""
-    return SliceExpr(lambda alpha, beta, j: (g1, g2), domain=domain, name=name)
+def _constant(g1, g2) -> SliceExpr:
+    """The SliceExpr whose stems are (g1, g2) everywhere: a pair of degree 0."""
+    return SliceExpr(PowerSeries((g1,)), PowerSeries((g2,)))
 
 
 def constant_expr(c) -> SliceExpr:
     """The constant function c as a SliceExpr on all of H."""
-    c = as_quaternion(c)
-    return _constant_stems(c, ZERO, "slice", f"const {format_quaternion(c)}")
+    return _constant(as_quaternion(c), ZERO)
 
 
 def mu(unit_i) -> SliceExpr:
@@ -119,8 +125,7 @@ def mu(unit_i) -> SliceExpr:
     C_I+ and identically 1 on C_I-.
     """
     unit_i = _require_unit_imag(unit_i, "I")
-    return _constant_stems(Quaternion(0.5), unit_i * 0.5, "product",
-                           f"mu_{format_quaternion(unit_i)}")
+    return _constant(Quaternion(0.5), unit_i * 0.5)
 
 
 def slice_constant_from_two_values(unit_j, unit_k, a1, a2,
@@ -144,8 +149,7 @@ def slice_constant_from_two_values(unit_j, unit_k, a1, a2,
     inv = diff.inverse()
     g1 = unit_j * (inv * a2) - unit_k * (inv * a1)
     g2 = inv * (a1 - a2)
-    domain = "slice" if a1 == a2 else "product"
-    return _constant_stems(g1, g2, domain, "slice constant")
+    return _constant(g1, g2)
 
 
 @dataclass(frozen=True)
@@ -185,9 +189,8 @@ class SliceConstant:
         return 0.5 * (self.a1 + self.a2), self.i * (0.5 * (self.a2 - self.a1))
 
     def expr(self) -> SliceExpr:
-        if self.is_uniform:
-            return constant_expr(self.a1)
-        return _constant_stems(*self.stems(), "product", "slice constant")
+        """g as a pair of degree 0."""
+        return _constant(*self.stems())
 
     def to_record(self) -> dict:
         return {
@@ -220,33 +223,31 @@ class SliceConstant:
         return tuple(cls.from_record(rec) for rec in data)
 
 
-def product_expr(f: SliceExpr, g: SliceExpr, name: str = "") -> SliceExpr:
-    """The slice product f . g as a SliceExpr (pointwise stem product)."""
-
-    def stem_fn(alpha, beta, j):
-        f1, f2 = f.stems(alpha, beta, j)
-        g1, g2 = g.stems(alpha, beta, j)
-        return f1 * g1 - f2 * g2, f1 * g2 + f2 * g1
-
-    domain = "slice" if (f.domain == "slice" and g.domain == "slice") else "product"
-    return SliceExpr(stem_fn, domain=domain, name=name or "slice product")
+def product_expr(f: SliceExpr, g: SliceExpr) -> SliceExpr:
+    """The slice product f . g, that is ``f * g``."""
+    return f * g
 
 
 def pointwise_slice_product(f: SliceExpr, g: SliceExpr, x) -> Quaternion:
-    """(f . g)(x) from the stem product at the slice coordinates of x."""
-    return product_expr(f, g)(x)
+    """(f . g)(x)."""
+    return (f * g)(x)
 
 
-def recover_constants(f: SliceExpr, lam, unit_i, n_trunc: int = 40):
+def recover_constants(f: SliceExpr, lam, unit_i, n_trunc: Optional[int] = None):
     """Recover (a1, a2) of the slice constant g from f = g . exp_lambda.
 
     A kernel element of D_lambda on a product domain is determined by its
     values at two points; with v1 = f(I), v2 = f(-I):
     a1 = v1 * exp_{-lambda}(v1^{-1} I v1)   (0 when v1 = 0),
     a2 = v2 * exp_{ lambda}(v2^{-1} I v2)   (0 when v2 = 0).
+    The exponentials are evaluated at unit points, truncated at degree
+    ``n_trunc``; by default the larger of 40 and the degree whose tail
+    bound at radius 1 is below 1e-25 (:func:`series.exp_truncation`).
     """
     lam = as_quaternion(lam)
     unit_i = _require_unit_imag(unit_i, "I")
+    if n_trunc is None:
+        n_trunc = max(40, exp_truncation(1.0, lam.norm()))
     v1 = f(unit_i)
     v2 = f(-unit_i)
     if v1.is_zero():
@@ -260,21 +261,9 @@ def recover_constants(f: SliceExpr, lam, unit_i, n_trunc: int = 40):
     return a1, a2
 
 
-def slice_derivative_pointwise(f: SliceExpr, x, h: float = 1e-5) -> Quaternion:
-    """Slice derivative of f at x from stem data.
-
-    The stem of a slice-regular f is holomorphic, so dF/dz equals the
-    partial derivative in alpha; a central difference of the stems in
-    alpha gives (df/dx)(x) = D1 + J D2 without any symbolic form of f.
-    """
-    sp = decompose(as_quaternion(x))
-    f1p, f2p = f.stems(sp.alpha + h, sp.beta, sp.j)
-    f1m, f2m = f.stems(sp.alpha - h, sp.beta, sp.j)
-    d1 = (f1p - f1m) / (2.0 * h)
-    d2 = (f2p - f2m) / (2.0 * h)
-    if sp.real:
-        return d1
-    return d1 + sp.j * d2
+def slice_derivative_pointwise(f: SliceExpr, x) -> Quaternion:
+    """The slice derivative of f at x, the pair (u', w') evaluated there."""
+    return f.derivative()(x)
 
 
 _PROBE_UNITS = (Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1))
@@ -290,14 +279,15 @@ def _independent_unit(j: Quaternion) -> Quaternion:
     return k / k.norm()
 
 
-def verify_stem_symmetry(f: SliceExpr, samples, tol: float = 1e-8) -> float:
-    """Check that f's stems do not depend on the probe unit.
+def verify_stem_symmetry(f, samples, tol: float = 1e-8) -> float:
+    """Check that f's values are the slice function of its stems.
 
-    ``samples`` is a sequence of non-real quaternions.  At each point the
-    stems are evaluated with the point's own J, with -J and with an
-    orthogonal unit K; a genuine slice function gives identical stem pairs
-    (equivalently F2 flips sign together with J: F(conj z) = conj2 F(z)).
-    Returns the worst relative deviation, raising
+    ``samples`` is a sequence of non-real quaternions alpha + J beta.  At
+    each, the value f(alpha + K beta) must equal F1 + K F2, with
+    (F1, F2) = ``f.stems(alpha, beta)``, for K = J, -J and a unit
+    orthogonal to J: the two evaluation routes of f, by values and by
+    stems, checked against each other on three points of the sphere.
+    Returns the worst deviation relative to |F1| + |F2| + 1, raising
     :class:`StemSymmetryError` beyond ``tol``.
     """
     worst = 0.0
@@ -305,15 +295,15 @@ def verify_stem_symmetry(f: SliceExpr, samples, tol: float = 1e-8) -> float:
         sp = decompose(as_quaternion(x))
         if sp.real:
             raise ValueError("stem symmetry is probed at non-real points")
-        ref = f.stems(sp.alpha, sp.beta, sp.j)
-        scale = ref[0].norm() + ref[1].norm() + 1.0
-        for probe in (-sp.j, _independent_unit(sp.j)):
-            got = f.stems(sp.alpha, sp.beta, probe)
-            dev = max((got[0] - ref[0]).norm(), (got[1] - ref[1]).norm()) / scale
+        f1, f2 = f.stems(sp.alpha, sp.beta)
+        scale = f1.norm() + f2.norm() + 1.0
+        for unit in (sp.j, -sp.j, _independent_unit(sp.j)):
+            got = f(Quaternion(sp.alpha) + unit * sp.beta)
+            dev = (got - (f1 + unit * f2)).norm() / scale
             worst = max(worst, dev)
             if dev > tol:
                 raise StemSymmetryError(
-                    f"stems at alpha={sp.alpha!r}, beta={sp.beta!r} depend on "
-                    f"the probe unit (deviation {dev:.3e} > {tol:.1e}); "
-                    "the evaluator is not a slice function")
+                    f"values at alpha={sp.alpha!r}, beta={sp.beta!r} are not "
+                    f"F1 + K F2 of the stems (deviation {dev:.3e} > "
+                    f"{tol:.1e}); the evaluator is not a slice function")
     return worst

@@ -101,9 +101,8 @@ def check_series(rng: random.Random) -> str:
 
 
 def check_sliceexpr(rng: random.Random) -> str:
-    from .sliceexpr import SliceConstant, lift, mu, product_expr, \
-        recover_constants, slice_constant_from_two_values, \
-        verify_stem_symmetry
+    from .sliceexpr import SliceConstant, lift, mu, recover_constants, \
+        slice_constant_from_two_values, verify_stem_symmetry
     for _ in range(25):
         p = random_polynomial(rng, 5)
         f = lift(p)
@@ -137,8 +136,7 @@ def check_sliceexpr(rng: random.Random) -> str:
     lam = random_quaternion(rng)
     unit = random_unit_imag(rng)
     a1, a2 = random_quaternion(rng), random_quaternion(rng)
-    f = product_expr(SliceConstant(unit, a1, a2).expr(),
-                     lift(exp_series(lam, 60)))
+    f = SliceConstant(unit, a1, a2).expr() * lift(exp_series(lam, 60))
     b1, b2 = recover_constants(f, lam, unit, n_trunc=60)
     assert (b1 - a1).norm() < 1e-8 and (b2 - a2).norm() < 1e-8, \
         "recover_constants roundtrip"

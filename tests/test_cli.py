@@ -227,6 +227,21 @@ def test_version_flag():
     assert proc.stdout.startswith("slicealg ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "quaternion", "--seed", "1"],
+    ["gen-exp", "--lambdas", "i,j", "--degree", "400"],
+])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the reader of stdout is gone before the command writes (``| head``)
+    proc = subprocess.Popen([sys.executable, "-m", "slicealg.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def _assert_one_line_error(code, out, err, command):
     assert code == 2 and out == ""
     assert err.startswith(f"slicealg {command}: ") and err.count("\n") == 1

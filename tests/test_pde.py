@@ -690,3 +690,22 @@ def test_records_convert_only_the_keys_present():
                 {"kind": "helmholtz", "grid": None}):
         with pytest.raises(ParseError):
             PdeProblem.from_record(rec)
+
+
+
+def test_laplacian_of_a_pair_matches_the_evaluator():
+    # the pointwise Laplacian of h . e, from its stems and its exact slice
+    # derivative, is the stem map's value of Delta_4(h . e)
+    from slicealg import laplacian_pointwise, lift
+    rng = random.Random(541)
+    for unit in (I, J, K, Quaternion(0.0, 0.6, 0.0, -0.8)):
+        h = SliceConstant.on_halves(unit, rand_q(rng), rand_q(rng))
+        e = exp_series(rand_q(rng), 30)
+        f = SolutionEvaluator([(h, e)])
+        for _ in range(10):
+            x = rand_q(rng)
+            if x.imag_norm() < 0.2:
+                continue
+            want = f(x)
+            got = laplacian_pointwise(h.expr() * lift(e), x)
+            assert (got - want).norm() <= 1e-13 * want.norm()

@@ -114,6 +114,22 @@ def test_slice_product_at_degree_200(kinds):
     _check_product(_series(rng, 200, kinds[0]), _series(rng, 200, kinds[1]))
 
 
+@pytest.mark.parametrize("kinds", [(True, True), (True, False),
+                                   (False, True), (False, False)])
+def test_one_coefficient_factor_has_the_convolution_bits(kinds):
+    # a constant factor scales coefficient by coefficient; padded with a
+    # zero coefficient, it goes through the 16 convolutions instead, whose
+    # extra terms are exact zeros
+    rng = random.Random(59)
+    for degree in (0, 1, 7, 40):
+        c, g = _series(rng, 0, kinds[0]), _series(rng, degree, kinds[1])
+        padded = PowerSeries(c.coeffs + (ZERO,), exact=c.exact)
+        for got, want in ((slice_product(c, g), slice_product(padded, g)),
+                          (slice_product(g, c), slice_product(g, padded))):
+            assert list(map(hexbits, got.coeffs)) \
+                == list(map(hexbits, want.coeffs[:len(got.coeffs)]))
+
+
 # -- work counters: a return to per-point or O(n^2) object loops fails ---------
 
 def test_eval_calls_the_kernel_once_per_block(tmp_path, monkeypatch, capsys):

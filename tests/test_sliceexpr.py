@@ -19,6 +19,7 @@ from slicealg import (
     ONE,
     ZERO,
     constant_expr,
+    decompose,
     exp_series,
     lift,
     mu,
@@ -73,15 +74,34 @@ def test_lift_stems_independent_of_probe_unit():
 
 
 def test_stem_symmetry_detects_fakes():
-    # a "function" whose stems secretly depend on the probe unit
-    def bad_stem(alpha, beta, j):
-        bias = j.x1 if j is not None else 0.0
-        return Quaternion(alpha + bias), Quaternion(beta)
+    # a "function" whose values secretly depend on the unit J of the point,
+    # so that they are not F1 + J F2 of its stems
+    class Fake:
+        def stems(self, alpha, beta, j=None):
+            return Quaternion(alpha), Quaternion(beta)
 
-    fake = SliceExpr(bad_stem, domain="slice", name="fake")
+        def __call__(self, x):
+            return x + x.x1 / x.imag_norm()
+
+    fake = Fake()
     pts = [Quaternion(0.3, 1.0, 0.2, 0.0), Quaternion(-0.5, 0.0, 1.5, 0.4)]
     with pytest.raises(StemSymmetryError):
         verify_stem_symmetry(fake, pts)
+
+
+def test_stem_symmetry_probes_beyond_the_sample_slice():
+    # values that are F1 + J F2 on the slice of i alone: the sample
+    # 0.3 + 0.8i is right, its mirror 0.3 - 0.8i and the orthogonal slice
+    # are not
+    class OneSlice:
+        def stems(self, alpha, beta, j=None):
+            return Quaternion(alpha), Quaternion(beta)
+
+        def __call__(self, x):
+            return x + (x.x1 / x.imag_norm() - 1.0)
+
+    with pytest.raises(StemSymmetryError):
+        verify_stem_symmetry(OneSlice(), [Quaternion(0.3, 0.8, 0.0, 0.0)])
 
 
 def test_mu_two_sided_values():
@@ -217,3 +237,57 @@ def test_slice_derivative_pointwise_on_series():
         x = rand_nonreal(rng)
         got = slice_derivative_pointwise(lift(f), x)
         assert (got - df(x)).norm() < 1e-6
+
+
+def _stem_product(f, g, alpha, beta):
+    f1, f2 = f.stems(alpha, beta)
+    g1, g2 = g.stems(alpha, beta)
+    return f1 * g1 - f2 * g2, f1 * g2 + f2 * g1
+
+
+def test_pair_products_match_the_stem_product():
+    # constant x series and series x series of positive degree: the pair
+    # product has the stems (F1 G1 - F2 G2, F1 G2 + F2 G1) of its factors
+    rng = random.Random(227)
+    for _ in range(20):
+        g = SliceConstant.on_halves(rand_unit(rng), rand_q(rng), rand_q(rng))
+        f = SliceExpr(PowerSeries([rand_q(rng) for _ in range(5)]),
+                      PowerSeries([rand_q(rng) for _ in range(4)]))
+        e = lift(exp_series(rand_q(rng, 1.0), 30))
+        for a, b in ((g.expr(), e), (e, g.expr()), (f, e), (e, f), (f, f)):
+            x = rand_nonreal(rng)
+            sp = decompose(x)
+            want = _stem_product(a, b, sp.alpha, sp.beta)
+            got = (a * b).stems(sp.alpha, sp.beta)
+            scale = sum(v.norm() for v in a.stems(sp.alpha, sp.beta)) \
+                * sum(v.norm() for v in b.stems(sp.alpha, sp.beta))
+            for v, w in zip(got, want):
+                assert (v - w).norm() < 1e-12 * scale
+            assert ((a * b)(x) - (want[0] + sp.j * want[1])).norm() \
+                < 1e-12 * scale
+
+
+def test_slice_derivative_pointwise_is_exact_on_series():
+    rng = random.Random(229)
+    f = PowerSeries([rand_q(rng) for _ in range(6)])
+    from slicealg import slice_derivative
+    df = slice_derivative(f)
+    for _ in range(20):
+        x = rand_nonreal(rng)
+        assert (slice_derivative_pointwise(lift(f), x) - df(x)).norm() \
+            < 1e-13
+
+
+def test_recover_constants_degree_follows_the_tail_bound():
+    # |lambda| = 10: the tail bound of exp_{+-lambda} at unit points asks
+    # for degree 69; degree 40 leaves errors of about 1e-4
+    rng = random.Random(233)
+    for _ in range(20):
+        lam = rand_unit(rng) * 10.0
+        unit = rand_unit(rng)
+        a1, a2 = rand_q(rng), rand_q(rng)
+        g = SliceConstant.on_halves(unit, a1, a2)
+        f = g.expr() * lift(exp_series(lam, 120))
+        b1, b2 = recover_constants(f, lam, unit)
+        assert (b1 - a1).norm() < 1e-5
+        assert (b2 - a2).norm() < 1e-5
