@@ -24,7 +24,7 @@ import sys
 from . import __version__
 from .errors import ParseError, RangeError, SliceAlgError
 from .fmtio import csv_chunks, dumps_json, int_from_json, load_json, \
-    read_text, write_text
+    read_text, record_fields, write_text
 from .quaternion import Quaternion, parse_quaternion
 from .series import PowerSeries
 
@@ -41,9 +41,9 @@ SUITE_NAMES = ("quaternion", "series", "sliceexpr", "eigensolve",
 
 
 def _parse_lambdas(text: str):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise ParseError("empty eigenvalue list")
+    items = [t.strip() for t in text.split(",")]
+    if not all(items):      # an empty entry would change the order m
+        raise ParseError(f"--lambdas {text!r} has an empty entry")
     return [parse_quaternion(t) for t in items]
 
 
@@ -97,22 +97,28 @@ def cmd_gen_exp(args) -> int:
     return 0
 
 
+def _quaternion_list(key: str):
+    # the record_fields (field, convert) of a JSON array of literals
+    def convert(items):
+        if not (isinstance(items, list) and all(isinstance(t, str) for t in items)):
+            raise ParseError(f"'{key}' must be a JSON array of quaternion strings")
+        return [parse_quaternion(t) for t in items]
+    return key, convert
+
+
 def cmd_solve(args) -> int:
     from .eigensolve import solve_with_initial
     spec = load_json(args.problem)
-    if not isinstance(spec, dict) or "lambdas" not in spec or "initial" not in spec:
-        raise ParseError(f"{args.problem}: expected keys 'lambdas', 'initial'")
-    for key in ("lambdas", "initial"):
-        if not (isinstance(spec[key], list)
-                and all(isinstance(t, str) for t in spec[key])):
-            raise ParseError(f"{args.problem}: '{key}' must be a JSON array "
-                             "of quaternion strings")
-    lams = [parse_quaternion(t) for t in spec["lambdas"]]
-    initial = [parse_quaternion(t) for t in spec["initial"]]
     try:
-        degree = int_from_json(spec.get("degree", args.degree), "degree")
-    except ParseError as exc:       # names the key already
+        spec = record_fields(spec, {
+            "lambdas": _quaternion_list("lambdas"),
+            "initial": _quaternion_list("initial"),
+            "degree": ("degree", lambda n: int_from_json(n, "degree")),
+        }, "problem", required=("lambdas", "initial"))
+    except ParseError as exc:       # each message names its key
         raise ParseError(f"{args.problem}: {exc}") from exc
+    lams, initial = spec["lambdas"], spec["initial"]
+    degree = spec.get("degree", args.degree)
     if len(initial) != len(lams):
         raise ParseError("need as many initial values as eigenvalues")
     _check_degree(degree, len(lams), "degree")

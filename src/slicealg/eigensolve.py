@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateViolation, RangeError, ZeroEigenvalue
-from .quaternion import Quaternion, ZERO, ONE, as_quaternion, commutes
+from .quaternion import Quaternion, ZERO, ONE, as_quaternion
 from .series import PowerSeries, exp_series, slice_derivative
 
 __all__ = [
-    "EigenTuple",
     "CoeffBoundCert",
     "apply_D",
     "S_lambda",
@@ -40,49 +39,21 @@ __all__ = [
 ]
 
 
-class EigenTuple:
-    """An ordered tuple of eigenvalues (lambda_1, ..., lambda_m), m >= 1."""
+def _eigenvalues(lambdas) -> tuple:
+    """The tuple (lambda_1, ..., lambda_m) as quaternions, m >= 1."""
+    lams = tuple(as_quaternion(l) for l in lambdas)
+    if not lams:
+        raise ValueError("an eigenvalue tuple needs at least one eigenvalue")
+    return lams
 
-    __slots__ = ("lambdas",)
 
-    def __init__(self, lambdas):
-        if isinstance(lambdas, EigenTuple):
-            lams = lambdas.lambdas
-        else:
-            lams = tuple(as_quaternion(l) for l in lambdas)
-        if not lams:
-            raise ValueError("EigenTuple needs at least one eigenvalue")
-        object.__setattr__(self, "lambdas", lams)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EigenTuple is immutable")
-
-    @property
-    def m(self) -> int:
-        return len(self.lambdas)
-
-    @property
-    def commuting(self) -> bool:
-        """True iff all eigenvalues pairwise commute (lie in one slice)."""
-        lams = self.lambdas
-        return all(commutes(lams[a], lams[b])
-                   for a in range(len(lams)) for b in range(a + 1, len(lams)))
-
-    def suffix(self, i: int) -> "EigenTuple":
-        """The tail (lambda_{i+1}, ..., lambda_m), 0-based i < m."""
-        return EigenTuple(self.lambdas[i:])
-
-    def __iter__(self):
-        return iter(self.lambdas)
-
-    def __len__(self):
-        return len(self.lambdas)
-
-    def __getitem__(self, idx):
-        return self.lambdas[idx]
-
-    def __repr__(self):
-        return f"EigenTuple({[str(l) for l in self.lambdas]!r})"
+def _growth(f: PowerSeries, d: int, lam_norm: float):
+    """(n, n!|a_n|, (n+1)^d, |lam|^n) for each stored coefficient a_n of f."""
+    fact = lam_pow = 1.0
+    for n, a in enumerate(f.coeffs):
+        yield n, fact * a.norm(), (n + 1) ** d, lam_pow
+        fact *= n + 1
+        lam_pow *= lam_norm
 
 
 @dataclass(frozen=True)
@@ -99,51 +70,38 @@ class CoeffBoundCert:
         Raises :class:`CertificateViolation` at the first failing index.
         Only the available (truncated) coefficients can be checked.
         """
-        lam_norm = abs(self.lam)
-        fact = 1.0
-        lam_pow = 1.0
-        for n, a in enumerate(f.coeffs):
-            allowed = self.c * (n + 1) ** self.d * lam_pow
-            if fact * a.norm() > allowed * (1.0 + slack):
+        for n, size, grow, lam_pow in _growth(f, self.d, abs(self.lam)):
+            allowed = self.c * grow * lam_pow
+            if size > allowed * (1.0 + slack):
                 raise CertificateViolation(
-                    f"coefficient {n}: n!|a_n| = {fact * a.norm():.6e} exceeds "
+                    f"coefficient {n}: n!|a_n| = {size:.6e} exceeds "
                     f"C(n+1)^d|lam|^n = {allowed:.6e}")
-            fact *= n + 1
-            lam_pow *= lam_norm
 
     @classmethod
     def fit(cls, f: PowerSeries, d: int, lam) -> "CoeffBoundCert":
         """Smallest C certifying f's stored coefficients for degree d."""
         lam = as_quaternion(lam)
-        lam_norm = abs(lam)
-        if lam_norm == 0.0:
+        if abs(lam) == 0.0:
             raise ZeroEigenvalue("A_lambda is defined for lambda != 0")
-        c = 0.0
-        fact = 1.0
-        lam_pow = 1.0
-        for n, a in enumerate(f.coeffs):
-            c = max(c, fact * a.norm() / ((n + 1) ** d * lam_pow))
-            fact *= n + 1
-            lam_pow *= lam_norm
-        return cls(c, d, lam)
+        ratios = [size / (grow * lam_pow)
+                  for _, size, grow, lam_pow in _growth(f, d, abs(lam))]
+        return cls(max([0.0] + ratios), d, lam)
 
 
 def apply_D(lam, f: PowerSeries) -> PowerSeries:
-    """D_lambda f = df/dx - f*lambda; coefficients (n+1)a_{n+1} - a_n*lambda."""
+    """D_lambda f = df/dx - f*lambda; coefficients (n+1)a_{n+1} - a_n*lambda.
+
+    A polynomial keeps its degree; a truncation loses its last coefficient.
+    """
     lam = as_quaternion(lam)
     if lam.is_zero():
         return slice_derivative(f)
-    if f.exact:
-        top = f.degree_bound
-        coeffs = [f.coeff(n + 1) * float(n + 1) - f.coeffs[n] * lam
-                  for n in range(top + 1)]
-        return PowerSeries(coeffs, exact=True)
-    if f.degree_bound == 0:
+    if not f.exact and f.degree_bound == 0:
         raise ValueError("cannot apply D to a degree-0 truncated series "
                          "(no derivative coefficient is determined)")
-    coeffs = [f.coeffs[n + 1] * float(n + 1) - f.coeffs[n] * lam
-              for n in range(f.degree_bound)]
-    return PowerSeries(coeffs, exact=False)
+    top = f.degree_bound + 1 if f.exact else f.degree_bound
+    return PowerSeries([f.coeff(n + 1) * float(n + 1) - f.coeffs[n] * lam
+                        for n in range(top)], exact=f.exact)
 
 
 def S_lambda(lam, p: PowerSeries) -> PowerSeries:
@@ -191,14 +149,10 @@ def E_lambda_op(lam, h: PowerSeries, n_trunc: int = 40,
                 "truncated input to E_lambda_op requires a CoeffBoundCert "
                 "(membership in A_lambda is undecidable from a finite tail)")
     # furthest coefficient determined by the data
-    if h.exact:
-        bound = n_trunc
-    else:
-        bound = min(n_trunc, h.degree_bound + 1)
+    bound = n_trunc if h.exact else min(n_trunc, h.degree_bound + 1)
     coeffs = [ZERO]
     for n in range(bound):
-        a_n = h.coeff(n) if (h.exact or n <= h.degree_bound) else ZERO
-        coeffs.append((coeffs[n] * lam + a_n) / float(n + 1))
+        coeffs.append((coeffs[n] * lam + h.coeff(n)) / float(n + 1))
     exact = lam.is_zero() and h.exact and bound >= h.degree_bound + 1
     return PowerSeries(coeffs, exact=exact)
 
@@ -212,13 +166,12 @@ def gen_exp(lambdas, n_trunc: int = 40) -> PowerSeries:
     e_n(Lambda'))/(n+1), where Lambda' drops the last eigenvalue.  For a
     single eigenvalue this is exp_lambda; E_Lambda(0) = 1 iff m = 1.
     """
-    lams = EigenTuple(lambdas)
-    if n_trunc < lams.m - 1:
-        raise ValueError(f"n_trunc = {n_trunc} cannot hold E_Lambda with "
-                         f"m = {lams.m} (first nonzero coefficient is x^{lams.m - 1})")
+    lams = _eigenvalues(lambdas)
+    if n_trunc < len(lams) - 1:
+        raise ValueError(f"n_trunc = {n_trunc} cannot hold E_Lambda with m = {len(lams)} "
+                         f"(first nonzero coefficient is x^{len(lams) - 1})")
     prev = exp_series(lams[0], n_trunc).coeffs
-    for ell in range(1, lams.m):
-        lam = lams[ell]
+    for lam in lams[1:]:
         cur = [ZERO]
         for n in range(n_trunc):
             cur.append((cur[n] * lam + prev[n]) / float(n + 1))
@@ -260,8 +213,8 @@ def kernel_basis(lambdas, n_trunc: int = 40):
     Every right-H-linear combination (with slice-constant coefficients)
     is annihilated by D_{lambda_1} ... D_{lambda_m}.
     """
-    lams = EigenTuple(lambdas)
-    return [gen_exp(lams.suffix(i), n_trunc) for i in range(lams.m)]
+    lams = _eigenvalues(lambdas)
+    return [gen_exp(lams[i:], n_trunc) for i in range(len(lams))]
 
 
 def solve_with_initial(lambdas, initial, n_trunc: int = 40) -> PowerSeries:
@@ -271,12 +224,11 @@ def solve_with_initial(lambdas, initial, n_trunc: int = 40) -> PowerSeries:
     D_{lambda_{i+1}} ... D_{lambda_m} f(0) = c_i for i < m and f(0) = c_m,
     where ``initial`` supplies (c_1, ..., c_m).
     """
-    lams = EigenTuple(lambdas)
+    lams = _eigenvalues(lambdas)
     cs = [as_quaternion(c) for c in initial]
-    if len(cs) != lams.m:
-        raise ValueError(f"expected {lams.m} initial values, got {len(cs)}")
-    basis = kernel_basis(lams, n_trunc)
+    if len(cs) != len(lams):
+        raise ValueError(f"expected {len(lams)} initial values, got {len(cs)}")
     total = PowerSeries([ZERO] * (n_trunc + 1), exact=False)
-    for c, e in zip(cs, basis):
+    for c, e in zip(cs, kernel_basis(lams, n_trunc)):
         total = total + c * e
     return total

@@ -16,7 +16,8 @@ streams those chunks to a file.
 Files are read by :func:`read_text` and :func:`load_json`, and written
 by :func:`write_text`; each turns a failure into one error that names the
 path: an :class:`IoError` (an ``OSError``), or a :class:`ParseError` (a
-``ValueError``) for a file that is not UTF-8 (or not JSON).
+``ValueError``) for a file that is not UTF-8 (or not JSON).  Each JSON
+record is read by :func:`record_fields`, which refuses unknown keys.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ import json
 import math
 import os
 
-from .errors import IoError, ParseError
+from .errors import IoError, ParseError, SliceAlgError
 
 __all__ = ["fmt_float", "dumps_json", "dump_json", "read_text", "load_json",
-           "int_from_json", "float_from_json", "write_text", "csv_chunks",
-           "write_csv"]
+           "int_from_json", "float_from_json", "record_fields", "write_text",
+           "csv_chunks", "write_csv"]
 
 # Rows filled into the CSV row template per string operation.
 CSV_BLOCK = 4096
@@ -147,6 +148,27 @@ def float_from_json(value, what: str) -> float:
     if isinstance(value, bool):
         raise ParseError(f"{what} must be a number, got {json.dumps(value)}")
     return float(_json_number(value, what))
+
+
+def record_fields(rec, fields: dict, what: str, required=()) -> dict:
+    """The fields of the keys in the JSON object ``rec``, by ``fields``:
+    key -> (field, convert).  A missing ``required`` key and an unknown
+    (misspelt) key are refused with ``what`` first; a converter's
+    :class:`SliceAlgError` passes unchanged."""
+    if not isinstance(rec, dict) or not all(key in rec for key in required):
+        keys = " with keys " + ", ".join(required) if required else ""
+        raise ParseError(f"{what}: expected a JSON object{keys}")
+    for key in rec:
+        if key not in fields:
+            raise ParseError(f"{what}: unknown key {key!r}; accepted keys: "
+                             + ", ".join(fields))
+    try:
+        return {field: convert(rec[key])
+                for key, (field, convert) in fields.items() if key in rec}
+    except SliceAlgError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 def write_text(path, chunks) -> None:

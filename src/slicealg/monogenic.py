@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ParseError
-from .fmtio import dump_json, load_json
+from .fmtio import dump_json, load_json, record_fields
 from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K, as_quaternion,
                          RadialTable, axial_combine, decompose,
                          quaternion_from_json)
@@ -127,13 +127,14 @@ class MonogenicSeries:
     def from_record(cls, data, what: str) -> "MonogenicSeries":
         """The series of a :meth:`to_record` object; ``what`` names the
         data in a :class:`ParseError`."""
-        if not isinstance(data, dict) or data.get("basis") != "P":
+        rec = record_fields(data, {"basis": ("basis", lambda b: b),
+                                   "coeffs": ("coeffs", lambda raw: raw)}, what)
+        if rec.get("basis") != "P":
             raise ParseError(f"{what}: expected a P-basis monogenic series")
-        raw = data.get("coeffs")
-        if not isinstance(raw, list):
+        if not isinstance(rec.get("coeffs"), list):
             raise ParseError(f"{what}: expected a 'coeffs' list")
         return cls([quaternion_from_json(item, f"{what}: coefficient {n}")
-                    for n, item in enumerate(raw)])
+                    for n, item in enumerate(rec["coeffs"])])
 
     def to_record(self) -> dict:
         """The JSON form {"basis": "P", "coeffs": [[w, x1, x2, x3], ...]}."""

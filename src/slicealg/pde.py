@@ -58,8 +58,9 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
-    SliceAlgError, ZeroEigenvalue
-from .fmtio import dump_json, float_from_json, int_from_json, write_csv
+    ZeroEigenvalue
+from .fmtio import dump_json, float_from_json, int_from_json, record_fields, \
+    write_csv
 from .quaternion import Quaternion, ZERO, ONE, _require_unit_imag, \
     as_quaternion, RadialTable, format_quaternion, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
@@ -81,25 +82,11 @@ __all__ = [
     "verify_pde",
 ]
 
-_KINDS = ("helmholtz", "klein-gordon", "yukawa", "quadratic")
+# the record keys each kind reads besides kind, lambda, grid and degree
+_READS = {"helmholtz": ("slice_constants",), "klein-gordon": ("I", "slice_constants"),
+          "yukawa": ("I", "rhs"), "quadratic": ("lambda1", "slice_constants")}
 
 # grids and problems ---------------------------------------------------------
-
-def _record_fields(rec: dict, fields: dict, what: str) -> dict:
-    """The fields of the keys in ``rec``, by ``fields``: key -> (field,
-    convert).  An absent key keeps its default, so a misspelt one is refused."""
-    for key in rec:
-        if key not in fields:
-            raise ParseError(f"unknown {what} key {key!r}; accepted keys: "
-                             + ", ".join(fields))
-    try:
-        return {field: convert(rec[key])
-                for key, (field, convert) in fields.items() if key in rec}
-    except SliceAlgError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad {what} record: {exc}") from exc
-
 
 def _optional(convert):
     # a JSON null reads as None
@@ -183,9 +170,7 @@ class GridSpec:
 
     @classmethod
     def from_record(cls, rec: dict) -> "GridSpec":
-        if not isinstance(rec, dict):
-            raise ParseError("grid record must be an object")
-        return cls(**_record_fields(rec, {
+        return cls(**record_fields(rec, {
             "counts": ("counts", lambda cs: tuple(
                 int_from_json(c, "grid counts") for c in cs)),
             "lo": ("lo", lambda vs: tuple(map(_number("grid lo"), vs))),
@@ -211,10 +196,12 @@ class PdeProblem:
 
     ``lam`` is the real eigenvalue scale; ``unit_i`` the imaginary unit
     for Klein-Gordon exponentials or the Yukawa operator splitting;
-    ``slice_constants`` the h-data (one per term); ``rhs`` the Yukawa
-    source; ``lam1`` the quaternionic eigenvalue of the quadratic kernel;
-    ``degree`` the truncation degree of the series behind a Helmholtz,
-    Klein-Gordon or quadratic solution (at least 2).
+    ``slice_constants`` the h-data (one per term, at most two for
+    Helmholtz and quadratic); ``rhs`` the Yukawa source; ``lam1`` the
+    quaternionic eigenvalue of the quadratic kernel; ``degree`` the
+    truncation degree of the series behind a Helmholtz, Klein-Gordon or
+    quadratic solution (at least 2).  A field that its kind does not read
+    is refused.
     """
 
     kind: str
@@ -227,8 +214,16 @@ class PdeProblem:
     degree: int = 40
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _READS:
             raise ParseError(f"unknown problem kind {self.kind!r}")
+        given = {"I": self.unit_i, "lambda1": self.lam1, "rhs": self.rhs,
+                 "slice_constants": self.slice_constants or None}
+        for key, value in given.items():
+            if value is not None and key not in _READS[self.kind]:
+                raise ParseError(f"{self.kind} problems do not read {key!r}")
+        if self.kind in ("helmholtz", "quadratic") and len(self.slice_constants) > 2:
+            raise ParseError(f"{self.kind} problems read at most two "
+                             f"slice_constants, got {len(self.slice_constants)}")
         if not math.isfinite(self.lam):
             raise ParseError(f"lambda must be finite, got {self.lam!r}")
         if self.kind == "quadratic":
@@ -263,9 +258,7 @@ class PdeProblem:
 
     @classmethod
     def from_record(cls, rec: dict) -> "PdeProblem":
-        if not isinstance(rec, dict) or "kind" not in rec:
-            raise ParseError("problem record must be an object with a 'kind'")
-        return cls(**_record_fields(rec, {
+        return cls(**record_fields(rec, {
             "kind": ("kind", lambda kind: kind),
             "lambda": ("lam", _number("lambda")),
             "I": ("unit_i", _optional(
@@ -276,7 +269,7 @@ class PdeProblem:
                 lambda data: MonogenicSeries.from_record(data, "rhs"))),
             "grid": ("grid", GridSpec.from_record),
             "degree": ("degree", lambda n: int_from_json(n, "degree")),
-        }, "problem"))
+        }, "problem", required=("kind",)))
 
     def solve(self):
         """The solution of this problem, by the constructor of its kind: a

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import DegenerateUnits, DomainError, ParseError, StemSymmetryError
+from .fmtio import record_fields
 from .quaternion import (Quaternion, ZERO, _require_unit_imag, as_quaternion,
                          decompose, format_quaternion, parse_quaternion)
 from .series import PowerSeries, exp_series, exp_truncation, slice_derivative
@@ -201,17 +202,10 @@ class SliceConstant:
 
     @classmethod
     def from_record(cls, record: dict) -> "SliceConstant":
-        if not isinstance(record, dict):
-            raise ParseError("slice-constant record must be an object with "
-                             "keys I, a1, a2")
-        try:
-            unit, a1, a2 = record["I"], record["a1"], record["a2"]
-        except KeyError as exc:
-            raise ParseError("slice-constant record is missing key "
-                             f"{exc.args[0]!r} (expected I, a1, a2)") from exc
-        return cls.on_halves(parse_quaternion(unit),
-                             parse_quaternion(a1),
-                             parse_quaternion(a2))
+        keys = ("I", "a1", "a2")
+        rec = record_fields(record, {key: (key, parse_quaternion) for key in keys},
+                            "slice-constant record", required=keys)
+        return cls.on_halves(rec["I"], rec["a1"], rec["a2"])
 
     @classmethod
     def from_records(cls, data, what: str) -> Tuple["SliceConstant", ...]:

@@ -694,3 +694,107 @@ def test_solve_degree_string_exits_2(tmp_path, capsys):
         text = err.replace(str(problem), "FILE")
         assert text == ("slicealg solve: FILE: bad degree: expected a JSON "
                         f"number, got {json.dumps(degree)}\n")
+
+
+@pytest.mark.parametrize("lambdas", ["i,,j", "i,j,", ",i", ""])
+def test_gen_exp_refuses_empty_lambdas_entries(capsys, lambdas):
+    # "i,,j" used to run as "i,j": an empty entry silently changed m
+    code, out, err = run_cli(capsys, "gen-exp", "--lambdas", lambdas)
+    _assert_one_line_error(code, out, err, "gen-exp")
+    assert err == f"slicealg gen-exp: --lambdas {lambdas!r} has an empty entry\n"
+
+
+def test_solve_refuses_an_unknown_key(tmp_path, capsys):
+    # "degre" used to run at the default degree 40 and exit 0
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({"lambdas": ["i"], "initial": ["1"],
+                                   "degre": 3}))
+    code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
+    _assert_one_line_error(code, out, err, "solve")
+    assert err.replace(str(problem), "FILE") == (
+        "slicealg solve: FILE: problem: unknown key 'degre'; accepted keys: "
+        "lambdas, initial, degree\n")
+
+
+def test_pde_refuses_unknown_keys_in_constants_and_rhs(tmp_path, capsys,
+                                                       monkeypatch):
+    # an extra key in a slice-constant or P-basis record was ignored
+    import slicealg.cli as cli
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad problem")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    consts = tmp_path / "consts.json"
+    consts.write_text(json.dumps([{"I": "i", "a1": "1", "a2": "-1",
+                                   "a3": "2"}]))
+    code, out, err = run_cli(capsys, "pde", "--kind", "klein-gordon",
+                             "--unit", "i", "--constants", str(consts),
+                             "--exclude", "0.5")
+    _assert_one_line_error(code, out, err, "pde")
+    assert err == ("slicealg pde: slice-constant record: unknown key 'a3'; "
+                   "accepted keys: I, a1, a2\n")
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"basis": "P", "coeffs": [[1, 0, 0, 0]],
+                               "cofs": []}))
+    code, out, err = run_cli(capsys, "pde", "--kind", "yukawa", "--unit", "i",
+                             "--rhs", str(rhs))
+    _assert_one_line_error(code, out, err, "pde")
+    assert err == ("slicealg pde: rhs: unknown key 'cofs'; accepted keys: "
+                   "basis, coeffs\n")
+
+
+UNREAD_INPUT_CASES = {
+    # id: (extra flags, the message after "slicealg pde: ")
+    "helmholtz-I": (["--kind", "helmholtz", "--unit", "j"],
+                    "helmholtz problems do not read 'I'"),
+    "quadratic-I": (["--kind", "quadratic", "--lambda1", "1+i", "--unit", "j"],
+                    "quadratic problems do not read 'I'"),
+    "helmholtz-lambda1": (["--kind", "helmholtz", "--lambda1", "2+i"],
+                          "helmholtz problems do not read 'lambda1'"),
+    "klein-gordon-lambda1": (["--kind", "klein-gordon", "--unit", "i",
+                              "--lambda1", "2+i"],
+                             "klein-gordon problems do not read 'lambda1'"),
+    "yukawa-lambda1": (["--kind", "yukawa", "--unit", "i", "--rhs", "{rhs}",
+                        "--lambda1", "2+i"],
+                       "yukawa problems do not read 'lambda1'"),
+    "helmholtz-rhs": (["--kind", "helmholtz", "--rhs", "{rhs}"],
+                      "helmholtz problems do not read 'rhs'"),
+    "klein-gordon-rhs": (["--kind", "klein-gordon", "--unit", "i",
+                          "--rhs", "{rhs}"],
+                         "klein-gordon problems do not read 'rhs'"),
+    "quadratic-rhs": (["--kind", "quadratic", "--lambda1", "1+i",
+                       "--rhs", "{rhs}"],
+                      "quadratic problems do not read 'rhs'"),
+    "yukawa-constants": (["--kind", "yukawa", "--unit", "i", "--rhs", "{rhs}",
+                          "--constants", "{one}"],
+                         "yukawa problems do not read 'slice_constants'"),
+    "helmholtz-three-constants": (
+        ["--kind", "helmholtz", "--constants", "{three}", "--exclude", "0.5"],
+        "helmholtz problems read at most two slice_constants, got 3"),
+    "quadratic-three-constants": (
+        ["--kind", "quadratic", "--lambda1", "1+i", "--constants", "{three}",
+         "--exclude", "0.5"],
+        "quadratic problems read at most two slice_constants, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_INPUT_CASES))
+def test_pde_refuses_inputs_its_kind_does_not_read(tmp_path, capsys,
+                                                   monkeypatch, case):
+    # each of these used to run, ignore the input and exit 0
+    import slicealg.cli as cli
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad problem")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    files = {"rhs": {"basis": "P", "coeffs": [[1, 0, 0, 0]]},
+             "one": [{"I": "i", "a1": "1", "a2": "0"}],
+             "three": [{"I": "i", "a1": "1", "a2": "0"}] * 3}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    flags, message = UNREAD_INPUT_CASES[case]
+    argv = [flag.format(**{name: str(tmp_path / f"{name}.json")
+                           for name in files}) for flag in flags]
+    code, out, err = run_cli(capsys, "pde", *argv, "--grid-counts", "5")
+    _assert_one_line_error(code, out, err, "pde")
+    assert err == f"slicealg pde: {message}\n"

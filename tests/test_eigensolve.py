@@ -13,7 +13,6 @@ import pytest
 from slicealg import (
     CertificateViolation,
     CoeffBoundCert,
-    EigenTuple,
     E_lambda_op,
     PowerSeries,
     Quaternion,
@@ -57,6 +56,24 @@ def test_apply_D_coefficients():
     assert (df.coeff(1) - (2.0 * J - I * lam)).norm() < TOL
     assert (df.coeff(2) - (-(J * lam))).norm() < TOL
     assert df.exact and df.degree_bound == 2
+
+
+def test_apply_D_matches_the_coefficient_formula_bitwise():
+    # b_n = (n+1) a_{n+1} - a_n lam: a polynomial keeps its degree (a_{d+1}
+    # = 0), a truncation loses its last coefficient, which it cannot determine
+    rng = random.Random(601)
+    lam = rand_q(rng)
+    coeffs = [rand_q(rng) for _ in range(9)]
+    a = coeffs + [ZERO]
+
+    def bits(qs):
+        return [[v.hex() for v in q.as_list()] for q in qs]
+    for exact, top in ((True, 9), (False, 8)):
+        df = apply_D(lam, PowerSeries(coeffs, exact=exact))
+        want = [a[n + 1] * float(n + 1) - a[n] * lam for n in range(top)]
+        assert df.exact == exact and bits(df.coeffs) == bits(want)
+    with pytest.raises(ValueError, match="degree-0 truncated"):
+        apply_D(lam, PowerSeries([ONE], exact=False))
 
 
 def test_D_exp_is_eigenfunction():
@@ -164,12 +181,12 @@ def test_cert_verify_rejects_fast_growth():
         cert.verify(f)
 
 
-def test_eigen_tuple():
-    t = EigenTuple([I, J, I])
-    assert t.m == 3
-    assert not t.commuting
-    assert EigenTuple([I, -I, Quaternion(2.0, 1.0, 0.0, 0.0)]).commuting
-    assert t.suffix(1).lambdas == (J, I)
+def test_empty_eigenvalue_tuple_is_refused():
+    # an order-0 product D_{lambda_1}...D_{lambda_m} has no kernel basis
+    for call in (lambda: gen_exp([]), lambda: kernel_basis([]),
+                 lambda: solve_with_initial([], [])):
+        with pytest.raises(ValueError, match="at least one eigenvalue"):
+            call()
 
 
 def test_gen_exp_matches_brute_force():

@@ -187,3 +187,21 @@ def test_json_number_converters_take_numbers_only():
         for value in ("2", None, [2], {"n": 2}):
             with pytest.raises(ParseError, match="^bad n: expected a JSON number"):
                 convert(value, "n")
+
+
+def test_record_fields_refuses_what_it_does_not_read():
+    # one reader for every JSON record: the object, its required keys, no
+    # unknown key, and each present key converted to its field
+    from slicealg.errors import ParseError
+    from slicealg.fmtio import float_from_json, record_fields
+    fields = {"n": ("count", int), "x": ("x", lambda v: float_from_json(v, "x"))}
+    assert record_fields({"n": 3}, fields, "rec", required=("n",)) == {"count": 3}
+    assert record_fields({}, fields, "rec") == {}
+    for rec, required, message in (
+            ([3], (), "^rec: expected a JSON object$"),
+            ({"x": 1.0}, ("n",), "^rec: expected a JSON object with keys n$"),
+            ({"n": 3, "m": 4}, (), "^rec: unknown key 'm'; accepted keys: n, x$"),
+            ({"n": "three"}, (), "^rec: invalid literal"),
+            ({"x": "1"}, (), '^bad x: expected a JSON number, got "1"$')):
+        with pytest.raises(ParseError, match=message):
+            record_fields(rec, fields, "rec", required=required)
