@@ -72,8 +72,7 @@ print("c on C_K^+:", c(xk), " (wanted", str(a2) + ")")
 
 # the slice derivative (u', w') of a slice constant is (0, 0), even
 # though the function is wildly non-constant across slices
-from slicealg import slice_derivative_pointwise
-print("c'(x) at a random point:", slice_derivative_pointwise(c, pt).norm())
+print("c'(x) at a random point:", c.derivative()(pt).norm())
 
 # SliceConstant is the compact record: value a1 on C_i^+, a2 on C_i^-
 sc = SliceConstant(I, a1, a2)

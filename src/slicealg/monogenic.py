@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ParseError
-from .fmtio import dump_json, load_json, record_fields
+from .fmtio import record_fields
 from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K, as_quaternion,
                          RadialTable, axial_combine, decompose,
                          quaternion_from_json)
@@ -46,8 +46,6 @@ __all__ = [
     "delta_exp",
     "laplacian_pointwise",
     "laplacian_via_partials",
-    "save_monogenic",
-    "load_monogenic",
     "fd_partial",
     "fd_crf",
     "fd_laplacian",
@@ -328,16 +326,6 @@ def laplacian_via_partials(f: PowerSeries, x) -> Quaternion:
     parts = [_partial_poly(f, x, u) for u in _UNITS]
     combo = 3.0 * parts[0] + I * parts[1] + J * parts[2] + K * parts[3]
     return (im / b2) * combo
-
-
-def save_monogenic(path, g: MonogenicSeries) -> None:
-    """Write :meth:`MonogenicSeries.to_record` as a JSON file."""
-    dump_json(g.to_record(), path)
-
-
-def load_monogenic(path) -> MonogenicSeries:
-    """Read a file written by :func:`save_monogenic`."""
-    return MonogenicSeries.from_record(load_json(path), path)
 
 
 # --- finite-difference verification helpers ---------------------------------

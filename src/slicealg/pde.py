@@ -82,9 +82,11 @@ __all__ = [
     "verify_pde",
 ]
 
-# the record keys each kind reads besides kind, lambda, grid and degree
-_READS = {"helmholtz": ("slice_constants",), "klein-gordon": ("I", "slice_constants"),
-          "yukawa": ("I", "rhs"), "quadratic": ("lambda1", "slice_constants")}
+# the record keys each kind reads besides kind, grid and degree
+_READS = {"helmholtz": ("lambda", "slice_constants"),
+          "klein-gordon": ("lambda", "I", "slice_constants"),
+          "yukawa": ("lambda", "I", "rhs"),
+          "quadratic": ("lambda1", "slice_constants")}
 
 # grids and problems ---------------------------------------------------------
 
@@ -194,7 +196,8 @@ def _real_lambda(lam) -> float:
 class PdeProblem:
     """A Helmholtz / Klein-Gordon / Yukawa / quadratic-kernel instance.
 
-    ``lam`` is the real eigenvalue scale; ``unit_i`` the imaginary unit
+    ``lam`` is the real eigenvalue scale, 1.0 unless given (None for
+    quadratic, which reads ``lam1`` instead); ``unit_i`` the imaginary unit
     for Klein-Gordon exponentials or the Yukawa operator splitting;
     ``slice_constants`` the h-data (one per term, at most two for
     Helmholtz and quadratic); ``rhs`` the Yukawa source; ``lam1`` the
@@ -205,7 +208,7 @@ class PdeProblem:
     """
 
     kind: str
-    lam: float = 1.0
+    lam: Optional[float] = None
     unit_i: Optional[Quaternion] = None
     slice_constants: Tuple[SliceConstant, ...] = ()
     rhs: Optional[MonogenicSeries] = None
@@ -216,20 +219,22 @@ class PdeProblem:
     def __post_init__(self):
         if self.kind not in _READS:
             raise ParseError(f"unknown problem kind {self.kind!r}")
-        given = {"I": self.unit_i, "lambda1": self.lam1, "rhs": self.rhs,
-                 "slice_constants": self.slice_constants or None}
+        given = {"lambda": self.lam, "I": self.unit_i, "lambda1": self.lam1,
+                 "rhs": self.rhs, "slice_constants": self.slice_constants or None}
         for key, value in given.items():
             if value is not None and key not in _READS[self.kind]:
                 raise ParseError(f"{self.kind} problems do not read {key!r}")
         if self.kind in ("helmholtz", "quadratic") and len(self.slice_constants) > 2:
             raise ParseError(f"{self.kind} problems read at most two "
                              f"slice_constants, got {len(self.slice_constants)}")
-        if not math.isfinite(self.lam):
-            raise ParseError(f"lambda must be finite, got {self.lam!r}")
         if self.kind == "quadratic":
             if self.lam1 is None or as_quaternion(self.lam1).is_zero():
                 raise ZeroEigenvalue("quadratic kernel needs lambda_1 != 0")
         else:
+            if self.lam is None:
+                object.__setattr__(self, "lam", 1.0)
+            if not math.isfinite(self.lam):
+                raise ParseError(f"lambda must be finite, got {self.lam!r}")
             if self.lam == 0.0:
                 raise ZeroEigenvalue("lambda must be nonzero")
         if self.kind in ("klein-gordon", "yukawa") and self.unit_i is None:
@@ -243,7 +248,9 @@ class PdeProblem:
                              f"{self.kind} solution (need >= 2)")
 
     def to_record(self) -> dict:
-        rec = {"kind": self.kind, "lambda": float(self.lam)}
+        rec = {"kind": self.kind}
+        if self.lam is not None:
+            rec["lambda"] = float(self.lam)
         if self.unit_i is not None:
             rec["I"] = format_quaternion(self.unit_i)
         if self.lam1 is not None:

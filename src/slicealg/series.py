@@ -28,7 +28,7 @@ import math
 import sys
 
 from .errors import ParseError, RangeError
-from .fmtio import dump_json, load_json
+from .fmtio import load_json
 from .quaternion import (BLOCK, Quaternion, ZERO, ONE, as_quaternion,
                          decompose, quaternion_from_json)
 
@@ -42,7 +42,6 @@ __all__ = [
     "exp_series",
     "exp_tail_bound",
     "exp_truncation",
-    "save_coeffs",
     "load_coeffs",
 ]
 
@@ -110,14 +109,6 @@ class PowerSeries:
         """Index of the last stored coefficient."""
         return len(self.coeffs) - 1
 
-    @property
-    def degree(self) -> int:
-        """Largest index with nonzero coefficient (0 for the zero series)."""
-        for n in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[n].is_zero():
-                return n
-        return 0
-
     def coeff(self, n: int) -> Quaternion:
         if n < 0:
             raise IndexError("negative coefficient index")
@@ -130,15 +121,6 @@ class PowerSeries:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def truncate(self, bound: int) -> "PowerSeries":
-        """Keep coefficients up to index ``bound`` (padding exact input)."""
-        if bound >= self.degree_bound:
-            if self.exact:
-                pad = (ZERO,) * (bound - self.degree_bound)
-                return PowerSeries(self.coeffs + pad, exact=self.exact)
-            return self
-        return PowerSeries(self.coeffs[: bound + 1], exact=self.exact)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -376,12 +358,7 @@ def exp_truncation(radius: float, lam_norm: float, tol: float = 1e-25,
 
 # -- coefficient files ---------------------------------------------------------
 
-def save_coeffs(f: PowerSeries, path) -> None:
-    """Write :meth:`PowerSeries.to_record` as a JSON file."""
-    dump_json(f.to_record(), path)
-
-
 def load_coeffs(path) -> PowerSeries:
-    """Read a coefficient file written by :func:`save_coeffs`, as a
+    """Read a JSON file of :meth:`PowerSeries.to_record` quadruples, as a
     truncated series (:meth:`PowerSeries.from_record`)."""
     return PowerSeries.from_record(load_json(path), path)

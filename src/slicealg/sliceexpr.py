@@ -32,12 +32,8 @@ __all__ = [
     "SliceConstant",
     "lift",
     "mu",
-    "constant_expr",
     "slice_constant_from_two_values",
-    "product_expr",
-    "pointwise_slice_product",
     "recover_constants",
-    "slice_derivative_pointwise",
     "verify_stem_symmetry",
 ]
 
@@ -70,11 +66,9 @@ class SliceExpr:
     def domain(self) -> str:
         return "slice" if self.w.is_zero() else "product"
 
-    def stems(self, alpha: float, beta: float, j: Optional[Quaternion] = None):
-        """Stem components (F1, F2) at z = alpha + i*beta (beta >= 0).
-
-        ``j`` is ignored: the stems of a pair do not depend on the unit.
-        """
+    def stems(self, alpha: float, beta: float):
+        """Stem components (F1, F2) at z = alpha + i*beta (beta >= 0); they
+        do not depend on the unit J."""
         if beta < 0.0:
             raise ValueError("beta must be non-negative")
         if beta == 0.0 and self.domain == "product":
@@ -112,11 +106,6 @@ def lift(f: PowerSeries) -> SliceExpr:
 def _constant(g1, g2) -> SliceExpr:
     """The SliceExpr whose stems are (g1, g2) everywhere: a pair of degree 0."""
     return SliceExpr(PowerSeries((g1,)), PowerSeries((g2,)))
-
-
-def constant_expr(c) -> SliceExpr:
-    """The constant function c as a SliceExpr on all of H."""
-    return _constant(as_quaternion(c), ZERO)
 
 
 def mu(unit_i) -> SliceExpr:
@@ -217,16 +206,6 @@ class SliceConstant:
         return tuple(cls.from_record(rec) for rec in data)
 
 
-def product_expr(f: SliceExpr, g: SliceExpr) -> SliceExpr:
-    """The slice product f . g, that is ``f * g``."""
-    return f * g
-
-
-def pointwise_slice_product(f: SliceExpr, g: SliceExpr, x) -> Quaternion:
-    """(f . g)(x)."""
-    return (f * g)(x)
-
-
 def recover_constants(f: SliceExpr, lam, unit_i, n_trunc: Optional[int] = None):
     """Recover (a1, a2) of the slice constant g from f = g . exp_lambda.
 
@@ -253,11 +232,6 @@ def recover_constants(f: SliceExpr, lam, unit_i, n_trunc: Optional[int] = None):
     else:
         a2 = v2 * exp_series(lam, n_trunc)(v2.inverse() * unit_i * v2)
     return a1, a2
-
-
-def slice_derivative_pointwise(f: SliceExpr, x) -> Quaternion:
-    """The slice derivative of f at x, the pair (u', w') evaluated there."""
-    return f.derivative()(x)
 
 
 _PROBE_UNITS = (Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1))

@@ -17,11 +17,9 @@ from .quaternion import Quaternion, ZERO, ONE, I, J, commutes, decompose, \
     format_quaternion, parse_quaternion
 from .series import PowerSeries, exp_series, normal, slice_conjugate, \
     slice_derivative, spherical_derivative_eval
-from .eigensolve import CoeffBoundCert, E_lambda_op, S_lambda, \
-    apply_D, f_mu_lambda, gen_exp, kernel_basis, solve_with_initial
 
-# sliceexpr, monogenic and pde are imported by the suites that check them,
-# so that a run of the other suites loads neither them nor numpy
+# sliceexpr, eigensolve, monogenic and pde are imported by the suites that
+# check them, so that a run of the other suites loads neither them nor numpy
 
 __all__ = ["SUITES", "run_suites", "random_quaternion", "random_unit_imag",
            "random_polynomial"]
@@ -144,6 +142,8 @@ def check_sliceexpr(rng: random.Random) -> str:
 
 
 def check_eigensolve(rng: random.Random) -> str:
+    from .eigensolve import CoeffBoundCert, E_lambda_op, S_lambda, apply_D, \
+        f_mu_lambda, gen_exp, kernel_basis, solve_with_initial
     for _ in range(30):
         lam = random_quaternion(rng)
         if lam.norm() < 1e-3:
@@ -222,6 +222,7 @@ def check_eigensolve(rng: random.Random) -> str:
 
 
 def check_monogenic(rng: random.Random) -> str:
+    from .eigensolve import apply_D
     from .monogenic import apply_L, delta_exp, eval_P, eval_Z, fd_crf, \
         fueter_laplacian, inv_laplacian, laplacian_pointwise, \
         laplacian_via_partials, richardson_order

@@ -515,7 +515,7 @@ def test_cli_determinism():
 
 
 def _write_rhs(path):
-    from slicealg import save_monogenic
-    save_monogenic(path, MonogenicSeries([ONE, Quaternion(0, 1, -1, 1),
-                                          Quaternion(0, -1, -1, -1), ONE]))
+    from slicealg.fmtio import dump_json
+    dump_json(MonogenicSeries([ONE, Quaternion(0, 1, -1, 1),
+                               Quaternion(0, -1, -1, -1), ONE]).to_record(), path)
     return path

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from slicealg import Quaternion, MonogenicSeries, gen_exp, save_monogenic
+from slicealg import Quaternion, MonogenicSeries, gen_exp
 from slicealg.cli import main
+from slicealg.fmtio import dump_json
 
 
 def run_cli(capsys, *argv):
@@ -68,7 +69,8 @@ def test_solve_roundtrip(tmp_path, capsys):
 
 def test_eval_monogenic_file(tmp_path, capsys):
     path = tmp_path / "mono.json"
-    save_monogenic(path, MonogenicSeries([Quaternion(1.0), Quaternion(0, 1, 0, 0)]))
+    dump_json(MonogenicSeries([Quaternion(1.0), Quaternion(0, 1, 0, 0)]).to_record(),
+              path)
     code, out, _ = run_cli(capsys, "eval", "--coeffs", str(path),
                            "--at", "0.5")
     assert code == 0
@@ -128,10 +130,10 @@ def test_pde_bad_constants_record_exits_2(tmp_path, capsys):
 
 def test_pde_yukawa_writes_solution(tmp_path, capsys):
     rhs = tmp_path / "rhs.json"
-    save_monogenic(rhs, MonogenicSeries([Quaternion(1.0),
-                                         Quaternion(0.0, 1.0, -1.0, 1.0),
-                                         Quaternion(0.0, -1.0, -1.0, -1.0),
-                                         Quaternion(1.0)]))
+    dump_json(MonogenicSeries([Quaternion(1.0),
+                               Quaternion(0.0, 1.0, -1.0, 1.0),
+                               Quaternion(0.0, -1.0, -1.0, -1.0),
+                               Quaternion(1.0)]).to_record(), rhs)
     prefix = tmp_path / "yk"
     code, _, _ = run_cli(capsys, "pde", "--kind", "yukawa", "--unit", "i",
                          "--lambda", "1.0", "--rhs", str(rhs),
@@ -324,6 +326,7 @@ def test_pde_problem_file_bad_values_exit_2(tmp_path, capsys, monkeypatch):
            {"kind": "helmholtz", "lambda": "one", "grid": grid},
            {"kind": "bogus", "grid": grid},
            {"kind": "klein-gordon", "grid": grid},
+           {"kind": "quadratic", "lambda1": "1+i", "lambda": 7, "grid": grid},
            {"kind": "yukawa", "I": "i", "grid": grid,
             "rhs": {"basis": "P", "coeffs": [[1, 0, 0, float("nan")]]}}]
     for rec in bad:
@@ -749,6 +752,9 @@ UNREAD_INPUT_CASES = {
                     "helmholtz problems do not read 'I'"),
     "quadratic-I": (["--kind", "quadratic", "--lambda1", "1+i", "--unit", "j"],
                     "quadratic problems do not read 'I'"),
+    "quadratic-lambda": (["--kind", "quadratic", "--lambda1", "1+i",
+                          "--lambda", "7"],
+                         "quadratic problems do not read 'lambda'"),
     "helmholtz-lambda1": (["--kind", "helmholtz", "--lambda1", "2+i"],
                           "helmholtz problems do not read 'lambda1'"),
     "klein-gordon-lambda1": (["--kind", "klein-gordon", "--unit", "i",

@@ -413,6 +413,7 @@ def test_verify_roundtrip_bound_catches_a_left_inverse(monkeypatch):
     # lambda^-1 on the left solves the wrong recurrence for a
     # noncommuting lambda; the rounding bound refuses it
     import io
+    import slicealg.eigensolve as eigensolve
     import slicealg.verify as verify
     from slicealg.series import PowerSeries
 
@@ -421,7 +422,8 @@ def test_verify_roundtrip_bound_catches_a_left_inverse(monkeypatch):
         for k in range(p.degree_bound, -1, -1):
             nxt = out[k] = lam_inv * (nxt * float(k + 1) - p.coeffs[k])
         return PowerSeries(out, exact=True)
-    monkeypatch.setattr(verify, "S_lambda", s_left)
+    # the suite imports S_lambda when it runs, so the patch goes to its home
+    monkeypatch.setattr(eigensolve, "S_lambda", s_left)
     out = io.StringIO()
     assert verify.run_suites(["eigensolve"], 1729, out) == 1
     assert "FAIL eigensolve: D(S(p)) != p" in out.getvalue()

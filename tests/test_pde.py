@@ -76,6 +76,10 @@ def test_problem_validation_and_roundtrip():
     y = PdeProblem(kind="yukawa", lam=1.0, unit_i=I, rhs=rhs, grid=SMALL)
     y2 = PdeProblem.from_record(y.to_record())
     assert y2.rhs.coeffs == rhs.coeffs
+    # quadratic problems read lambda1 and write no lambda
+    quad = PdeProblem(kind="quadratic", lam1=Quaternion(1.0, 1.0), grid=SMALL)
+    assert "lambda" not in quad.to_record()
+    assert PdeProblem.from_record(quad.to_record()) == quad
 
 
 def test_helmholtz_entire_solution():

@@ -75,6 +75,16 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
     assert "pde" in loaded and "verify" not in loaded
 
 
+def test_verify_loads_eigensolve_only_for_the_suites_that_use_it():
+    # timing-free: the scalar suites that check no eigensolver load none
+    for suite in ("quaternion", "sliceexpr"):
+        loaded = _modules_loaded(_command("verify", "--suite", suite,
+                                          "--seed", "5"))
+        assert "verify" in loaded and "eigensolve" not in loaded, suite
+    assert "eigensolve" in _modules_loaded(_command("verify", "--suite", "all",
+                                                    "--seed", "5"))
+
+
 # child programs: the CLI on its argv, and the scalar library API
 _CLI = "from slicealg.cli import main\nsys.exit(main(sys.argv[1:]))"
 _LIBRARY = ("from slicealg import Quaternion, PowerSeries, gen_exp, "

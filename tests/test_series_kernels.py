@@ -12,10 +12,9 @@ import random
 import numpy as np
 import pytest
 
-from slicealg import MonogenicSeries, PowerSeries, Quaternion, ZERO, \
-    save_coeffs, save_monogenic
+from slicealg import MonogenicSeries, PowerSeries, Quaternion, ZERO
 from slicealg.cli import main
-from slicealg.fmtio import fmt_float
+from slicealg.fmtio import dump_json, fmt_float
 from slicealg.monogenic import BLOCK
 from slicealg.series import slice_product
 
@@ -135,7 +134,7 @@ def test_one_coefficient_factor_has_the_convolution_bits(kinds):
 def test_eval_calls_the_kernel_once_per_block(tmp_path, monkeypatch, capsys):
     rng = random.Random(3)
     coeffs = tmp_path / "f.json"
-    save_coeffs(_series(rng, 10, False), coeffs)
+    dump_json(_series(rng, 10, False).to_record(), coeffs)
     calls = []
     kernel = PowerSeries._horner
 
@@ -192,13 +191,13 @@ def test_cli_eval_bytes_match_a_per_point_reference(kind, tmp_path, capsys):
     coeffs = tmp_path / "c.json"
     if kind == "power":
         f = PowerSeries([rand_q(rng) for _ in range(61)], exact=False)
-        save_coeffs(f, coeffs)
+        dump_json(f.to_record(), coeffs)
 
         def value(x):
             return horner_loop(f, x)
     else:
         g = MonogenicSeries([rand_q(rng) for _ in range(15)])
-        save_monogenic(coeffs, g)
+        dump_json(g.to_record(), coeffs)
         value = g
     points = [Quaternion(0.0), Quaternion(0.7), Quaternion(0, 5e-324)] \
         + [rand_q(rng, 0.6) for _ in range(40)]

@@ -18,16 +18,12 @@ from slicealg import (
     K,
     ONE,
     ZERO,
-    constant_expr,
     decompose,
     exp_series,
     lift,
     mu,
-    pointwise_slice_product,
-    product_expr,
     recover_constants,
     slice_constant_from_two_values,
-    slice_derivative_pointwise,
     slice_product,
     verify_stem_symmetry,
 )
@@ -77,7 +73,7 @@ def test_stem_symmetry_detects_fakes():
     # a "function" whose values secretly depend on the unit J of the point,
     # so that they are not F1 + J F2 of its stems
     class Fake:
-        def stems(self, alpha, beta, j=None):
+        def stems(self, alpha, beta):
             return Quaternion(alpha), Quaternion(beta)
 
         def __call__(self, x):
@@ -94,7 +90,7 @@ def test_stem_symmetry_probes_beyond_the_sample_slice():
     # 0.3 + 0.8i is right, its mirror 0.3 - 0.8i and the orthogonal slice
     # are not
     class OneSlice:
-        def stems(self, alpha, beta, j=None):
+        def stems(self, alpha, beta):
             return Quaternion(alpha), Quaternion(beta)
 
         def __call__(self, x):
@@ -115,7 +111,7 @@ def test_mu_two_sided_values():
         assert m(up).norm() < TOL
         assert (m(dn) - ONE).norm() < TOL
     # constant stems (1/2, I/2)
-    f1, f2 = m.stems(0.1, 0.7, J)
+    f1, f2 = m.stems(0.1, 0.7)
     assert (f1 - Quaternion(0.5)).norm() < TOL
     assert (f2 - 0.5 * I).norm() < TOL
 
@@ -133,7 +129,7 @@ def test_mu_is_idempotent_under_slice_product():
     rng = random.Random(211)
     for _ in range(20):
         x = rand_nonreal(rng)
-        v = pointwise_slice_product(m, m, x)
+        v = (m * m)(x)
         assert (v - m(x)).norm() < TOL
 
 
@@ -149,7 +145,7 @@ def test_slice_constant_two_value_representation():
         assert (g(uk * 0.4) - a2).norm() < TOL      # on C_K+
         # slice constants have zero slice derivative
         x = rand_nonreal(rng)
-        assert slice_derivative_pointwise(g, x).norm() < 1e-6
+        assert g.derivative()(x).norm() < 1e-6
 
 
 def test_slice_constant_degenerate_units():
@@ -198,21 +194,22 @@ def test_pointwise_product_matches_series_convolution():
         f = PowerSeries([rand_q(rng) for _ in range(4)])
         g = PowerSeries([rand_q(rng) for _ in range(4)])
         x = rand_nonreal(rng)
-        v1 = pointwise_slice_product(lift(f), lift(g), x)
+        v1 = (lift(f) * lift(g))(x)
         v2 = slice_product(f, g)(x)
         assert (v1 - v2).norm() < TOL
 
 
 def test_product_expr_and_constant_expr():
-    c = constant_expr(Quaternion(0.0, 0.0, 0.0, 2.0))
-    f = lift(exp_series(I, 30))
-    p = product_expr(c, f)
-    x = Quaternion(0.4, 0.0, 1.1, 0.0)
-    want = pointwise_slice_product(c, f, x)
-    assert (p(x) - want).norm() < TOL
-    # multiplying by a uniform constant on the left is plain scaling
+    # a uniform constant is a slice function on all of H, and multiplying
+    # by it on the left is plain scaling, on the real axis too
     k = Quaternion(0.0, 0.0, 0.0, 2.0)
-    assert (want - (k * exp_series(I, 30))(x)).norm() < TOL
+    c = SliceConstant.uniform(k).expr()
+    assert c.domain == "slice"
+    f = lift(exp_series(I, 30))
+    p = c * f
+    assert p.domain == "slice"
+    for x in (Quaternion(0.4, 0.0, 1.1, 0.0), Quaternion(-0.7)):
+        assert (p(x) - (k * exp_series(I, 30))(x)).norm() < TOL
 
 
 def test_recover_constants_roundtrip():
@@ -222,7 +219,7 @@ def test_recover_constants_roundtrip():
         unit = rand_unit(rng)
         a1, a2 = rand_q(rng), rand_q(rng)
         g = SliceConstant.on_halves(unit, a1, a2)
-        f = product_expr(g.expr(), lift(exp_series(lam, 60)))
+        f = g.expr() * lift(exp_series(lam, 60))
         b1, b2 = recover_constants(f, lam, unit, n_trunc=60)
         assert (b1 - a1).norm() < 1e-8
         assert (b2 - a2).norm() < 1e-8
@@ -235,7 +232,7 @@ def test_slice_derivative_pointwise_on_series():
     df = slice_derivative(f)
     for _ in range(20):
         x = rand_nonreal(rng)
-        got = slice_derivative_pointwise(lift(f), x)
+        got = lift(f).derivative()(x)
         assert (got - df(x)).norm() < 1e-6
 
 
@@ -274,7 +271,7 @@ def test_slice_derivative_pointwise_is_exact_on_series():
     df = slice_derivative(f)
     for _ in range(20):
         x = rand_nonreal(rng)
-        assert (slice_derivative_pointwise(lift(f), x) - df(x)).norm() \
+        assert (lift(f).derivative()(x) - df(x)).norm() \
             < 1e-13
 
 
