@@ -13,8 +13,9 @@ __version__ = "0.1.0"
 # Each module's ``__all__`` is its public API; the package exports them
 # all, and verify's run_suites.  The names load on first use (PEP 562), so
 # that a command imports only the modules it needs: a name is looked up
-# in the modules in dependency order, importing each until one holds it.
-_MODULES = ("errors", "quaternion", "series", "sliceexpr", "eigensolve",
+# in the modules in dependency order, importing each until one holds it
+# (eigensolve before sliceexpr, whose dataclasses gen_exp does not need).
+_MODULES = ("errors", "quaternion", "series", "eigensolve", "sliceexpr",
             "monogenic", "pde", "verify")
 
 

@@ -21,7 +21,7 @@ involved beyond geometrically convergent coefficient sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificateViolation, RangeError, ZeroEigenvalue
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion
@@ -56,8 +56,7 @@ def _growth(f: PowerSeries, d: int, lam_norm: float):
         lam_pow *= lam_norm
 
 
-@dataclass(frozen=True)
-class CoeffBoundCert:
+class CoeffBoundCert(NamedTuple):
     """Certificate n! |a_n| <= c (n+1)^d |lam|^n for membership in A_lam."""
 
     c: float

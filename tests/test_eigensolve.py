@@ -5,6 +5,7 @@ and E_lambda are its right inverses on polynomials and on certified
 series, gen_exp builds the canonical kernel elements of D-products.
 """
 
+import hashlib
 import math
 import random
 
@@ -179,6 +180,34 @@ def test_cert_verify_rejects_fast_growth():
     cert = CoeffBoundCert(c=1.0, d=2, lam=I)
     with pytest.raises(CertificateViolation):
         cert.verify(f)
+
+
+def test_cert_is_an_immutable_record_with_a_stable_repr():
+    # a certificate prints, compares and hashes by its three fields, and
+    # none of them can be set after it is made
+    cert = CoeffBoundCert(c=1.0, d=2, lam=I)
+    assert repr(cert) == \
+        "CoeffBoundCert(c=1.0, d=2, lam=Quaternion(0.0, 1.0, 0.0, 0.0))"
+    for field, value in (("c", 2.0), ("d", 3), ("lam", J)):
+        with pytest.raises(AttributeError):
+            setattr(cert, field, value)
+    twin = CoeffBoundCert(1.0, 2, Quaternion(0, 1))
+    assert twin == cert and hash(twin) == hash(cert)
+    assert CoeffBoundCert(c=1.0, d=3, lam=I) != cert
+
+
+def test_fitted_cert_gives_the_pinned_coefficients():
+    # fit -> E_lambda_op(cert=...) on exp_i to degree 30: the constant and
+    # every coefficient bit of the result are pinned
+    h = exp_series(I, 30)
+    cert = CoeffBoundCert.fit(h, 0, I)
+    assert (cert.c.hex(), cert.d, cert.lam) == ("0x1.0000000000001p+0", 0, I)
+    u = E_lambda_op(J, h, n_trunc=30, cert=cert)
+    assert len(u.coeffs) == 31 and not u.exact
+    bits = " ".join(float.hex(getattr(q, s)) for q in u.coeffs
+                    for s in Quaternion.__slots__)
+    assert hashlib.sha256(bits.encode()).hexdigest() == \
+        "c6e4a05f1f7c2e94f3f248bb63e4774db0216616baf00e01cef3b0c77b1428ba"
 
 
 def test_empty_eigenvalue_tuple_is_refused():

@@ -117,6 +117,34 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         assert blocked.stdout or returncode
 
 
+def test_scalar_commands_run_without_dataclasses(tmp_path):
+    # --version, gen-exp and solve build no certificate and no dataclass:
+    # with every import of dataclasses and inspect failing, they print the
+    # same bytes, and importing eigensolve loads no dataclasses
+    problem = tmp_path / "ivp.json"
+    problem.write_text(json.dumps({"lambdas": ["i", "1+j", "0.5k"],
+                                   "initial": ["1", "k", "1+i"],
+                                   "degree": 30}))
+    cases = [(_CLI, ["--version"]),
+             (_CLI, ["gen-exp", "--lambdas", "i,j,1+k", "--degree", "60"]),
+             (_CLI, ["solve", "--problem", str(problem)]),
+             (_LIBRARY, [])]
+    block = "sys.modules['dataclasses'] = None\nsys.modules['inspect'] = None\n"
+    for code, argv in cases:
+        free, blocked = (subprocess.run(
+            [sys.executable, "-c", "import sys\n" + prefix + code, *argv],
+            capture_output=True, env=_ENV, timeout=120)
+            for prefix in ("", block))
+        assert blocked.returncode == free.returncode == 0, blocked.stderr
+        assert (blocked.stdout, blocked.stderr) == (free.stdout, free.stderr)
+        assert blocked.stdout
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, slicealg.eigensolve\n"
+         "print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=_ENV).stdout
+    assert loaded == "False\n"
+
+
 def _rhs_file(tmp_path):
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"basis": "P", "coeffs": [
