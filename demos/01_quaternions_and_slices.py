@@ -52,10 +52,9 @@ print("J     =", format_quaternion(pt.j))
 print("J^2   =", pt.j * pt.j)
 print("alpha + J*beta =", pt.to_quaternion())
 
-# real points have no preferred slice; pass default_j when one is needed
+# real points have no preferred slice, so decompose gives them no J
 t = Quaternion(2.5, 0.0, 0.0, 0.0)
-print("\ndecompose(2.5).j is None:", decompose(t).j is None)
-print("with default_j=I:", decompose(t, default_j=I))
+print("\ndecompose(2.5):", decompose(t))
 
 # two quaternions commute exactly when they share a slice
 rng = random.Random(0)

@@ -25,6 +25,7 @@ from slicealg import (
     verify_pde,
     yukawa_solve,
 )
+from slicealg.fmtio import dump_json
 
 grid = GridSpec(counts=(15, 15, 15), fd_step=0.02)
 
@@ -72,6 +73,6 @@ print("yukawa     :", report.summary())
 import tempfile, pathlib
 out = pathlib.Path(tempfile.mkdtemp()) / "yukawa"
 report.write_csv(str(out) + ".csv")
-report.write_summary(str(out) + ".summary.json")
+dump_json(report.summary(), str(out) + ".summary.json")
 print("\nwrote", str(out) + ".csv")
 print(open(str(out) + ".csv").readline().strip())

@@ -23,8 +23,8 @@ import sys
 
 from . import __version__
 from .errors import ParseError, RangeError, SliceAlgError
-from .fmtio import csv_chunks, dumps_json, int_from_json, load_json, \
-    read_text, record_fields, write_text
+from .fmtio import csv_chunks, dump_json, dumps_json, int_from_json, \
+    load_json, read_text, record_fields, write_text
 from .quaternion import Quaternion, parse_quaternion
 from .series import PowerSeries
 
@@ -204,7 +204,7 @@ def cmd_pde(args) -> int:
                     else None)
     if args.out_prefix:
         report.write_csv(args.out_prefix + ".csv")
-        report.write_summary(args.out_prefix + ".summary.json")
+        dump_json(report.summary(), args.out_prefix + ".summary.json")
     else:
         sys.stdout.write(dumps_json(report.summary()))
     print(f"{problem.kind}: {report.n_points} nodes, fd_step "

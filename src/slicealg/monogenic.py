@@ -46,7 +46,6 @@ __all__ = [
     "delta_exp",
     "laplacian_pointwise",
     "laplacian_via_partials",
-    "fd_partial",
     "fd_crf",
     "fd_laplacian",
     "richardson_order",
@@ -282,7 +281,7 @@ def laplacian_pointwise(f, x) -> Quaternion:
     """
     x = as_quaternion(x)
     sp = decompose(x)
-    if sp.real:
+    if sp.j is None:
         raise DomainError("the pointwise Laplacian formula needs Im x != 0")
     if isinstance(f, PowerSeries):
         sph = spherical_derivative_eval(f, x)
@@ -330,12 +329,10 @@ def laplacian_via_partials(f: PowerSeries, x) -> Quaternion:
 
 # --- finite-difference verification helpers ---------------------------------
 
-def fd_partial(f_eval, x, axis: int, h: float = 1e-4) -> Quaternion:
+def _fd_partial(f_eval, x, axis: int, h: float) -> Quaternion:
     """Central difference for d f / d x_axis (axis 0..3)."""
     x = as_quaternion(x)
-    step = [0.0, 0.0, 0.0, 0.0]
-    step[axis] = h
-    e = Quaternion(*step)
+    e = _UNITS[axis] * h
     return (f_eval(x + e) - f_eval(x - e)) / (2.0 * h)
 
 
@@ -348,7 +345,7 @@ def fd_crf(f_eval, x, h: float = 1e-4):
     Axially monogenic functions satisfy d_cf f = 0; slice-regular
     functions satisfy d_cf f = -f'_s off the real axis.
     """
-    parts = [fd_partial(f_eval, x, a, h) for a in range(4)]
+    parts = [_fd_partial(f_eval, x, a, h) for a in range(4)]
     half = 0.5
     d_cf = half * (parts[0] + I * parts[1] + J * parts[2] + K * parts[3])
     dbar_cf = half * (parts[0] - I * parts[1] - J * parts[2] - K * parts[3])
@@ -360,10 +357,8 @@ def fd_laplacian(f_eval, x, h: float = 1e-4) -> Quaternion:
     x = as_quaternion(x)
     fx = f_eval(x)
     acc = ZERO
-    for axis in range(4):
-        step = [0.0, 0.0, 0.0, 0.0]
-        step[axis] = h
-        e = Quaternion(*step)
+    for unit in _UNITS:
+        e = unit * h
         acc = acc + (f_eval(x + e) - 2.0 * fx + f_eval(x - e))
     return acc / (h * h)
 

@@ -59,8 +59,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
     ZeroEigenvalue
-from .fmtio import dump_json, float_from_json, int_from_json, record_fields, \
-    write_csv
+from .fmtio import float_from_json, int_from_json, record_fields, write_csv
 from .quaternion import Quaternion, ZERO, ONE, _require_unit_imag, \
     as_quaternion, RadialTable, format_quaternion, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
@@ -82,11 +81,11 @@ __all__ = [
     "verify_pde",
 ]
 
-# the record keys each kind reads besides kind, grid and degree
-_READS = {"helmholtz": ("lambda", "slice_constants"),
-          "klein-gordon": ("lambda", "I", "slice_constants"),
+# the record keys each kind reads besides kind and grid
+_READS = {"helmholtz": ("lambda", "slice_constants", "degree"),
+          "klein-gordon": ("lambda", "I", "slice_constants", "degree"),
           "yukawa": ("lambda", "I", "rhs"),
-          "quadratic": ("lambda1", "slice_constants")}
+          "quadratic": ("lambda1", "slice_constants", "degree")}
 
 # grids and problems ---------------------------------------------------------
 
@@ -103,7 +102,10 @@ def _number(what):
 def _slice_constants(data) -> Tuple[SliceConstant, ...]:
     # the slice_constants list of a problem record
     from .sliceexpr import SliceConstant
-    return SliceConstant.from_records(data, "slice_constants")
+    if not isinstance(data, list):
+        raise ParseError("slice_constants: expected a JSON array of "
+                         "slice-constant records")
+    return tuple(SliceConstant.from_record(rec) for rec in data)
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,8 @@ class PdeProblem:
     Helmholtz and quadratic); ``rhs`` the Yukawa source; ``lam1`` the
     quaternionic eigenvalue of the quadratic kernel; ``degree`` the
     truncation degree of the series behind a Helmholtz, Klein-Gordon or
-    quadratic solution (at least 2).  A field that its kind does not read
-    is refused.
+    quadratic solution (at least 2), 40 unless given.  A field that its
+    kind does not read is refused.
     """
 
     kind: str
@@ -214,13 +216,14 @@ class PdeProblem:
     rhs: Optional[MonogenicSeries] = None
     lam1: Optional[Quaternion] = None
     grid: GridSpec = GridSpec()
-    degree: int = 40
+    degree: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in _READS:
             raise ParseError(f"unknown problem kind {self.kind!r}")
         given = {"lambda": self.lam, "I": self.unit_i, "lambda1": self.lam1,
-                 "rhs": self.rhs, "slice_constants": self.slice_constants or None}
+                 "rhs": self.rhs, "slice_constants": self.slice_constants or None,
+                 "degree": self.degree}
         for key, value in given.items():
             if value is not None and key not in _READS[self.kind]:
                 raise ParseError(f"{self.kind} problems do not read {key!r}")
@@ -241,11 +244,14 @@ class PdeProblem:
             raise ParseError(f"{self.kind} problems need an imaginary unit I")
         if self.kind == "yukawa" and self.rhs is None:
             raise ParseError("yukawa problems need a right-hand side")
-        # Delta_4 annihilates affine functions: below degree 2 the solution
-        # would be zero and pass verification vacuously
-        if self.kind != "yukawa" and self.degree < 2:
-            raise ParseError(f"degree {self.degree} too small for a "
-                             f"{self.kind} solution (need >= 2)")
+        if self.kind != "yukawa":
+            if self.degree is None:
+                object.__setattr__(self, "degree", 40)
+            # Delta_4 annihilates affine functions: below degree 2 the
+            # solution would be zero and pass verification vacuously
+            if self.degree < 2:
+                raise ParseError(f"degree {self.degree} too small for a "
+                                 f"{self.kind} solution (need >= 2)")
 
     def to_record(self) -> dict:
         rec = {"kind": self.kind}
@@ -260,7 +266,8 @@ class PdeProblem:
         if self.rhs is not None:
             rec["rhs"] = self.rhs.to_record()
         rec["grid"] = self.grid.to_record()
-        rec["degree"] = int(self.degree)
+        if self.degree is not None:
+            rec["degree"] = int(self.degree)
         return rec
 
     @classmethod
@@ -472,9 +479,6 @@ class PdeReport:
             "richardson_order": (None if not math.isfinite(order)
                                  else float(order)),
         }
-
-    def write_summary(self, path) -> None:
-        dump_json(self.summary(), path)
 
     def write_csv(self, path) -> None:
         write_csv(path,

@@ -8,9 +8,9 @@ beta = |Im(x)| and J = Im(x)/beta is a unit imaginary quaternion
 decomposition*; it is the coordinate system in which slice functions are
 defined and evaluated throughout this package.
 
-Real points (beta = 0) have no canonical J.  ``decompose`` flags them
-instead of inventing a unit, and callers that genuinely need a J on the
-real axis must supply one explicitly.
+Real points (beta = 0) have no canonical J.  ``decompose`` gives them
+j = None instead of inventing a unit, and callers that genuinely need a
+J on the real axis must supply one explicitly.
 """
 
 from __future__ import annotations
@@ -365,29 +365,26 @@ def qmul(a, b):
     ], axis=-1)
 
 
-def commutes(a: Quaternion, b: Quaternion, tol: float = 1e-12) -> bool:
-    """True iff |ab - ba| <= tol * (|a||b| + 1).
+def commutes(a: Quaternion, b: Quaternion) -> bool:
+    """True iff |ab - ba| <= 1e-12 * (|a||b| + 1).
 
     Two quaternions commute exactly when they lie in a common slice
     C_J (or one of them is real).
     """
     a = _coerce(a)
     b = _coerce(b)
-    return abs(a * b - b * a) <= tol * (abs(a) * abs(b) + 1.0)
+    return abs(a * b - b * a) <= 1e-12 * (abs(a) * abs(b) + 1.0)
 
 
 class SlicePoint(NamedTuple):
     """Slice coordinates of a point x = alpha + J*beta.
 
-    ``real`` is True when beta = 0; in that case ``j`` is whatever default
-    the caller supplied to :func:`decompose` (possibly None) and must not
-    be mistaken for intrinsic data.
+    ``j`` is None exactly when beta = 0: a real point has no J.
     """
 
     alpha: float
     beta: float
     j: Optional[Quaternion]
-    real: bool
 
     def to_quaternion(self) -> Quaternion:
         if self.beta == 0.0:
@@ -397,25 +394,23 @@ class SlicePoint(NamedTuple):
         return Quaternion(self.alpha) + self.j * self.beta
 
 
-def decompose(x: Quaternion, default_j: Optional[Quaternion] = None) -> SlicePoint:
+def decompose(x: Quaternion) -> SlicePoint:
     """Slice decomposition x = alpha + J*beta.
 
-    For non-real x returns (alpha, beta, J, real=False) with beta > 0 and
-    J = Im(x)/beta.  For real x no J exists; the point is flagged and the
-    caller-supplied ``default_j`` (default None) is passed through, never
-    fabricated.
+    For non-real x returns (alpha, beta, J) with beta > 0 and
+    J = Im(x)/beta.  For real x no J exists, and ``j`` is None.
 
     >>> decompose(Quaternion(1, 2))
-    SlicePoint(alpha=1.0, beta=2.0, j=Quaternion(0.0, 1.0, 0.0, 0.0), real=False)
-    >>> decompose(Quaternion(3)).real
+    SlicePoint(alpha=1.0, beta=2.0, j=Quaternion(0.0, 1.0, 0.0, 0.0))
+    >>> decompose(Quaternion(3)).j is None
     True
     """
     x = _coerce(x)
     beta = x.imag_norm()
     if beta == 0.0:
-        return SlicePoint(x.w, 0.0, default_j, True)
+        return SlicePoint(x.w, 0.0, None)
     j = Quaternion(0.0, x.x1 / beta, x.x2 / beta, x.x3 / beta)
-    return SlicePoint(x.w, beta, j, False)
+    return SlicePoint(x.w, beta, j)
 
 
 # -- textual literals ---------------------------------------------------------
@@ -440,7 +435,9 @@ def parse_quaternion(text: str) -> Quaternion:
     >>> parse_quaternion("-k")
     Quaternion(0.0, 0.0, 0.0, -1.0)
     """
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise ParseError(f"quaternion literal must be a string, got {text!r}")
+    if not text.strip():
         raise ParseError(f"empty quaternion literal: {text!r}")
     comps = [0.0, 0.0, 0.0, 0.0]
     pos = 0

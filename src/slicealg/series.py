@@ -71,27 +71,18 @@ class PowerSeries:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def truncated(cls, coeffs) -> "PowerSeries":
-        """A truncation of an infinite series (tail unknown)."""
-        return cls(coeffs, exact=False)
-
-    @classmethod
     def from_record(cls, data, what: str) -> "PowerSeries":
         """The series of a :meth:`to_record` list, read as a truncation
         (the list carries no exactness marker); ``what`` names the data
         in a :class:`ParseError`."""
         if not isinstance(data, list):
             raise ParseError(f"{what}: expected a JSON array of quadruples")
-        return cls.truncated([quaternion_from_json(quad, f"{what}: entry {n}")
-                              for n, quad in enumerate(data)])
+        return cls([quaternion_from_json(quad, f"{what}: entry {n}")
+                    for n, quad in enumerate(data)], exact=False)
 
     def to_record(self) -> list:
         """The JSON form: a list of [w, x1, x2, x3] coefficient quadruples."""
         return [c.as_list() for c in self.coeffs]
-
-    @classmethod
-    def zero(cls) -> "PowerSeries":
-        return cls((ZERO,))
 
     @classmethod
     def one(cls) -> "PowerSeries":
@@ -284,8 +275,7 @@ def spherical_derivative_eval(f: PowerSeries, x) -> Quaternion:
     slice derivative; that extension is returned there instead of an error.
     """
     x = as_quaternion(x)
-    sp = decompose(x)
-    if sp.real:
+    if decompose(x).j is None:
         return slice_derivative(f)(x)
     im = x.imag()
     return 0.5 * (im.inverse() * (f(x) - f(x.conjugate())))

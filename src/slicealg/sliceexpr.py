@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import DegenerateUnits, DomainError, ParseError, StemSymmetryError
+from .errors import DegenerateUnits, DomainError, StemSymmetryError
 from .fmtio import record_fields
 from .quaternion import (Quaternion, ZERO, _require_unit_imag, as_quaternion,
                          decompose, format_quaternion, parse_quaternion)
@@ -81,10 +81,10 @@ class SliceExpr:
         x = as_quaternion(x)
         if self.domain == "slice":
             return self.u(x)
-        sp = decompose(x)
-        if sp.real:
+        j = decompose(x).j
+        if j is None:
             raise DomainError(_OFF_AXIS)
-        return self.u(x) + sp.j * self.w(x)
+        return self.u(x) + j * self.w(x)
 
     def __mul__(self, other: "SliceExpr") -> "SliceExpr":
         """The slice product, (u1 u2 - w1 w2, u1 w2 + w1 u2)."""
@@ -100,7 +100,7 @@ class SliceExpr:
 
 def lift(f: PowerSeries) -> SliceExpr:
     """The power series f as a SliceExpr: the pair (f, 0)."""
-    return SliceExpr(f, PowerSeries.zero())
+    return SliceExpr(f, PowerSeries((ZERO,)))
 
 
 def _constant(g1, g2) -> SliceExpr:
@@ -118,8 +118,7 @@ def mu(unit_i) -> SliceExpr:
     return _constant(Quaternion(0.5), unit_i * 0.5)
 
 
-def slice_constant_from_two_values(unit_j, unit_k, a1, a2,
-                                   tol: float = 1e-12) -> SliceExpr:
+def slice_constant_from_two_values(unit_j, unit_k, a1, a2) -> SliceExpr:
     """The slice constant with value a1 on C_J+ and a2 on C_K+.
 
     Built from the representation formula
@@ -132,10 +131,10 @@ def slice_constant_from_two_values(unit_j, unit_k, a1, a2,
     a1 = as_quaternion(a1)
     a2 = as_quaternion(a2)
     diff = unit_j - unit_k
-    if diff.norm() <= tol:
+    if diff.norm() <= 1e-12:
         raise DegenerateUnits(
             f"units J = {format_quaternion(unit_j)} and K = "
-            f"{format_quaternion(unit_k)} are degenerate (|J - K| <= {tol})")
+            f"{format_quaternion(unit_k)} are degenerate (|J - K| <= 1e-12)")
     inv = diff.inverse()
     g1 = unit_j * (inv * a2) - unit_k * (inv * a1)
     g2 = inv * (a1 - a2)
@@ -196,15 +195,6 @@ class SliceConstant:
                             "slice-constant record", required=keys)
         return cls.on_halves(rec["I"], rec["a1"], rec["a2"])
 
-    @classmethod
-    def from_records(cls, data, what: str) -> Tuple["SliceConstant", ...]:
-        """The constants of a JSON list of :meth:`to_record` objects;
-        ``what`` names the list in a :class:`ParseError`."""
-        if not isinstance(data, list):
-            raise ParseError(f"{what}: expected a JSON array of "
-                             "slice-constant records")
-        return tuple(cls.from_record(rec) for rec in data)
-
 
 def recover_constants(f: SliceExpr, lam, unit_i, n_trunc: Optional[int] = None):
     """Recover (a1, a2) of the slice constant g from f = g . exp_lambda.
@@ -247,7 +237,7 @@ def _independent_unit(j: Quaternion) -> Quaternion:
     return k / k.norm()
 
 
-def verify_stem_symmetry(f, samples, tol: float = 1e-8) -> float:
+def verify_stem_symmetry(f, samples) -> float:
     """Check that f's values are the slice function of its stems.
 
     ``samples`` is a sequence of non-real quaternions alpha + J beta.  At
@@ -256,12 +246,12 @@ def verify_stem_symmetry(f, samples, tol: float = 1e-8) -> float:
     orthogonal to J: the two evaluation routes of f, by values and by
     stems, checked against each other on three points of the sphere.
     Returns the worst deviation relative to |F1| + |F2| + 1, raising
-    :class:`StemSymmetryError` beyond ``tol``.
+    :class:`StemSymmetryError` beyond 1e-8.
     """
     worst = 0.0
     for x in samples:
         sp = decompose(as_quaternion(x))
-        if sp.real:
+        if sp.j is None:
             raise ValueError("stem symmetry is probed at non-real points")
         f1, f2 = f.stems(sp.alpha, sp.beta)
         scale = f1.norm() + f2.norm() + 1.0
@@ -269,9 +259,9 @@ def verify_stem_symmetry(f, samples, tol: float = 1e-8) -> float:
             got = f(Quaternion(sp.alpha) + unit * sp.beta)
             dev = (got - (f1 + unit * f2)).norm() / scale
             worst = max(worst, dev)
-            if dev > tol:
+            if dev > 1e-8:
                 raise StemSymmetryError(
                     f"values at alpha={sp.alpha!r}, beta={sp.beta!r} are not "
                     f"F1 + K F2 of the stems (deviation {dev:.3e} > "
-                    f"{tol:.1e}); the evaluator is not a slice function")
+                    "1.0e-08); the evaluator is not a slice function")
     return worst

@@ -37,10 +37,8 @@ def random_unit_imag(rng: random.Random) -> Quaternion:
             return v / n
 
 
-def random_polynomial(rng: random.Random, degree: int,
-                      scale: float = 1.0) -> PowerSeries:
-    return PowerSeries([random_quaternion(rng, scale)
-                        for _ in range(degree + 1)])
+def random_polynomial(rng: random.Random, degree: int) -> PowerSeries:
+    return PowerSeries([random_quaternion(rng) for _ in range(degree + 1)])
 
 
 def _max_coeff_diff(f: PowerSeries, g: PowerSeries, top: int) -> float:

@@ -90,7 +90,7 @@ def test_golden_closed_forms():
 
     def parts(x):
         """Slice coordinates and the scalar-evaluation helper at x."""
-        sp = decompose(x, default_j=I)
+        sp = decompose(x)
         z = complex(sp.alpha, sp.beta)
         jq = sp.j if sp.j is not None else I
 

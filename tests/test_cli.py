@@ -417,10 +417,11 @@ def test_pde_degree_below_2_exits_2(tmp_path, capsys, monkeypatch):
     _assert_one_line_error(code, out, err, "pde")
     with pytest.raises(ParseError):
         PdeProblem(kind="helmholtz", degree=-3)
-    # degree 2 is the smallest with a nonzero solution; yukawa ignores it
+    # degree 2 is the smallest with a nonzero solution; yukawa reads none
     PdeProblem(kind="helmholtz", degree=2)
-    PdeProblem(kind="yukawa", unit_i=Quaternion(0, 1), degree=-3,
-               rhs=MonogenicSeries([1]))
+    with pytest.raises(ParseError):
+        PdeProblem(kind="yukawa", unit_i=Quaternion(0, 1), degree=-3,
+                   rhs=MonogenicSeries([1]))
 
 
 def test_solve_problem_types_exit_2(tmp_path, capsys):
@@ -774,6 +775,9 @@ UNREAD_INPUT_CASES = {
     "yukawa-constants": (["--kind", "yukawa", "--unit", "i", "--rhs", "{rhs}",
                           "--constants", "{one}"],
                          "yukawa problems do not read 'slice_constants'"),
+    "yukawa-degree": (["--kind", "yukawa", "--unit", "i", "--rhs", "{rhs}",
+                       "--degree", "-3"],
+                      "yukawa problems do not read 'degree'"),
     "helmholtz-three-constants": (
         ["--kind", "helmholtz", "--constants", "{three}", "--exclude", "0.5"],
         "helmholtz problems read at most two slice_constants, got 3"),
@@ -804,3 +808,54 @@ def test_pde_refuses_inputs_its_kind_does_not_read(tmp_path, capsys,
     code, out, err = run_cli(capsys, "pde", *argv, "--grid-counts", "5")
     _assert_one_line_error(code, out, err, "pde")
     assert err == f"slicealg pde: {message}\n"
+
+
+VALUE_REFUSAL_CASES = {
+    # id: (argv, the record that "{problem}" names, the whole stderr line)
+    "helmholtz-lambda-zero": (["pde", "--kind", "helmholtz", "--lambda", "0"],
+                              None, "slicealg pde: lambda must be nonzero"),
+    "quadratic-lambda1-zero": (
+        ["pde", "--kind", "quadratic", "--lambda1", "0"], None,
+        "slicealg pde: quadratic kernel needs lambda_1 != 0"),
+    "fd-step-zero": (["pde", "--kind", "helmholtz", "--fd-step", "0"], None,
+                     "slicealg pde: fd_step must be positive"),
+    "exclude-negative": (["pde", "--kind", "helmholtz", "--exclude", "-1"],
+                         None, "slicealg pde: exclude_radius must be >= 0"),
+    "grid-two-axes": (["pde", "--kind", "helmholtz", "--grid-counts", "5,5"],
+                      None, "slicealg pde: GridSpec needs three axes"),
+    "yukawa-without-rhs": (
+        ["pde", "--kind", "yukawa", "--unit", "i"], None,
+        "slicealg pde: yukawa problems need a right-hand side"),
+    "solve-initial-count": (
+        ["solve", "--problem", "{problem}"],
+        {"lambdas": ["i", "j"], "initial": ["1"]},
+        "slicealg solve: need as many initial values as eigenvalues"),
+    # a JSON number where a quaternion literal belongs
+    "literal-I-number": (
+        ["pde", "--problem", "{problem}"], {"kind": "klein-gordon", "I": 5},
+        "slicealg pde: quaternion literal must be a string, got 5"),
+    "literal-lambda1-number": (
+        ["pde", "--problem", "{problem}"], {"kind": "quadratic", "lambda1": 1},
+        "slicealg pde: quaternion literal must be a string, got 1"),
+    "literal-constant-a1-number": (
+        ["pde", "--problem", "{problem}"],
+        {"kind": "helmholtz", "grid": {"exclude_radius": 0.5},
+         "slice_constants": [{"I": "i", "a1": 0.5, "a2": "0"}]},
+        "slicealg pde: quaternion literal must be a string, got 0.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_REFUSAL_CASES))
+def test_value_refusals_exit_2(case, tmp_path, capsys, monkeypatch):
+    # each is one exit-2 line, before any grid work
+    import slicealg.cli as cli
+
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work started on a bad problem")
+    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    argv, record, line = VALUE_REFUSAL_CASES[case]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, *(str(problem) if a == "{problem}" else a
+                                       for a in argv))
+    assert (code, out, err) == (2, "", line + "\n")

@@ -29,6 +29,7 @@ from slicealg import (
     f_mu_lambda,
     gen_exp,
     kernel_basis,
+    slice_derivative,
     solve_with_initial,
 )
 
@@ -75,6 +76,22 @@ def test_apply_D_matches_the_coefficient_formula_bitwise():
         assert df.exact == exact and bits(df.coeffs) == bits(want)
     with pytest.raises(ValueError, match="degree-0 truncated"):
         apply_D(lam, PowerSeries([ONE], exact=False))
+
+
+@pytest.mark.parametrize("zero", [0, ZERO], ids=["int", "ZERO"])
+def test_apply_D_at_lambda_zero_is_the_slice_derivative(zero):
+    # D_0 f = f' by the general formula, with the stored length that every
+    # lambda gives: a polynomial keeps it, a truncation loses one
+    rng = random.Random(607)
+    coeffs = [rand_q(rng) for _ in range(7)]
+    for exact in (True, False):
+        f = PowerSeries(coeffs, exact=exact)
+        df, want = apply_D(zero, f), slice_derivative(f)
+        assert df.exact == exact
+        assert len(df.coeffs) == len(apply_D(I, f).coeffs) == 7 - (not exact)
+        assert all(df.coeff(n) == want.coeff(n) for n in range(len(df.coeffs)))
+    with pytest.raises(ValueError, match="degree-0 truncated"):
+        apply_D(zero, PowerSeries([ONE], exact=False))
 
 
 def test_D_exp_is_eigenfunction():
@@ -331,7 +348,7 @@ def test_gen_exp_iij_closed_form():
     pts = [Quaternion(0.7), Quaternion(-1.2)] + \
         [rand_q(rng, 0.9) for _ in range(10)]
     for x in pts:
-        sp = decompose(x, default_j=I)
+        sp = decompose(x)
         z = complex(sp.alpha, sp.beta)
         jq = sp.j if sp.j is not None else I
 

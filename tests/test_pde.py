@@ -33,6 +33,7 @@ from slicealg import (
     verify_pde,
     yukawa_solve,
 )
+from slicealg.fmtio import dump_json
 from slicealg.monogenic import BLOCK
 from slicealg.quaternion import qmul
 
@@ -231,7 +232,7 @@ def test_report_files(tmp_path):
     csv_path = tmp_path / "report.csv"
     sum_path = tmp_path / "report.summary.json"
     report.write_csv(csv_path)
-    report.write_summary(sum_path)
+    dump_json(report.summary(), sum_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "x0,x1,x2,x3,f_w,f_x1,f_x2,f_x3,residual_norm"
     assert len(lines) == 1 + report.n_points

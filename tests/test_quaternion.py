@@ -112,7 +112,7 @@ def test_decompose_roundtrip():
         if x.imag_norm() < 1e-9:
             continue
         sp = decompose(x)
-        assert not sp.real
+        assert sp.j is not None
         assert sp.beta > 0
         # j is a unit with j^2 = -1
         assert sp.j.norm() == pytest.approx(1.0, rel=1e-12)
@@ -123,13 +123,9 @@ def test_decompose_roundtrip():
 
 def test_decompose_real_point():
     sp = decompose(Quaternion(2.5))
-    assert sp.real
     assert sp.j is None
     assert sp.alpha == 2.5 and sp.beta == 0.0
     assert sp.to_quaternion() == Quaternion(2.5)
-    # a default probe unit may be supplied for real points
-    sp2 = decompose(Quaternion(-1.0), default_j=J)
-    assert sp2.j == J
 
 
 def test_parse_format_roundtrip():
