@@ -6,6 +6,7 @@ gen-exp   write the coefficients of a generalized exponential E_Lambda
 solve     solve an initial-value problem for D_{lambda_1}...D_{lambda_m}
 eval      evaluate a coefficient file at a list of points (CSV out)
 pde       construct a Helmholtz/Klein-Gordon/Yukawa solution and verify it
+          (exit 3 when the verification does not certify it)
 verify    run the randomized self-check suites
 
 All outputs are deterministic: floats are printed with 17 significant
@@ -198,6 +199,10 @@ def cmd_pde(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         f = problem.solve()
         report = verify_pde(f, problem)
+    failures = report.verdict()
+    if failures:
+        print(f"slicealg pde: not certified: {failures[0]}", file=sys.stderr)
+        return 3
     if isinstance(f, MonogenicSeries):
         _write_text(dumps_json(f.to_record()),
                     args.out_prefix + ".coeffs.json" if args.out_prefix
@@ -318,5 +323,17 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The entry point of ``python -m slicealg.cli`` and of the ``slicealg``
+    script: :func:`main` with one BLAS thread.  The one matrix product of
+    a run is too small to gain from a second thread, and a thread pool
+    slows the numpy import.  No command imports numpy at start, so the
+    setting holds; ``main`` itself leaves the environment as it is."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS"):
+        os.environ[var] = "1"
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -47,6 +47,8 @@ share one table of distinct pairs, so a pair that several sets meet goes
 through the series work once.  Its report
 keeps the nodes, values and residual norms as one (n, 9) float array,
 ``PdeReport.rows``, which :func:`fmtio.write_csv` writes block by block.
+:meth:`PdeReport.verdict` judges the report against the constants
+below; ``slicealg pde`` and ``verify --suite pde`` read that verdict.
 """
 
 from __future__ import annotations
@@ -450,10 +452,24 @@ def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
 
 # verification ----------------------------------------------------------------
 
+# The verdict: a run is certified when each quantity is within its bound.
+# The residuals are relative to max|f|.  FD error alone puts the raw
+# residual of a correct helmholtz lambda = 8 run at 0.128, so the gate is
+# the extrapolated residual, which removes the h^2 term of the stencil.
+MAX_EXTRAPOLATED_RESIDUAL = 1e-3
+ORDER_TOLERANCE = 0.1           # on |richardson_order - 2|
+ROUNDOFF = 1e-9                 # residuals at h and h/2 below: order not judged
+MIN_CONTROL_RATIO = 100.0       # negative control / extrapolated residual
+MAX_MONOGENICITY = 1e-2
+
+
 @dataclass
 class PdeReport:
-    """Residual statistics from :func:`verify_pde`.
+    """Residual statistics from :func:`verify_pde`, and their verdict.
 
+    ``max_rel_residual`` and ``half_step_residual`` are the residuals at
+    the FD steps h and h/2; ``extrapolated_residual`` is
+    max|(4 R(h/2) - R(h)) / 3| / max|f| over the residual vectors R.
     ``rows`` is an (n_points, 9) float array, one row per verified node:
     x0, x1, x2, x3, f_w, f_x1, f_x2, f_x3, residual_norm.  It is the
     CSV body that :meth:`write_csv` writes.
@@ -466,10 +482,37 @@ class PdeReport:
     max_rel_residual: float
     mean_rel_residual: float
     richardson_order: float
+    half_step_residual: float
+    extrapolated_residual: float
     negative_control: float
     monogenicity_max_rel: float
     monogenicity_order: float
     rows: np.ndarray
+
+    def verdict(self) -> Tuple[str, ...]:
+        """The failures of this run, one line each, in the order: the
+        extrapolated residual, the Richardson order (not judged when the
+        residuals at h and h/2 sit at roundoff), the lambda -> 2 lambda
+        negative control against the extrapolated residual, and
+        monogenicity.  Empty when the run is certified."""
+        extrap, order = self.extrapolated_residual, self.richardson_order
+        at_roundoff = max(self.max_rel_residual,
+                          self.half_step_residual) <= ROUNDOFF
+        checks = (
+            (extrap <= MAX_EXTRAPOLATED_RESIDUAL,
+             f"extrapolated residual {extrap:.3e} > "
+             f"{MAX_EXTRAPOLATED_RESIDUAL:g}"),
+            (at_roundoff or abs(order - 2.0) <= ORDER_TOLERANCE,
+             f"richardson order {order:.3f} not within {ORDER_TOLERANCE:g} "
+             f"of 2"),
+            (self.negative_control > MIN_CONTROL_RATIO * extrap,
+             f"negative control {self.negative_control:.3e} <= "
+             f"{MIN_CONTROL_RATIO:g} x extrapolated residual {extrap:.3e}"),
+            (self.monogenicity_max_rel <= MAX_MONOGENICITY,
+             f"monogenicity {self.monogenicity_max_rel:.3e} > "
+             f"{MAX_MONOGENICITY:g}"),
+        )
+        return tuple(message for ok, message in checks if not ok)
 
     def summary(self) -> dict:
         order = self.richardson_order
@@ -567,20 +610,23 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     div = scale if scale > 0.0 else 1.0
 
     def residuals(step, *factors):
-        # the residual norms for each factor, with Delta_3 f at step
+        # the residual vectors for each factor, with Delta_3 f at step
         acc = -6.0 * fv
         for dx1, dx2, dx3 in ((step, 0.0, 0.0), (-step, 0.0, 0.0),
                               (0.0, step, 0.0), (0.0, -step, 0.0),
                               (0.0, 0.0, step), (0.0, 0.0, -step)):
             acc += evaluate(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
         lap = acc / (step * step)
-        return [np.linalg.norm(_operator_residual(sq, lap, fv, rhs_vals, k),
-                               axis=-1) for k in factors]
+        return [_operator_residual(sq, lap, fv, rhs_vals, k) for k in factors]
 
-    res_h, neg = residuals(h, 1.0, 4.0)
-    res = {h: res_h, h / 2.0: residuals(h / 2.0, 1.0)[0]}
+    vec_h, vec_neg = residuals(h, 1.0, 4.0)
+    (vec_half,) = residuals(h / 2.0, 1.0)
     del evaluate                    # drops the table
-    max_rel, _, order = richardson_order(
+    res_h, neg, res_half = (np.linalg.norm(v, axis=-1)
+                            for v in (vec_h, vec_neg, vec_half))
+    extrapolated = np.linalg.norm((4.0 * vec_half - vec_h) / 3.0, axis=-1)
+    res = {h: res_h, h / 2.0: res_half}
+    max_rel, half_rel, order = richardson_order(
         lambda step: float(res[step].max()) / div, h, floor=1e-11)
     rows = np.column_stack([x0c, x1c, x2c, x3c, fv, res_h])
     bad = ~np.isfinite(rows).all(axis=1)
@@ -607,6 +653,8 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         max_rel_residual=max_rel,
         mean_rel_residual=mean_rel,
         richardson_order=order,
+        half_step_residual=half_rel,
+        extrapolated_residual=float(extrapolated.max()) / div,
         negative_control=float(neg.max()) / div,
         monogenicity_max_rel=monog_rel,
         monogenicity_order=monog_order,

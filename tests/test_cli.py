@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, seed handling, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -859,3 +860,101 @@ def test_value_refusals_exit_2(case, tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, *(str(problem) if a == "{problem}" else a
                                        for a in argv))
     assert (code, out, err) == (2, "", line + "\n")
+
+
+# Runs on the default 21^3 box that the verdict must tell apart: the
+# flags, and the max_rel_residual a certified run reports (None: not
+# certified).  Rows 2, 6 and 7 are truncated series; the raw residual of
+# row 3 (0.128) is FD error of a correct solution.
+VERDICT_ROWS = {
+    "1-helmholtz-1": (["--kind", "helmholtz", "--lambda", "1"], 3.125e-05),
+    "2-helmholtz-8-degree-40": (["--kind", "helmholtz", "--lambda", "8"],
+                                None),
+    "3-helmholtz-8-degree-60": (["--kind", "helmholtz", "--lambda", "8",
+                                 "--degree", "60"], 0.1279),
+    "4-klein-gordon-3": (["--kind", "klein-gordon", "--unit", "i",
+                          "--lambda", "3"], 2.346e-3),
+    "5-helmholtz-2-two-valued": (["--kind", "helmholtz", "--lambda", "2",
+                                  "--constants", "{constants}",
+                                  "--exclude", "0.5", "--fd-step", "0.005"],
+                                 2.738e-3),
+    "6-klein-gordon-30-at-11": (["--kind", "klein-gordon", "--unit", "i",
+                                 "--lambda", "30", "--grid-counts", "11"],
+                                None),
+    "7-helmholtz-50-at-5": (["--kind", "helmholtz", "--lambda", "50",
+                             "--grid-counts", "5"], None),
+}
+
+
+@pytest.mark.parametrize("row", sorted(VERDICT_ROWS))
+def test_pde_exit_status_is_the_verdict(row, tmp_path, capsys):
+    flags, residual = VERDICT_ROWS[row]
+    constants = tmp_path / "constants.json"
+    constants.write_text('[{"I": "i", "a1": "1", "a2": "0"}]')
+    flags = [str(constants) if a == "{constants}" else a for a in flags]
+    if residual is None:
+        # one line naming the extrapolated residual, and no file
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "pde", *flags,
+                                 "--out-prefix", str(out_dir / "run"))
+        assert (code, out) == (3, "")
+        assert err.startswith("slicealg pde: not certified: extrapolated "
+                              "residual ") and err.count("\n") == 1
+        assert not out_dir.exists()
+    else:
+        code, out, err = run_cli(capsys, "pde", *flags)
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["max_rel_residual"] == pytest.approx(residual, rel=1e-3)
+        assert summary["richardson_order"] == pytest.approx(2.0, abs=1e-2)
+        assert err.count("\n") == 1 and "max_rel_residual" in err
+
+
+def test_verify_fails_closed_under_python_O():
+    # a wrong right inverse (lambda -> 1.01 lambda) fails the eigensolve
+    # suite even when the interpreter strips assert statements
+    code = ("import sys\n"
+            "import slicealg.eigensolve as es\n"
+            "S_lambda = es.S_lambda\n"
+            "es.S_lambda = lambda lam, p: S_lambda(lam * 1.01, p)\n"
+            "from slicealg.cli import main\n"
+            "sys.exit(main(['verify', '--suite', 'eigensolve', '--seed', '1']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == ["FAIL eigensolve: D(S(p)) != p",
+                                        "1 suite(s) failed (seed 1)"]
+
+
+def test_run_starts_one_blas_thread():
+    # the slicealg process asks BLAS for one thread, whatever it inherits
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count threads")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+
+    def threads(code):
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+    count = "print(len(os.listdir('/proc/self/task')))"
+    if threads("import numpy, os\n" + count) == 1:
+        pytest.skip("numpy starts no second BLAS thread here")
+    probe = ("import slicealg.cli as cli\n"
+             "def main(argv=None):\n"
+             "    import numpy, os\n"
+             f"    {count}\n"
+             "    return 0\n"
+             "cli.main = main\n"
+             "cli.run()\n")
+    assert threads(probe) == 1
+
+
+def test_main_leaves_the_environment_alone(capsys):
+    # tests, the benchmark's in-process requests and library users keep
+    # their thread settings: only run() sets them
+    before = dict(os.environ)
+    code, _, _ = run_cli(capsys, "pde", "--kind", "helmholtz",
+                         "--grid-counts", "5")
+    assert code == 0
+    assert dict(os.environ) == before

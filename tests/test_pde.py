@@ -714,3 +714,29 @@ def test_laplacian_of_a_pair_matches_the_evaluator():
             want = f(x)
             got = laplacian_pointwise(h.expr() * lift(e), x)
             assert (got - want).norm() <= 1e-13 * want.norm()
+
+
+def test_verdict_is_returned_not_raised():
+    # helmholtz lambda = 8 at the default degree 40 is truncated: the
+    # report says so, with the extrapolated residual first
+    problem = PdeProblem(kind="helmholtz", lam=8.0)
+    failures = verify_pde(problem.solve(), problem).verdict()
+    assert failures[0].startswith("extrapolated residual 2.21")
+    # a polynomial yukawa solution: both residuals sit at roundoff, where
+    # the order (about -2.3 here) says nothing, and the run is certified
+    rng = random.Random(507)
+    h = MonogenicSeries([rand_q(rng) for _ in range(3)])
+    problem = PdeProblem(kind="yukawa", lam=2.0, unit_i=I, rhs=h, grid=SMALL)
+    report = verify_pde(yukawa_solve(2.0, I, h), problem)
+    assert abs(report.richardson_order - 2.0) > 0.1
+    assert report.verdict() == ()
+
+
+def test_vacuous_run_is_not_certified():
+    # f = 0 solves the zero-source equation for any lambda: the negative
+    # control cannot tell lambda from 2 lambda
+    h = MonogenicSeries([ZERO])
+    problem = PdeProblem(kind="yukawa", lam=1.0, unit_i=I, rhs=h, grid=SMALL)
+    failures = verify_pde(yukawa_solve(1.0, I, h), problem).verdict()
+    assert failures == ("negative control 0.000e+00 <= 100 x extrapolated "
+                        "residual 0.000e+00",)
