@@ -34,8 +34,10 @@ f = helmholtz_solution(1.0, h1=Quaternion(1, 0, 0, 0), h2=I + K)
 report = verify_pde(f, PdeProblem(kind="helmholtz", lam=1.0, grid=grid))
 print("helmholtz :", report.summary())
 print("  negative control (wrong lambda residual):", "%.3f" % report.negative_control)
-print("  monogenicity of Delta_4 f: max rel %.3e, order %.3f"
-      % (report.monogenicity_max_rel, report.monogenicity_order))
+order = report.monogenicity_order       # None at roundoff
+print("  monogenicity of Delta_4 f: max rel %.3e, order %s"
+      % (report.monogenicity_max_rel,
+         "none" if order is None else "%.3f" % order))
 
 # %% Klein-Gordon from slice constants times exp_{I lambda}
 

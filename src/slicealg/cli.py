@@ -212,9 +212,10 @@ def cmd_pde(args) -> int:
         dump_json(report.summary(), args.out_prefix + ".summary.json")
     else:
         sys.stdout.write(dumps_json(report.summary()))
+    order = report.richardson_order
     print(f"{problem.kind}: {report.n_points} nodes, fd_step "
           f"{report.fd_step:.6g}, max_rel_residual {report.max_rel_residual:.3e}, "
-          f"richardson_order {report.richardson_order:.3f}",
+          f"richardson_order {'null' if order is None else f'{order:.3f}'}",
           file=sys.stderr)
     return 0
 

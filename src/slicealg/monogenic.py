@@ -31,7 +31,7 @@ import math
 
 from .errors import DomainError, ParseError
 from .fmtio import record_fields
-from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K, as_quaternion,
+from .quaternion import (Quaternion, ZERO, ONE, I, J, K, as_quaternion,
                          RadialTable, axial_combine, decompose,
                          quaternion_from_json)
 from .series import PowerSeries, slice_derivative, spherical_derivative_eval
@@ -52,9 +52,6 @@ __all__ = [
 ]
 
 _UNITS = (ONE, I, J, K)
-
-# BLOCK lives in quaternion, where series uses it too; the import above
-# keeps ``from slicealg.monogenic import BLOCK`` working.
 
 
 def _powers(x: Quaternion, top: int):
@@ -363,17 +360,22 @@ def fd_laplacian(f_eval, x, h: float = 1e-4) -> Quaternion:
     return acc / (h * h)
 
 
-def richardson_order(residual_fn, h: float, floor: float = 1e-12):
-    """Convergence order estimate from residuals at h and h/2.
+# The Richardson rule of every residual checked at steps h and h/2
+ROUNDOFF = 1e-9                 # both residuals at or below: no order
+ORDER_TOLERANCE = 0.1           # on |richardson_order - 2|
 
-    Returns (r_h, r_half, order) with order = log2(r_h / r_half); if both
-    residuals sit below ``floor`` the scheme is considered converged to
-    roundoff and order is reported as inf.
-    """
-    r1 = float(residual_fn(h))
-    r2 = float(residual_fn(h / 2.0))
-    if r1 <= floor and r2 <= floor:
-        return r1, r2, math.inf
-    if r2 == 0.0:
-        return r1, r2, math.inf
-    return r1, r2, math.log2(r1 / r2)
+
+def richardson_order(r_h, r_half):
+    """The order log2(r_h / r_half) of residuals at steps h and h/2: None
+    when both sit at roundoff (at or below :data:`ROUNDOFF`), where their
+    ratio says nothing, and inf when r_half = 0 < r_h."""
+    if max(r_h, r_half) <= ROUNDOFF:
+        return None
+    if r_half == 0.0:
+        return math.inf
+    return math.log2(r_h / r_half)
+
+
+def _order_ok(order) -> bool:
+    # the rule: no order (roundoff), or an order within ORDER_TOLERANCE of 2
+    return order is None or abs(order - 2.0) <= ORDER_TOLERANCE

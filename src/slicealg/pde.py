@@ -48,7 +48,8 @@ through the series work once.  Its report
 keeps the nodes, values and residual norms as one (n, 9) float array,
 ``PdeReport.rows``, which :func:`fmtio.write_csv` writes block by block.
 :meth:`PdeReport.verdict` judges the report against the constants
-below; ``slicealg pde`` and ``verify --suite pde`` read that verdict.
+below and :func:`monogenic.richardson_order`'s rule; ``slicealg pde``
+and ``verify --suite pde`` read that verdict.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from .fmtio import float_from_json, int_from_json, record_fields, write_csv
 from .quaternion import Quaternion, ZERO, ONE, _require_unit_imag, \
     as_quaternion, RadialTable, format_quaternion, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
-from .monogenic import MonogenicSeries, fueter_laplacian, inv_laplacian, \
-    richardson_order
+from .monogenic import ORDER_TOLERANCE, MonogenicSeries, _order_ok, \
+    fueter_laplacian, inv_laplacian, richardson_order
 
 if TYPE_CHECKING:   # sliceexpr and eigensolve load where a kind uses them
     from .sliceexpr import SliceConstant
@@ -452,13 +453,12 @@ def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
 
 # verification ----------------------------------------------------------------
 
-# The verdict: a run is certified when each quantity is within its bound.
-# The residuals are relative to max|f|.  FD error alone puts the raw
-# residual of a correct helmholtz lambda = 8 run at 0.128, so the gate is
-# the extrapolated residual, which removes the h^2 term of the stencil.
+# The verdict: a run is certified when each quantity is within its bound
+# (the Richardson order's is in monogenic).  The residuals are relative
+# to max|f|.  FD error alone puts the raw residual of a correct helmholtz
+# lambda = 8 run at 0.128, so the gate is the extrapolated residual,
+# which removes the h^2 term of the stencil.
 MAX_EXTRAPOLATED_RESIDUAL = 1e-3
-ORDER_TOLERANCE = 0.1           # on |richardson_order - 2|
-ROUNDOFF = 1e-9                 # residuals at h and h/2 below: order not judged
 MIN_CONTROL_RATIO = 100.0       # negative control / extrapolated residual
 MAX_MONOGENICITY = 1e-2
 
@@ -468,7 +468,8 @@ class PdeReport:
     """Residual statistics from :func:`verify_pde`, and their verdict.
 
     ``max_rel_residual`` and ``half_step_residual`` are the residuals at
-    the FD steps h and h/2; ``extrapolated_residual`` is
+    the FD steps h and h/2, and :attr:`richardson_order` is their order
+    (None at roundoff); ``extrapolated_residual`` is
     max|(4 R(h/2) - R(h)) / 3| / max|f| over the residual vectors R.
     ``rows`` is an (n_points, 9) float array, one row per verified node:
     x0, x1, x2, x3, f_w, f_x1, f_x2, f_x3, residual_norm.  It is the
@@ -481,46 +482,45 @@ class PdeReport:
     scale: float
     max_rel_residual: float
     mean_rel_residual: float
-    richardson_order: float
     half_step_residual: float
     extrapolated_residual: float
     negative_control: float
     monogenicity_max_rel: float
-    monogenicity_order: float
+    monogenicity_order: Optional[float]
     rows: np.ndarray
+
+    @property
+    def richardson_order(self) -> Optional[float]:
+        return richardson_order(self.max_rel_residual, self.half_step_residual)
 
     def verdict(self) -> Tuple[str, ...]:
         """The failures of this run, one line each, in the order: the
-        extrapolated residual, the Richardson order (not judged when the
-        residuals at h and h/2 sit at roundoff), the lambda -> 2 lambda
-        negative control against the extrapolated residual, and
-        monogenicity.  Empty when the run is certified."""
+        extrapolated residual, the Richardson order (None, at roundoff,
+        passes), the lambda -> 2 lambda negative control against the
+        extrapolated residual, and monogenicity.  Empty when the run is
+        certified."""
         extrap, order = self.extrapolated_residual, self.richardson_order
-        at_roundoff = max(self.max_rel_residual,
-                          self.half_step_residual) <= ROUNDOFF
-        checks = (
-            (extrap <= MAX_EXTRAPOLATED_RESIDUAL,
-             f"extrapolated residual {extrap:.3e} > "
-             f"{MAX_EXTRAPOLATED_RESIDUAL:g}"),
-            (at_roundoff or abs(order - 2.0) <= ORDER_TOLERANCE,
-             f"richardson order {order:.3f} not within {ORDER_TOLERANCE:g} "
-             f"of 2"),
-            (self.negative_control > MIN_CONTROL_RATIO * extrap,
-             f"negative control {self.negative_control:.3e} <= "
-             f"{MIN_CONTROL_RATIO:g} x extrapolated residual {extrap:.3e}"),
-            (self.monogenicity_max_rel <= MAX_MONOGENICITY,
-             f"monogenicity {self.monogenicity_max_rel:.3e} > "
-             f"{MAX_MONOGENICITY:g}"),
-        )
-        return tuple(message for ok, message in checks if not ok)
+        failures = []
+        if not extrap <= MAX_EXTRAPOLATED_RESIDUAL:
+            failures.append(f"extrapolated residual {extrap:.3e} > "
+                            f"{MAX_EXTRAPOLATED_RESIDUAL:g}")
+        if not _order_ok(order):
+            failures.append(f"richardson order {order:.3f} not within "
+                            f"{ORDER_TOLERANCE:g} of 2")
+        if not self.negative_control > MIN_CONTROL_RATIO * extrap:
+            failures.append(f"negative control {self.negative_control:.3e} "
+                            f"<= {MIN_CONTROL_RATIO:g} x extrapolated residual "
+                            f"{extrap:.3e}")
+        if not self.monogenicity_max_rel <= MAX_MONOGENICITY:
+            failures.append(f"monogenicity {self.monogenicity_max_rel:.3e} > "
+                            f"{MAX_MONOGENICITY:g}")
+        return tuple(failures)
 
     def summary(self) -> dict:
-        order = self.richardson_order
         return {
             "max_rel_residual": float(self.max_rel_residual),
             "mean_rel_residual": float(self.mean_rel_residual),
-            "richardson_order": (None if not math.isfinite(order)
-                                 else float(order)),
+            "richardson_order": self.richardson_order,
         }
 
     def write_csv(self, path) -> None:
@@ -574,7 +574,8 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     estimate); the relative residual is |residual| / max|f| over kept
     nodes; a value or residual that is not finite raises RangeError.  A
     negative control re-evaluates the residual with lambda -> 2 lambda
-    from the same samples; fd_crf spot-checks monogenicity at five nodes.
+    from the same samples; :func:`_fd_crf_at` spot-checks monogenicity at
+    five nodes, at steps 1e-3 and 5e-4.
     """
     grid = problem.grid
     h = grid.effective_fd_step
@@ -625,38 +626,32 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     res_h, neg, res_half = (np.linalg.norm(v, axis=-1)
                             for v in (vec_h, vec_neg, vec_half))
     extrapolated = np.linalg.norm((4.0 * vec_half - vec_h) / 3.0, axis=-1)
-    res = {h: res_h, h / 2.0: res_half}
-    max_rel, half_rel, order = richardson_order(
-        lambda step: float(res[step].max()) / div, h, floor=1e-11)
     rows = np.column_stack([x0c, x1c, x2c, x3c, fv, res_h])
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():       # an overflow in the series or in the stencil
         raise RangeError(f"the solution or its residual is not finite at "
                          f"{bad.sum()} of {len(rows)} grid nodes")
-    mean_rel = float(res_h.mean()) / div
 
     # monogenicity spot checks at five nodes spread over the grid, each
     # once (np.unique would import numpy.ma, which nothing else needs)
     spots = sorted(set(np.linspace(0, x1c.size - 1, 5).astype(int).tolist()))
     centres = np.stack([x0c[spots], x1c[spots], x2c[spots], x3c[spots]],
                        axis=-1)
-    monog_rel, _, monog_order = richardson_order(
-        lambda step: float(np.linalg.norm(_fd_crf_at(f, centres, step),
-                                          axis=-1).max()) / div,
-        1e-3, floor=1e-12)
+    monog_rel, monog_half = (
+        float(np.linalg.norm(_fd_crf_at(f, centres, step), axis=-1).max())
+        / div for step in (1e-3, 5e-4))
 
     return PdeReport(
         kind=problem.kind,
         n_points=int(x1c.size),
         fd_step=h,
         scale=scale,
-        max_rel_residual=max_rel,
-        mean_rel_residual=mean_rel,
-        richardson_order=order,
-        half_step_residual=half_rel,
+        max_rel_residual=float(res_h.max()) / div,
+        mean_rel_residual=float(res_h.mean()) / div,
+        half_step_residual=float(res_half.max()) / div,
         extrapolated_residual=float(extrapolated.max()) / div,
         negative_control=float(neg.max()) / div,
         monogenicity_max_rel=monog_rel,
-        monogenicity_order=monog_order,
+        monogenicity_order=richardson_order(monog_rel, monog_half),
         rows=rows,
     )

@@ -92,6 +92,19 @@ def test_pde_summary_stdout(capsys):
     assert "helmholtz" in err
 
 
+def test_pde_order_at_roundoff_reads_null(capsys):
+    # at lambda = 1e-4 both residuals (3e-12 and 1e-11) sit below
+    # ROUNDOFF: the run is certified, and its order, a ratio of roundoff,
+    # reads null in the summary and on stderr
+    code, out, err = run_cli(capsys, "pde", "--kind", "helmholtz",
+                             "--lambda", "1e-4", "--grid-counts", "21")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["max_rel_residual"] < 1e-9
+    assert summary["richardson_order"] is None
+    assert err.endswith(", richardson_order null\n") and err.count("\n") == 1
+
+
 def test_pde_out_prefix(tmp_path, capsys):
     prefix = tmp_path / "run"
     code, out, _ = run_cli(capsys, "pde", "--kind", "klein-gordon",

@@ -1,6 +1,7 @@
 """Construction and grid verification of Helmholtz / Klein-Gordon /
 Yukawa solutions."""
 
+import dataclasses
 import json
 import math
 import random
@@ -34,8 +35,7 @@ from slicealg import (
     yukawa_solve,
 )
 from slicealg.fmtio import dump_json
-from slicealg.monogenic import BLOCK
-from slicealg.quaternion import qmul
+from slicealg.quaternion import BLOCK, qmul
 
 
 def rand_q(rng, scale=1.0):
@@ -723,13 +723,36 @@ def test_verdict_is_returned_not_raised():
     failures = verify_pde(problem.solve(), problem).verdict()
     assert failures[0].startswith("extrapolated residual 2.21")
     # a polynomial yukawa solution: both residuals sit at roundoff, where
-    # the order (about -2.3 here) says nothing, and the run is certified
+    # their ratio says nothing, so there is no order, and the run is
+    # certified
     rng = random.Random(507)
     h = MonogenicSeries([rand_q(rng) for _ in range(3)])
     problem = PdeProblem(kind="yukawa", lam=2.0, unit_i=I, rhs=h, grid=SMALL)
     report = verify_pde(yukawa_solve(2.0, I, h), problem)
-    assert abs(report.richardson_order - 2.0) > 0.1
+    assert report.richardson_order is None
     assert report.verdict() == ()
+
+
+def test_richardson_rule_at_its_boundaries():
+    # no order while both residuals sit at or below ROUNDOFF; just above
+    # it, the log2 of their ratio; inf when only the h/2 residual is 0
+    from slicealg.monogenic import ROUNDOFF, richardson_order
+    above = math.nextafter(ROUNDOFF, 1.0)
+    assert richardson_order(ROUNDOFF, ROUNDOFF) is None
+    assert richardson_order(0.25 * ROUNDOFF, ROUNDOFF) is None
+    assert richardson_order(above, 0.25 * above) == 2.0
+    assert richardson_order(0.25 * ROUNDOFF, above) \
+        == math.log2(0.25 * ROUNDOFF / above)
+    assert richardson_order(above, 0.0) == math.inf
+    assert richardson_order(ROUNDOFF, 0.0) is None
+    # a certified report whose h/2 residual becomes 0 reads order inf, and
+    # fails on that alone
+    problem = PdeProblem(kind="helmholtz", lam=1.0, grid=SMALL)
+    report = verify_pde(problem.solve(), problem)
+    assert report.verdict() == ()
+    broken = dataclasses.replace(report, half_step_residual=0.0)
+    assert broken.richardson_order == math.inf
+    assert broken.verdict() == ("richardson order inf not within 0.1 of 2",)
 
 
 def test_vacuous_run_is_not_certified():

@@ -15,7 +15,7 @@ import pytest
 from slicealg import MonogenicSeries, PowerSeries, Quaternion, ZERO
 from slicealg.cli import main
 from slicealg.fmtio import dump_json, fmt_float
-from slicealg.monogenic import BLOCK
+from slicealg.quaternion import BLOCK
 from slicealg.series import slice_product
 
 
