@@ -184,16 +184,10 @@ def _problem_from_args(args):
     return PdeProblem.from_record(rec)
 
 
-def verify_pde(f, problem):
-    """:func:`pde.verify_pde`, imported on the first call (cmd_pde calls
-    through this name)."""
-    from .pde import verify_pde
-    return verify_pde(f, problem)
-
-
 def cmd_pde(args) -> int:
     import numpy as np
     from .monogenic import MonogenicSeries
+    from .pde import verify_pde
     problem = _problem_from_args(args)
     # an overflow shows up as inf/NaN values, refused by verify_pde
     with np.errstate(over="ignore", invalid="ignore"):

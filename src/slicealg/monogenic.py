@@ -368,11 +368,14 @@ ORDER_TOLERANCE = 0.1           # on |richardson_order - 2|
 def richardson_order(r_h, r_half):
     """The order log2(r_h / r_half) of residuals at steps h and h/2: None
     when both sit at roundoff (at or below :data:`ROUNDOFF`), where their
-    ratio says nothing, and inf when r_half = 0 < r_h."""
+    ratio says nothing, inf when r_half = 0 < r_h, and -inf when
+    r_h = 0 < r_half."""
     if max(r_h, r_half) <= ROUNDOFF:
         return None
     if r_half == 0.0:
         return math.inf
+    if r_h == 0.0:
+        return -math.inf
     return math.log2(r_h / r_half)
 
 

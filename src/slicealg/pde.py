@@ -9,7 +9,9 @@ single observation turns the closed-form eigenfunctions of eigensolve
 into solutions of one equation, Delta_3 f + f lambda_1^2 = h, where
 Delta_3 acts in (x1, x2, x3): h = 0 and lambda_1 = lambda real (Helmholtz),
 I lambda (Klein-Gordon, exp_{I lambda}) or a + bI (quadratic kernel), or
-h axially monogenic and lambda_1 = I lambda (Yukawa).
+h axially monogenic and lambda_1 = I lambda (Yukawa).  A run is one
+:class:`PdeProblem`: its ``lambda1_squared`` and ``rhs`` are the
+equation, and its ``solve()`` builds the solution.
 
 Every Helmholtz, Klein-Gordon and quadratic solution is a sum of terms
 Delta_4(h . e), h a slice constant with stems (h1, h2) and e a power
@@ -288,6 +290,17 @@ class PdeProblem:
             "degree": ("degree", lambda n: int_from_json(n, "degree")),
         }, "problem", required=("kind",)))
 
+    @property
+    def lambda1_squared(self) -> Quaternion:
+        """lambda_1^2 of the equation Delta_3 f + f lambda_1^2 = h that
+        every kind solves: lambda_1 = lambda (helmholtz), I lambda
+        (klein-gordon, yukawa) or the quadratic kernel's lambda_1."""
+        if self.kind == "quadratic":
+            lam1 = as_quaternion(self.lam1)
+            return lam1 * lam1
+        lam2 = self.lam * self.lam
+        return Quaternion(lam2 if self.kind == "helmholtz" else -lam2)
+
     def solve(self):
         """The solution of this problem, by the constructor of its kind: a
         :class:`SolutionEvaluator`, or a :class:`MonogenicSeries` for
@@ -319,13 +332,12 @@ class SolutionEvaluator:
     """
 
     def __init__(self, terms: Sequence[Tuple[SliceConstant, PowerSeries]]):
-        from .sliceexpr import lift
         n = max((len(e.coeffs) for _, e in terms), default=1)
         uw = np.zeros((2, n, 4))
         for h, e in terms:
-            term = h.expr() * lift(e)
-            for part, series in zip(uw, (term.u, term.w)):
-                part[:len(series.coeffs)] += [c.as_list() for c in series.coeffs]
+            ev = np.array([c.as_list() for c in e.coeffs])
+            for part, stem in zip(uw, h.stems()):
+                part[:len(ev)] += qmul(np.array(stem.as_list()), ev)
         self.mono = fueter_laplacian(
             PowerSeries([Quaternion(*c) for c in uw[0].tolist()]))
         self._map = None
@@ -471,12 +483,14 @@ class PdeReport:
     the FD steps h and h/2, and :attr:`richardson_order` is their order
     (None at roundoff); ``extrapolated_residual`` is
     max|(4 R(h/2) - R(h)) / 3| / max|f| over the residual vectors R.
+    ``monogenicity_max_rel`` and ``monogenicity_half_step`` are the CRF
+    spot checks at steps 1e-3 and 5e-4, and :attr:`monogenicity_order`
+    is their order.
     ``rows`` is an (n_points, 9) float array, one row per verified node:
     x0, x1, x2, x3, f_w, f_x1, f_x2, f_x3, residual_norm.  It is the
     CSV body that :meth:`write_csv` writes.
     """
 
-    kind: str
     n_points: int
     fd_step: float
     scale: float
@@ -486,19 +500,24 @@ class PdeReport:
     extrapolated_residual: float
     negative_control: float
     monogenicity_max_rel: float
-    monogenicity_order: Optional[float]
+    monogenicity_half_step: float
     rows: np.ndarray
 
     @property
     def richardson_order(self) -> Optional[float]:
         return richardson_order(self.max_rel_residual, self.half_step_residual)
 
+    @property
+    def monogenicity_order(self) -> Optional[float]:
+        return richardson_order(self.monogenicity_max_rel,
+                                self.monogenicity_half_step)
+
     def verdict(self) -> Tuple[str, ...]:
         """The failures of this run, one line each, in the order: the
         extrapolated residual, the Richardson order (None, at roundoff,
         passes), the lambda -> 2 lambda negative control against the
-        extrapolated residual, and monogenicity.  Empty when the run is
-        certified."""
+        extrapolated residual, monogenicity, and its order (by the same
+        rule).  Empty when the run is certified."""
         extrap, order = self.extrapolated_residual, self.richardson_order
         failures = []
         if not extrap <= MAX_EXTRAPOLATED_RESIDUAL:
@@ -514,6 +533,10 @@ class PdeReport:
         if not self.monogenicity_max_rel <= MAX_MONOGENICITY:
             failures.append(f"monogenicity {self.monogenicity_max_rel:.3e} > "
                             f"{MAX_MONOGENICITY:g}")
+        order = self.monogenicity_order
+        if not _order_ok(order):
+            failures.append(f"monogenicity order {order:.3f} not within "
+                            f"{ORDER_TOLERANCE:g} of 2")
         return tuple(failures)
 
     def summary(self) -> dict:
@@ -528,17 +551,6 @@ class PdeReport:
                   ["x0", "x1", "x2", "x3", "f_w", "f_x1", "f_x2", "f_x3",
                    "residual_norm"],
                   self.rows)
-
-
-def _lambda1_squared(problem: PdeProblem) -> Quaternion:
-    """lambda_1^2 of the equation Delta_3 f + f lambda_1^2 = h that every
-    kind solves: lambda_1 = lambda (helmholtz), I lambda (klein-gordon,
-    yukawa) or the quadratic kernel's lambda_1."""
-    if problem.kind == "quadratic":
-        lam1 = as_quaternion(problem.lam1)
-        return lam1 * lam1
-    lam2 = problem.lam * problem.lam
-    return Quaternion(lam2 if problem.kind == "helmholtz" else -lam2)
 
 
 def _operator_residual(sq: Quaternion, lap, fv, rhs_vals, factor: float):
@@ -566,8 +578,8 @@ def _fd_crf_at(f, points, h: float):
 
 
 def verify_pde(f, problem: PdeProblem) -> PdeReport:
-    """Check a solution (a SolutionEvaluator or a MonogenicSeries)
-    against its PDE on the grid.
+    """Check f = ``problem.solve()`` on the problem's grid against its
+    equation Delta_3 f + f ``lambda1_squared`` = ``rhs`` (0 when None).
 
     The Laplacian Delta_3 is approximated by second-order central
     differences at fixed x0, at steps h and h/2 (Richardson order
@@ -601,10 +613,9 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     evaluate = f.radial_table()
     fv = evaluate(x0c, x1c, x2c, x3c)
 
-    sq = _lambda1_squared(problem)
-    rhs_vals = 0.0
-    if problem.kind == "yukawa":
-        rhs_vals = problem.rhs.eval_components(x0c, x1c, x2c, x3c)
+    sq = problem.lambda1_squared
+    rhs_vals = 0.0 if problem.rhs is None else \
+        problem.rhs.eval_components(x0c, x1c, x2c, x3c)
 
     fnorm = np.linalg.norm(fv, axis=-1)
     scale = float(fnorm.max())
@@ -642,7 +653,6 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         / div for step in (1e-3, 5e-4))
 
     return PdeReport(
-        kind=problem.kind,
         n_points=int(x1c.size),
         fd_step=h,
         scale=scale,
@@ -652,6 +662,6 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         extrapolated_residual=float(extrapolated.max()) / div,
         negative_control=float(neg.max()) / div,
         monogenicity_max_rel=monog_rel,
-        monogenicity_order=richardson_order(monog_rel, monog_half),
+        monogenicity_half_step=monog_half,
         rows=rows,
     )

@@ -321,13 +321,12 @@ def test_pde_overflow_exits_2(flags, tmp_path, capsys):
 
 
 def test_pde_problem_file_bad_values_exit_2(tmp_path, capsys, monkeypatch):
-    import slicealg.cli as cli
     from slicealg.errors import ParseError
     from slicealg.pde import GridSpec, PdeProblem
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad problem")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     grid = {"counts": [5, 5, 5]}
     bad = [{"kind": "helmholtz", "lambda": float("nan"), "grid": grid},
            {"kind": "helmholtz", "lambda": float("inf"), "grid": grid},
@@ -363,13 +362,12 @@ def test_pde_problem_file_bad_values_exit_2(tmp_path, capsys, monkeypatch):
 def test_pde_problem_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
     # a misspelt key used to fall back to its default: "lamda" verified
     # lambda = 1, "count" the default 21^3 grid, and both exited 0
-    import slicealg.cli as cli
     from slicealg.errors import ParseError
     from slicealg.pde import PdeProblem
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad problem")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     for rec, key, accepted in (
             ({"kind": "helmholtz", "lamda": 8, "grid": {"counts": [5, 5, 5]}},
              "'lamda'", "kind, lambda, I, lambda1, slice_constants, rhs, "
@@ -408,13 +406,12 @@ def test_solve_degree_below_order_exits_2(tmp_path, capsys):
 
 def test_pde_degree_below_2_exits_2(tmp_path, capsys, monkeypatch):
     # below degree 2 the Laplacian image is zero, which would pass vacuously
-    import slicealg.cli as cli
     from slicealg.errors import ParseError
     from slicealg.pde import PdeProblem
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad degree")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     kinds = (["--kind", "helmholtz"],
              ["--kind", "klein-gordon", "--unit", "i"],
              ["--kind", "quadratic", "--lambda1", "1+i"])
@@ -486,11 +483,10 @@ INPUT_FILE_CASES = {
 def test_input_files_exit_2(case, tmp_path, capsys, monkeypatch):
     # a missing, malformed or wrongly typed input file is one exit-2 line,
     # refused before any grid work
-    import slicealg.cli as cli
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad input file")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     text, argv = INPUT_FILE_CASES[case]
     path = tmp_path / "input.json"
     if text is not None:
@@ -503,11 +499,10 @@ def test_input_files_exit_2(case, tmp_path, capsys, monkeypatch):
 def test_pde_problem_file_refuses_problem_flags(tmp_path, capsys, monkeypatch):
     # the flags used to be ignored: the file's helmholtz lambda = 1 was
     # verified and the run exited 0
-    import slicealg.cli as cli
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started despite refused flags")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"kind": "helmholtz",
                                 "grid": {"counts": [5, 5, 5]}}))
@@ -538,13 +533,12 @@ def test_pde_problem_file_refuses_problem_flags(tmp_path, capsys, monkeypatch):
 def test_pde_record_integers_exit_2(rec, tmp_path, capsys, monkeypatch):
     # int() used to truncate 5.7 and 40.9 and read true as 1, and the run
     # exited 0
-    import slicealg.cli as cli
     from slicealg.errors import ParseError
     from slicealg.pde import PdeProblem
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad integer")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     with pytest.raises(ParseError, match="must be an integer"):
         PdeProblem.from_record(rec)
     path = tmp_path / "problem.json"
@@ -596,13 +590,12 @@ def test_pde_problem_file_refuses_booleans_as_numbers(tmp_path, capsys,
                                                       monkeypatch, key, value,
                                                       shown):
     # a JSON true used to read as 1.0 and false as 0.0, and the run exited 0
-    import slicealg.cli as cli
     from slicealg.errors import ParseError
     from slicealg.pde import PdeProblem
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad problem")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     rec = {"kind": "helmholtz", "grid": {"counts": [5, 5, 5]}}
     (rec if key == "lambda" else rec["grid"])[key] = value
     message = f"{key} must be a number, got {shown}"
@@ -682,13 +675,12 @@ def test_pde_problem_file_refuses_strings_as_numbers(tmp_path, capsys,
                                                      monkeypatch, key, value,
                                                      what, shown):
     # float() and int() read the string "2" as 2, and the run exited 0
-    import slicealg.cli as cli
     from slicealg.errors import ParseError
     from slicealg.pde import PdeProblem
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad problem")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     rec = {"kind": "helmholtz", "grid": {"counts": [5, 5, 5]}}
     (rec if key in ("lambda", "degree") else rec["grid"])[key] = value
     message = f"bad {what}: expected a JSON number, got {shown}"
@@ -737,11 +729,10 @@ def test_solve_refuses_an_unknown_key(tmp_path, capsys):
 def test_pde_refuses_unknown_keys_in_constants_and_rhs(tmp_path, capsys,
                                                        monkeypatch):
     # an extra key in a slice-constant or P-basis record was ignored
-    import slicealg.cli as cli
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad problem")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     consts = tmp_path / "consts.json"
     consts.write_text(json.dumps([{"I": "i", "a1": "1", "a2": "-1",
                                    "a3": "2"}]))
@@ -806,11 +797,10 @@ UNREAD_INPUT_CASES = {
 def test_pde_refuses_inputs_its_kind_does_not_read(tmp_path, capsys,
                                                    monkeypatch, case):
     # each of these used to run, ignore the input and exit 0
-    import slicealg.cli as cli
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad problem")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     files = {"rhs": {"basis": "P", "coeffs": [[1, 0, 0, 0]]},
              "one": [{"I": "i", "a1": "1", "a2": "0"}],
              "three": [{"I": "i", "a1": "1", "a2": "0"}] * 3}
@@ -862,11 +852,10 @@ VALUE_REFUSAL_CASES = {
 @pytest.mark.parametrize("case", sorted(VALUE_REFUSAL_CASES))
 def test_value_refusals_exit_2(case, tmp_path, capsys, monkeypatch):
     # each is one exit-2 line, before any grid work
-    import slicealg.cli as cli
 
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work started on a bad problem")
-    monkeypatch.setattr(cli, "verify_pde", no_grid_work)
+    monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     argv, record, line = VALUE_REFUSAL_CASES[case]
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(record))

@@ -661,7 +661,7 @@ def test_stencil_runs_the_radial_kernel_once_per_distinct_pair(monkeypatch):
 def test_uniform_stencil_rows_are_bit_identical_to_separate_calls():
     # the shared radial table changes no bit: the rows of a uniform
     # verify_pde are those of 13 separate eval_components calls
-    from slicealg.pde import _lambda1_squared, _operator_residual
+    from slicealg.pde import _operator_residual
     problem = next(_stencil_problems())
     f = problem.solve()
     report = verify_pde(f, problem)
@@ -671,7 +671,7 @@ def test_uniform_stencil_rows_are_bit_identical_to_separate_calls():
     for vals in shifted[:6]:
         lap += vals
     lap /= report.fd_step * report.fd_step
-    res = np.linalg.norm(_operator_residual(_lambda1_squared(problem), lap,
+    res = np.linalg.norm(_operator_residual(problem.lambda1_squared, lap,
                                             fv, 0.0, 1.0), axis=-1)
     want = np.column_stack([report.rows[:, :4], fv, res])
     assert report.rows.view(np.uint64).tolist() == \
@@ -745,14 +745,85 @@ def test_richardson_rule_at_its_boundaries():
         == math.log2(0.25 * ROUNDOFF / above)
     assert richardson_order(above, 0.0) == math.inf
     assert richardson_order(ROUNDOFF, 0.0) is None
-    # a certified report whose h/2 residual becomes 0 reads order inf, and
-    # fails on that alone
+    assert richardson_order(0.0, above) == -math.inf
+    assert richardson_order(0.0, ROUNDOFF) is None
+    # a certified report whose h/2 (or h) residual becomes 0 reads order
+    # inf (or -inf), and fails on that alone
     problem = PdeProblem(kind="helmholtz", lam=1.0, grid=SMALL)
     report = verify_pde(problem.solve(), problem)
     assert report.verdict() == ()
     broken = dataclasses.replace(report, half_step_residual=0.0)
     assert broken.richardson_order == math.inf
     assert broken.verdict() == ("richardson order inf not within 0.1 of 2",)
+    broken = dataclasses.replace(report, max_rel_residual=0.0)
+    assert broken.richardson_order == -math.inf
+    assert broken.verdict() == ("richardson order -inf not within 0.1 of 2",)
+
+
+def test_verdict_judges_the_monogenicity_order(monkeypatch):
+    # a CRF residual of 1e-4 that does not shrink with the step is under
+    # the raw bound, but its order 0 says f is not monogenic
+    import slicealg.pde as pde
+    problem = PdeProblem(kind="helmholtz", lam=1.0, grid=SMALL)
+    f = problem.solve()
+    report = verify_pde(f, problem)
+    assert report.monogenicity_order is None or \
+        abs(report.monogenicity_order - 2.0) <= 0.1
+    monkeypatch.setattr(pde, "_fd_crf_at", lambda f, centres, h: np.full(
+        (len(centres), 4), 0.5e-4 * report.scale))
+    report = verify_pde(f, problem)
+    assert report.monogenicity_max_rel == report.monogenicity_half_step
+    assert abs(report.monogenicity_max_rel - 1e-4) <= 1e-15
+    assert report.monogenicity_order == 0.0
+    assert report.verdict() == ("monogenicity order 0.000 not within 0.1 "
+                                "of 2",)
+
+
+def test_crf_probes_match_monogenic_fd_crf():
+    # verify_pde's CRF spot checks compute d_cf f as monogenic.fd_crf
+    # does: bit for bit on P-series solutions (helmholtz, yukawa); the
+    # stem map of a product-domain solution is a matrix product that BLAS
+    # rounds differently with its size, so there within 1e-11 max|f|
+    from slicealg.monogenic import fd_crf
+    from slicealg.pde import _fd_crf_at
+    rng = random.Random(733)
+    h = MonogenicSeries([rand_q(rng) for _ in range(4)])
+    solutions = [
+        (PdeProblem(kind="helmholtz", lam=1.0).solve(), 0.0),
+        (yukawa_solve(1.5, J, h), 0.0),
+        (PdeProblem(kind="helmholtz", lam=1.0, slice_constants=(
+            SliceConstant.on_halves(I, ONE, ZERO),
+            SliceConstant.on_halves(J, Quaternion(0.5), ONE))).solve(), 1e-11)]
+    points = np.array([[0.1, 0.3, -0.2, 0.4], [-0.2, 0.5, 0.1, -0.6],
+                       [0.0, -0.7, 0.2, 0.3]])
+    for f, rel in solutions:
+        scale = np.linalg.norm(f.eval_components(*points.T), axis=-1).max()
+        for step in (1e-3, 5e-4):
+            got = _fd_crf_at(f, points, step)
+            want = np.array([fd_crf(f, Quaternion(*x), step)[0].as_list()
+                             for x in points.tolist()])
+            if rel == 0.0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.abs(got - want).max() <= rel * scale
+
+
+def test_lambda1_squared_is_the_equation_of_each_kind():
+    # lambda_1^2 of Delta_3 f + f lambda_1^2 = h, bit for bit: lambda^2,
+    # -lambda^2 for klein-gordon and yukawa, and lambda_1 lambda_1
+    lam, lam1 = 1.7, Quaternion(0.3, -1.1, 0.4, 2.5)
+    rhs = MonogenicSeries([ONE])
+    cases = [(PdeProblem(kind="helmholtz", lam=lam), Quaternion(lam * lam)),
+             (PdeProblem(kind="klein-gordon", lam=lam, unit_i=J),
+              Quaternion(-(lam * lam))),
+             (PdeProblem(kind="yukawa", lam=lam, unit_i=J, rhs=rhs),
+              Quaternion(-(lam * lam))),
+             (PdeProblem(kind="quadratic", lam1=lam1), lam1 * lam1),
+             (PdeProblem(kind="helmholtz"), Quaternion(1.0))]
+    for problem, want in cases:
+        got = problem.lambda1_squared
+        assert [v.hex() for v in got.as_list()] == \
+            [v.hex() for v in want.as_list()], problem.kind
 
 
 def test_vacuous_run_is_not_certified():
