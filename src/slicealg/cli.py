@@ -24,8 +24,8 @@ import sys
 
 from . import __version__
 from .errors import ParseError, RangeError, SliceAlgError
-from .fmtio import csv_chunks, dump_json, dumps_json, int_from_json, \
-    load_json, read_text, record_fields, write_text
+from .fmtio import array_from_json, csv_chunks, dump_json, dumps_json, \
+    int_from_json, load_json, read_text, record_fields, write_text
 from .quaternion import Quaternion, parse_quaternion
 from .series import PowerSeries
 
@@ -98,13 +98,12 @@ def cmd_gen_exp(args) -> int:
     return 0
 
 
-def _quaternion_list(key: str):
-    # the record_fields (field, convert) of a JSON array of literals
-    def convert(items):
-        if not (isinstance(items, list) and all(isinstance(t, str) for t in items)):
-            raise ParseError(f"'{key}' must be a JSON array of quaternion strings")
-        return [parse_quaternion(t) for t in items]
-    return key, convert
+def _literal(text, what: str):
+    # a quaternion literal in a JSON array; a refusal names the entry
+    try:
+        return parse_quaternion(text)
+    except ParseError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -112,14 +111,16 @@ def cmd_solve(args) -> int:
     spec = load_json(args.problem)
     try:
         spec = record_fields(spec, {
-            "lambdas": _quaternion_list("lambdas"),
-            "initial": _quaternion_list("initial"),
+            "lambdas": ("lambdas", lambda v: array_from_json(v, "lambdas", _literal)),
+            "initial": ("initial", lambda v: array_from_json(v, "initial", _literal)),
             "degree": ("degree", lambda n: int_from_json(n, "degree")),
         }, "problem", required=("lambdas", "initial"))
     except ParseError as exc:       # each message names its key
         raise ParseError(f"{args.problem}: {exc}") from exc
     lams, initial = spec["lambdas"], spec["initial"]
     degree = spec.get("degree", args.degree)
+    if not lams:
+        raise ParseError("need at least one eigenvalue")
     if len(initial) != len(lams):
         raise ParseError("need as many initial values as eigenvalues")
     _check_degree(degree, len(lams), "degree")
@@ -148,7 +149,7 @@ def cmd_eval(args) -> int:
 def _axis_values(text: str, flag: str, kind):
     """A comma list of one value (for all three axes) or three values."""
     try:
-        values = tuple(kind(v) for v in text.split(","))
+        values = [kind(v) for v in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"{flag} {text!r}: {exc}") from exc
     return values * 3 if len(values) == 1 else values

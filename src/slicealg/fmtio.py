@@ -17,7 +17,7 @@ Files are read by :func:`read_text` and :func:`load_json`, and written
 by :func:`write_text`; each turns a failure into one error that names the
 path: an :class:`IoError` (an ``OSError``), or a :class:`ParseError` (a
 ``ValueError``) for a file that is not UTF-8 (or not JSON).  Each JSON
-record is read by :func:`record_fields`, which refuses unknown keys.
+record is read by :func:`record_fields`, each array by :func:`array_from_json`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import os
 from .errors import IoError, ParseError, SliceAlgError
 
 __all__ = ["fmt_float", "dumps_json", "dump_json", "read_text", "load_json",
-           "int_from_json", "float_from_json", "record_fields", "write_text",
-           "csv_chunks", "write_csv"]
+           "int_from_json", "float_from_json", "array_from_json",
+           "record_fields", "write_text", "csv_chunks", "write_csv"]
 
 # Rows filled into the CSV row template per string operation.
 CSV_BLOCK = 4096
@@ -143,11 +143,26 @@ def int_from_json(value, what: str) -> int:
 
 
 def float_from_json(value, what: str) -> float:
-    """``float(value)``, which would read a string, or a boolean as 0.0 or
-    1.0."""
+    """``float(value)``, which would read a string, a boolean as 0.0 or 1.0,
+    and an integer beyond the float range as an ``OverflowError``."""
     if isinstance(value, bool):
         raise ParseError(f"{what} must be a number, got {json.dumps(value)}")
-    return float(_json_number(value, what))
+    try:
+        return float(_json_number(value, what))
+    except OverflowError as exc:
+        raise ParseError(f"bad {what}: integer beyond the float range") from exc
+
+
+def array_from_json(value, what: str, item, length=None) -> tuple:
+    """The JSON array ``value`` (of ``length`` entries, if given), entry n read
+    by ``item(v, f"{what}[{n}]")``; anything else is refused by its JSON type."""
+    if isinstance(value, list) and length in (None, len(value)):
+        return tuple(item(v, f"{what}[{n}]") for n, v in enumerate(value))
+    got = f"{len(value)} entries" if isinstance(value, list) else {
+        dict: "an object", str: "a string", bool: "a boolean", int: "a number",
+        float: "a number", type(None): "null"}.get(type(value), type(value).__name__)
+    size = "" if length is None else f" of {length} entries"
+    raise ParseError(f"bad {what}: expected a JSON array{size}, got {got}")
 
 
 def record_fields(rec, fields: dict, what: str, required=()) -> dict:

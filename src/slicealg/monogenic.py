@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ParseError
-from .fmtio import record_fields
+from .fmtio import array_from_json, record_fields
 from .quaternion import (Quaternion, ZERO, ONE, I, J, K, as_quaternion,
                          RadialTable, axial_combine, decompose,
                          quaternion_from_json)
@@ -121,14 +121,12 @@ class MonogenicSeries:
     def from_record(cls, data, what: str) -> "MonogenicSeries":
         """The series of a :meth:`to_record` object; ``what`` names the
         data in a :class:`ParseError`."""
-        rec = record_fields(data, {"basis": ("basis", lambda b: b),
-                                   "coeffs": ("coeffs", lambda raw: raw)}, what)
-        if rec.get("basis") != "P":
+        keys = ("basis", "coeffs")
+        basis, coeffs = record_fields(data, {key: (key, lambda v: v) for key in keys},
+                                      what, required=keys).values()
+        if basis != "P":
             raise ParseError(f"{what}: expected a P-basis monogenic series")
-        if not isinstance(rec.get("coeffs"), list):
-            raise ParseError(f"{what}: expected a 'coeffs' list")
-        return cls([quaternion_from_json(item, f"{what}: coefficient {n}")
-                    for n, item in enumerate(rec["coeffs"])])
+        return cls(array_from_json(coeffs, f"{what} coeffs", quaternion_from_json))
 
     def to_record(self) -> dict:
         """The JSON form {"basis": "P", "coeffs": [[w, x1, x2, x3], ...]}."""

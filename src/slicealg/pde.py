@@ -64,7 +64,8 @@ import numpy as np
 
 from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
     ZeroEigenvalue
-from .fmtio import float_from_json, int_from_json, record_fields, write_csv
+from .fmtio import array_from_json, float_from_json, int_from_json, \
+    record_fields, write_csv
 from .quaternion import Quaternion, ZERO, ONE, _require_unit_imag, \
     as_quaternion, RadialTable, format_quaternion, parse_quaternion, qmul
 from .series import PowerSeries, exp_series
@@ -99,18 +100,11 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-def _number(what):
-    # a JSON number as a float; a boolean is refused
-    return lambda value: float_from_json(value, what)
-
-
 def _slice_constants(data) -> Tuple[SliceConstant, ...]:
-    # the slice_constants list of a problem record
+    # the slice_constants array of a problem record
     from .sliceexpr import SliceConstant
-    if not isinstance(data, list):
-        raise ParseError("slice_constants: expected a JSON array of "
-                         "slice-constant records")
-    return tuple(SliceConstant.from_record(rec) for rec in data)
+    return array_from_json(data, "slice_constants",
+                           lambda rec, what: SliceConstant.from_record(rec))
 
 
 @dataclass(frozen=True)
@@ -180,13 +174,15 @@ class GridSpec:
     @classmethod
     def from_record(cls, rec: dict) -> "GridSpec":
         return cls(**record_fields(rec, {
-            "counts": ("counts", lambda cs: tuple(
-                int_from_json(c, "grid counts") for c in cs)),
-            "lo": ("lo", lambda vs: tuple(map(_number("grid lo"), vs))),
-            "hi": ("hi", lambda vs: tuple(map(_number("grid hi"), vs))),
-            "x0": ("x0", _number("grid x0")),
-            "exclude_radius": ("exclude_radius", _number("grid exclude_radius")),
-            "fd_step": ("fd_step", _optional(_number("grid fd_step"))),
+            "counts": ("counts",
+                       lambda v: array_from_json(v, "grid counts", int_from_json)),
+            "lo": ("lo", lambda v: array_from_json(v, "grid lo", float_from_json)),
+            "hi": ("hi", lambda v: array_from_json(v, "grid hi", float_from_json)),
+            "x0": ("x0", lambda v: float_from_json(v, "grid x0")),
+            "exclude_radius": ("exclude_radius",
+                               lambda v: float_from_json(v, "grid exclude_radius")),
+            "fd_step": ("fd_step", _optional(
+                lambda v: float_from_json(v, "grid fd_step"))),
         }, "grid"))
 
 
@@ -224,7 +220,7 @@ class PdeProblem:
     degree: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _READS:
+        if not isinstance(self.kind, str) or self.kind not in _READS:
             raise ParseError(f"unknown problem kind {self.kind!r}")
         given = {"lambda": self.lam, "I": self.unit_i, "lambda1": self.lam1,
                  "rhs": self.rhs, "slice_constants": self.slice_constants or None,
@@ -279,7 +275,7 @@ class PdeProblem:
     def from_record(cls, rec: dict) -> "PdeProblem":
         return cls(**record_fields(rec, {
             "kind": ("kind", lambda kind: kind),
-            "lambda": ("lam", _number("lambda")),
+            "lambda": ("lam", lambda v: float_from_json(v, "lambda")),
             "I": ("unit_i", _optional(
                 lambda t: _require_unit_imag(parse_quaternion(t), "I"))),
             "lambda1": ("lam1", _optional(parse_quaternion)),
@@ -398,7 +394,7 @@ def _as_constant(h) -> SliceConstant:
     from .sliceexpr import SliceConstant
     if isinstance(h, SliceConstant):
         return h
-    return SliceConstant.uniform(as_quaternion(h))
+    return SliceConstant.uniform(h)
 
 
 def helmholtz_solution(lam, h1=None, h2=None, n_trunc: int = 40) -> SolutionEvaluator:

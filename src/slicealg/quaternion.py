@@ -20,6 +20,7 @@ import re
 from typing import NamedTuple, Optional
 
 from .errors import ParseError
+from .fmtio import array_from_json, float_from_json
 
 __all__ = [
     "Quaternion",
@@ -198,21 +199,13 @@ def _coerce(value):
 
 
 def quaternion_from_json(item, what: str) -> "Quaternion":
-    """A JSON quadruple [w, x1, x2, x3] of finite numbers as a Quaternion.
-
-    Anything else (a wrong length, a string, NaN, an infinity) raises
-    :class:`ParseError` naming ``what``.
-    """
-    try:
-        ok = (isinstance(item, list) and len(item) == 4
-              and all(isinstance(v, (int, float)) and math.isfinite(v)
-                      for v in item))
-    except OverflowError:       # an integer beyond the float range
-        ok = False
-    if not ok:
+    """A JSON quadruple [w, x1, x2, x3] of finite numbers as a Quaternion;
+    anything else raises :class:`ParseError` naming ``what`` or its entry."""
+    values = array_from_json(item, what, float_from_json, 4)
+    if not all(map(math.isfinite, values)):
         raise ParseError(f"{what} is not a quadruple [w, x1, x2, x3] of "
                          f"finite numbers")
-    return Quaternion(*item)
+    return Quaternion(*values)
 
 
 def as_quaternion(value) -> "Quaternion":

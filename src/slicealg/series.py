@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import ParseError, RangeError
-from .fmtio import load_json
+from .errors import RangeError
+from .fmtio import array_from_json, load_json
 from .quaternion import (BLOCK, Quaternion, ZERO, ONE, as_quaternion,
                          decompose, quaternion_from_json)
 
@@ -75,10 +75,7 @@ class PowerSeries:
         """The series of a :meth:`to_record` list, read as a truncation
         (the list carries no exactness marker); ``what`` names the data
         in a :class:`ParseError`."""
-        if not isinstance(data, list):
-            raise ParseError(f"{what}: expected a JSON array of quadruples")
-        return cls([quaternion_from_json(quad, f"{what}: entry {n}")
-                    for n, quad in enumerate(data)], exact=False)
+        return cls(array_from_json(data, what, quaternion_from_json), exact=False)
 
     def to_record(self) -> list:
         """The JSON form: a list of [w, x1, x2, x3] coefficient quadruples."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import DegenerateUnits, DomainError, StemSymmetryError
+from .errors import DegenerateUnits, DomainError, ParseError, StemSymmetryError
 from .fmtio import record_fields
 from .quaternion import (Quaternion, ZERO, _require_unit_imag, as_quaternion,
                          decompose, format_quaternion, parse_quaternion)
@@ -147,25 +147,24 @@ class SliceConstant:
 
     ``i`` is None for a uniform (single-quaternion) constant, which is the
     degenerate case defined on all of H.  Otherwise g takes the value a1 on
-    the half slice C_I+ and a2 on C_I-.
+    the half slice C_I+ and a2 on C_I-; a1 == a2 makes it uniform, whatever i.
     """
 
     i: Optional[Quaternion]
     a1: Quaternion
     a2: Quaternion
 
-    @classmethod
-    def uniform(cls, c) -> "SliceConstant":
-        c = as_quaternion(c)
-        return cls(None, c, c)
+    def __post_init__(self):
+        a1, a2 = as_quaternion(self.a1), as_quaternion(self.a2)
+        if a1 != a2 and self.i is None:
+            raise ParseError("a slice constant with two values needs a unit I")
+        i = None if a1 == a2 else _require_unit_imag(self.i, "I")
+        for name, value in (("i", i), ("a1", a1), ("a2", a2)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def on_halves(cls, unit_i, a1, a2) -> "SliceConstant":
-        a1 = as_quaternion(a1)
-        a2 = as_quaternion(a2)
-        if a1 == a2:
-            return cls.uniform(a1)
-        return cls(_require_unit_imag(unit_i, "I"), a1, a2)
+    def uniform(cls, c) -> "SliceConstant":
+        return cls(None, c, c)
 
     @property
     def is_uniform(self) -> bool:
@@ -191,9 +190,8 @@ class SliceConstant:
     @classmethod
     def from_record(cls, record: dict) -> "SliceConstant":
         keys = ("I", "a1", "a2")
-        rec = record_fields(record, {key: (key, parse_quaternion) for key in keys},
-                            "slice-constant record", required=keys)
-        return cls.on_halves(rec["I"], rec["a1"], rec["a2"])
+        return cls(*record_fields(record, {key: (key, parse_quaternion) for key in keys},
+                                  "slice-constant record", required=keys).values())
 
 
 def recover_constants(f: SliceExpr, lam, unit_i, n_trunc: Optional[int] = None):

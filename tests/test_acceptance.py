@@ -431,15 +431,15 @@ def test_pde_residuals_on_grid():
     # mu_I variants blow up like beta^-2 at the real axis: verified on an
     # origin-excluding grid, certified by the order estimate
     ex_grid = GridSpec(counts=(21, 21, 21), exclude_radius=0.5, fd_step=0.005)
-    h1 = SliceConstant.on_halves(I, ONE, ZERO)
-    h2 = SliceConstant.on_halves(J, Quaternion(0.5), ONE)
+    h1 = SliceConstant(I, ONE, ZERO)
+    h2 = SliceConstant(J, Quaternion(0.5), ONE)
     fm = helmholtz_solution(1.0, h1, h2)
     rep = verify_pde(fm, PdeProblem(kind="helmholtz", lam=1.0, grid=ex_grid))
     assert rep.max_rel_residual < 1e-2
     assert abs(rep.richardson_order - 2.0) < 0.1
     assert rep.negative_control > 10 * rep.max_rel_residual
 
-    gm = klein_gordon_solution(1.0, [(J, SliceConstant.on_halves(J, ONE, -ONE))])
+    gm = klein_gordon_solution(1.0, [(J, SliceConstant(J, ONE, -ONE))])
     rep = verify_pde(gm, PdeProblem(kind="klein-gordon", lam=1.0, unit_i=J,
                                     grid=ex_grid))
     assert rep.max_rel_residual < 1e-2

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -268,22 +269,41 @@ def test_eval_bad_input_exits_2(tmp_path, capsys):
     big = tmp_path / "e.json"
     assert main(["gen-exp", "--lambdas", "i,j,k", "--degree", "60",
                  "-o", str(big)]) == 0
-    files = {name: tmp_path / f"{name}.json" for name in
-             ("word", "nan", "inf", "pnan")}
-    files["word"].write_text('[[1, 2, 3, "x"]]')
-    files["nan"].write_text("[[1, 2, 3, 4], [NaN, 0, 0, 0]]")
-    files["inf"].write_text("[[1, 2, 3, Infinity]]")
-    files["pnan"].write_text('{"basis": "P", "coeffs": [[1, NaN, 0, 0]]}')
+    # each coefficient file and the refusal that names its bad entry; a
+    # JSON true used to read as 1 and the run exited 0
+    files = {
+        "word": ('[[1, 2, 3, "x"]]',
+                 'word.json[0][3]: expected a JSON number, got "x"'),
+        "nan": ("[[1, 2, 3, 4], [NaN, 0, 0, 0]]",
+                "nan.json[1] is not a quadruple [w, x1, x2, x3] of finite numbers"),
+        "inf": ("[[1, 2, 3, Infinity]]", "inf.json[0] is not a quadruple"),
+        "pnan": ('{"basis": "P", "coeffs": [[1, NaN, 0, 0]]}',
+                 "pnan.json coeffs[0] is not a quadruple"),
+        "bool": ("[[true, 0, 0, 0], [0, false, 0, 0]]",
+                 "bool.json[0][0] must be a number, got true"),
+        "three": ("[[1, 0, 0, 0], [1, 0, 0]]",
+                  "bad {path}[1]: expected a JSON array of 4 entries, got 3 entries"),
+        "five": ("[[1, 0, 0, 0, 0]]",
+                 "bad {path}[0]: expected a JSON array of 4 entries, got 5 entries"),
+        "digits": (f"[[1, 0, 0, 0], [0, 0, {'9' * 400}, 0]]",
+                   "bad {path}[1][2]: integer beyond the float range"),
+        "string": ('"1, 0, 0, 0"',
+                   "bad {path}: expected a JSON array, got a string"),
+    }
     cases = [(big, ["--at", "0.5", "--at", "1e17"], "not finite at 1e+17"),
              (big, ["--at", "1e400"], "literal '1e400' is not finite"),
              (big, ["--at", "1e308+1e308"], "literal '1e308+1e308' is not")]
-    cases += [(path, ["--at", "1"], "finite numbers") for path in files.values()]
+    for name, (text, fragment) in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        cases.append((path, ["--at", "1"], fragment.format(path=path)))
     for coeffs, flags, fragment in cases:
         out_file = tmp_path / "out" / "v.csv"
         code, out, err = run_cli(capsys, "eval", "--coeffs", str(coeffs),
                                  *flags, "-o", str(out_file))
         _assert_one_line_error(code, "", err, "eval")
         assert fragment in err
+        assert "9" * 17 not in err          # no value of any length is echoed
         assert not out_file.exists()
         code, out, err = run_cli(capsys, "eval", "--coeffs", str(coeffs), *flags)
         _assert_one_line_error(code, out, err, "eval")
@@ -436,17 +456,32 @@ def test_pde_degree_below_2_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_problem_types_exit_2(tmp_path, capsys):
+    # an empty eigenvalue list used to end in a ValueError traceback
     problem = tmp_path / "prob.json"
-    for spec, key in (({"lambdas": "ij", "initial": ["1", "2"]}, "lambdas"),
-                      ({"lambdas": [1], "initial": ["1"]}, "lambdas"),
-                      ({"lambdas": {"i": 1}, "initial": ["1"]}, "lambdas"),
-                      ({"lambdas": ["i", "j"], "initial": "12"}, "initial"),
-                      ({"lambdas": ["i"], "initial": [1.5]}, "initial"),
-                      ({"lambdas": ["i"], "initial": None}, "initial")):
+    for spec, message in (
+            ({"lambdas": "ij", "initial": ["1", "2"]},
+             "FILE: bad lambdas: expected a JSON array, got a string"),
+            ({"lambdas": [1], "initial": ["1"]},
+             "FILE: lambdas[0]: quaternion literal must be a string, got 1"),
+            ({"lambdas": {"i": 1}, "initial": ["1"]},
+             "FILE: bad lambdas: expected a JSON array, got an object"),
+            ({"lambdas": ["i", "j"], "initial": "12"},
+             "FILE: bad initial: expected a JSON array, got a string"),
+            ({"lambdas": ["i"], "initial": [1.5]},
+             "FILE: initial[0]: quaternion literal must be a string, got 1.5"),
+            ({"lambdas": ["i"], "initial": None},
+             "FILE: bad initial: expected a JSON array, got null"),
+            ({"lambdas": ["i", "x"], "initial": ["1", "2"]},
+             "FILE: lambdas[1]: bad quaternion literal 'x' at position 0"),
+            ({"lambdas": [], "initial": []}, "need at least one eigenvalue")):
         problem.write_text(json.dumps(spec))
-        code, out, err = run_cli(capsys, "solve", "--problem", str(problem))
-        _assert_one_line_error(code, out, err, "solve")
-        assert f"'{key}' must be a JSON array of quaternion strings" in err
+        out_file = tmp_path / "out" / "f.json"
+        for output in ([], ["-o", str(out_file)]):
+            code, out, err = run_cli(capsys, "solve", "--problem", str(problem),
+                                     *output)
+            assert (code, out, err.replace(str(problem), "FILE")) == \
+                (2, "", f"slicealg solve: {message}\n")
+        assert not out_file.exists()
 
 
 INPUT_FILE_CASES = {
@@ -476,6 +511,10 @@ INPUT_FILE_CASES = {
     "problem-rhs-without-coeffs": (
         json.dumps({"kind": "yukawa", "I": "i", "rhs": {"basis": "P"}}),
         ["pde", "--problem", "{path}"]),
+    # a JSON true used to read as 1, and the run was certified
+    "rhs-boolean-coefficient": (
+        json.dumps({"basis": "P", "coeffs": [[True, 0, 0, 0]]}),
+        ["pde", "--kind", "yukawa", "--unit", "i", "--rhs", "{path}"]),
 }
 
 
@@ -494,6 +533,13 @@ def test_input_files_exit_2(case, tmp_path, capsys, monkeypatch):
     argv = [str(path) if a == "{path}" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     _assert_one_line_error(code, out, err, argv[0])
+    # and no output file
+    out_dir = tmp_path / "out"
+    output = ["--out-prefix", str(out_dir / "run")] if argv[0] == "pde" \
+        else ["-o", str(out_dir / "f")]
+    code, out, err = run_cli(capsys, *argv, *output)
+    _assert_one_line_error(code, out, err, argv[0])
+    assert not out_dir.exists()
 
 
 def test_pde_problem_file_refuses_problem_flags(tmp_path, capsys, monkeypatch):
@@ -598,8 +644,10 @@ def test_pde_problem_file_refuses_booleans_as_numbers(tmp_path, capsys,
     monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     rec = {"kind": "helmholtz", "grid": {"counts": [5, 5, 5]}}
     (rec if key == "lambda" else rec["grid"])[key] = value
+    if isinstance(value, list):         # the refusal names the entry
+        key += f"[{[type(v) for v in value].index(bool)}]"
     message = f"{key} must be a number, got {shown}"
-    with pytest.raises(ParseError, match=message):
+    with pytest.raises(ParseError, match=re.escape(message)):
         PdeProblem.from_record(rec)
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(rec))
@@ -637,7 +685,7 @@ def test_pde_rhs_content_error_names_the_record_key(tmp_path, capsys):
     code, out, err = run_cli(capsys, "pde", "--kind", "yukawa", "--unit", "i",
                              "--rhs", str(rhs))
     _assert_one_line_error(code, out, err, "pde")
-    assert err == "slicealg pde: rhs: expected a 'coeffs' list\n"
+    assert err == "slicealg pde: rhs: expected a JSON object with keys basis, coeffs\n"
     code, out, err = run_cli(capsys, "pde", "--kind", "yukawa", "--unit", "i",
                              "--rhs", str(tmp_path / "missing.json"))
     _assert_one_line_error(code, out, err, "pde")
@@ -683,8 +731,10 @@ def test_pde_problem_file_refuses_strings_as_numbers(tmp_path, capsys,
     monkeypatch.setattr("slicealg.pde.verify_pde", no_grid_work)
     rec = {"kind": "helmholtz", "grid": {"counts": [5, 5, 5]}}
     (rec if key in ("lambda", "degree") else rec["grid"])[key] = value
+    if isinstance(value, list):         # the refusal names the entry
+        what += f"[{[json.dumps(v) for v in value].index(shown)}]"
     message = f"bad {what}: expected a JSON number, got {shown}"
-    with pytest.raises(ParseError, match=message):
+    with pytest.raises(ParseError, match=re.escape(message)):
         PdeProblem.from_record(rec)
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(rec))
@@ -846,6 +896,33 @@ VALUE_REFUSAL_CASES = {
         {"kind": "helmholtz", "grid": {"exclude_radius": 0.5},
          "slice_constants": [{"I": "i", "a1": 0.5, "a2": "0"}]},
         "slicealg pde: quaternion literal must be a string, got 0.5"),
+    # a kind that is not a string used to end in a TypeError traceback
+    "kind-not-string": (["pde", "--problem", "{problem}"],
+                        {"kind": ["helmholtz"]},
+                        "slicealg pde: unknown problem kind ['helmholtz']"),
+    # the grid arrays used to be iterated as whatever they were: a number
+    # failed in Python's words, a string was read character by character
+    # and an object through its keys
+    "grid-counts-number": (
+        ["pde", "--problem", "{problem}"],
+        {"kind": "helmholtz", "grid": {"counts": 5}},
+        "slicealg pde: bad grid counts: expected a JSON array, got a number"),
+    "grid-counts-string": (
+        ["pde", "--problem", "{problem}"],
+        {"kind": "helmholtz", "grid": {"counts": "555"}},
+        "slicealg pde: bad grid counts: expected a JSON array, got a string"),
+    "grid-counts-object": (
+        ["pde", "--problem", "{problem}"],
+        {"kind": "helmholtz", "grid": {"counts": {"5": 1, "6": 2, "7": 3}}},
+        "slicealg pde: bad grid counts: expected a JSON array, got an object"),
+    "grid-lo-number": (
+        ["pde", "--problem", "{problem}"],
+        {"kind": "helmholtz", "grid": {"lo": -1}},
+        "slicealg pde: bad grid lo: expected a JSON array, got a number"),
+    "grid-hi-null": (
+        ["pde", "--problem", "{problem}"],
+        {"kind": "helmholtz", "grid": {"hi": None}},
+        "slicealg pde: bad grid hi: expected a JSON array, got null"),
 }
 
 

@@ -1,5 +1,7 @@
 """Deterministic emission: the CSV writer against fmt_float."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -169,11 +171,24 @@ def test_series_records_round_trip(tmp_path):
     assert rec["basis"] == "P"
     assert MonogenicSeries.from_record(json.loads(dumps_json(rec)), "g").coeffs \
         == g.coeffs
-    for bad, cls in (({"basis": "P"}, PowerSeries), ([[1, 2, 3]], PowerSeries),
-                     ([[1, 0, 0, 0]], MonogenicSeries),
-                     ({"basis": "P", "coeffs": 5}, MonogenicSeries),
-                     ({"basis": "P", "coeffs": [[1, 0, 0]]}, MonogenicSeries)):
-        with pytest.raises(ParseError, match="^data: "):
+    for bad, cls, message in (
+            ({"basis": "P"}, PowerSeries,
+             "bad data: expected a JSON array, got an object"),
+            ([[1, 2, 3]], PowerSeries,
+             "bad data[0]: expected a JSON array of 4 entries, got 3 entries"),
+            ([[1, 0, 0, 0], [1, 2, 3, 4, 5]], PowerSeries,
+             "bad data[1]: expected a JSON array of 4 entries, got 5 entries"),
+            ([[0, 0, True, 0]], PowerSeries,
+             "data[0][2] must be a number, got true"),
+            ([[0, 0, 0, -10 ** 400]], PowerSeries,
+             "bad data[0][3]: integer beyond the float range"),
+            ([[1, 0, 0, 0]], MonogenicSeries,
+             "data: expected a JSON object with keys basis, coeffs"),
+            ({"basis": "P", "coeffs": 5}, MonogenicSeries,
+             "bad data coeffs: expected a JSON array, got a number"),
+            ({"basis": "P", "coeffs": [[1, 0, 0]]}, MonogenicSeries,
+             "bad data coeffs[0]: expected a JSON array of 4 entries, got 3 entries")):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             cls.from_record(bad, "data")
 
 
@@ -187,6 +202,29 @@ def test_json_number_converters_take_numbers_only():
         for value in ("2", None, [2], {"n": 2}):
             with pytest.raises(ParseError, match="^bad n: expected a JSON number"):
                 convert(value, "n")
+
+
+def test_array_from_json_names_the_entry_it_refuses():
+    # one reader for every JSON array: anything else is named by its JSON
+    # type, and a refused entry by its index
+    from slicealg.errors import ParseError
+    from slicealg.fmtio import array_from_json, float_from_json
+    from slicealg.quaternion import quaternion_from_json
+    assert array_from_json([1, 2.5], "a", float_from_json) == (1.0, 2.5)
+    assert array_from_json([], "a", float_from_json) == ()
+    for value, got in (({"0": 1}, "an object"), ("12", "a string"),
+                       (5, "a number"), (2.5, "a number"), (True, "a boolean"),
+                       (None, "null")):
+        with pytest.raises(ParseError, match=f"^bad a: expected a JSON array, "
+                                             f"got {got}$"):
+            array_from_json(value, "a", float_from_json)
+    with pytest.raises(ParseError, match=r"^bad a: expected a JSON array of "
+                                         r"3 entries, got 2 entries$"):
+        array_from_json([1, 2], "a", float_from_json, 3)
+    quads = [[1, 0, 0, 0], [0, 1, 0, 0], [0, "1", 0, 0]]
+    with pytest.raises(ParseError, match=r'^bad f\.json\[2\]\[1\]: expected a '
+                                         r'JSON number, got "1"$'):
+        array_from_json(quads, "f.json", quaternion_from_json)
 
 
 def test_record_fields_refuses_what_it_does_not_read():

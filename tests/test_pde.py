@@ -67,7 +67,7 @@ def test_problem_validation_and_roundtrip():
         PdeProblem(kind="heat")
     p = PdeProblem(kind="helmholtz", lam=2.0, grid=SMALL,
                    slice_constants=(SliceConstant.uniform(ONE),
-                                    SliceConstant.on_halves(I, ONE, -ONE)))
+                                    SliceConstant(I, ONE, -ONE)))
     q = PdeProblem.from_record(p.to_record())
     assert q.kind == p.kind and q.lam == p.lam
     assert q.grid == p.grid
@@ -103,7 +103,7 @@ def test_helmholtz_rejects_zero_or_nonreal_lambda():
 
 
 def test_helmholtz_with_mu_constants_needs_exclusion():
-    h1 = SliceConstant.on_halves(I, ONE, ZERO)
+    h1 = SliceConstant(I, ONE, ZERO)
     f = helmholtz_solution(1.0, h1)
     assert f.product_domain
     problem = PdeProblem(kind="helmholtz", lam=1.0, grid=SMALL,
@@ -118,8 +118,8 @@ def test_helmholtz_mu_variant_on_excluded_grid():
     # the two-constant solution blows up like beta^-2 at the axis, so the
     # FD truncation error is certified by the order estimate instead of a
     # tight absolute threshold
-    h1 = SliceConstant.on_halves(I, ONE, ZERO)
-    h2 = SliceConstant.on_halves(J, Quaternion(0.5), ONE)
+    h1 = SliceConstant(I, ONE, ZERO)
+    h2 = SliceConstant(J, Quaternion(0.5), ONE)
     f = helmholtz_solution(1.0, h1, h2)
     grid = GridSpec(counts=(9, 9, 9), exclude_radius=0.5, fd_step=0.005)
     problem = PdeProblem(kind="helmholtz", lam=1.0, grid=grid)
@@ -252,8 +252,8 @@ def test_report_csv_bytes_match_fmt_float(tmp_path):
     # the grid coordinates and the symmetric solution values repeat, and
     # the CSV writer formats each distinct value once
     from slicealg.fmtio import fmt_float
-    h1 = SliceConstant.on_halves(I, ONE, ZERO)
-    h2 = SliceConstant.on_halves(J, Quaternion(0.5), ONE)
+    h1 = SliceConstant(I, ONE, ZERO)
+    h2 = SliceConstant(J, Quaternion(0.5), ONE)
     cases = [(helmholtz_solution(1.0), GridSpec(counts=(21, 21, 21), x0=0.3)),
              (helmholtz_solution(1.0, h1, h2),
               GridSpec(counts=(21, 21, 21), exclude_radius=0.5, fd_step=0.005))]
@@ -354,10 +354,10 @@ def test_product_domain_evaluator_matches_per_term_loop():
     rng = random.Random(523)
     lam1 = Quaternion(0.5, 0.3, -0.4, 0.2)
     terms = [
-        (SliceConstant.on_halves(I, ONE, ZERO), exp_series(Quaternion(1.0), 40)),
-        (SliceConstant.on_halves(J, Quaternion(0.5), ONE),
+        (SliceConstant(I, ONE, ZERO), exp_series(Quaternion(1.0), 40)),
+        (SliceConstant(J, Quaternion(0.5), ONE),
          exp_series(Quaternion(-1.0), 40)),
-        (SliceConstant.on_halves(K, rand_q(rng), rand_q(rng)),
+        (SliceConstant(K, rand_q(rng), rand_q(rng)),
          gen_exp([lam1, -lam1], 30)),
         (SliceConstant.uniform(rand_q(rng)), exp_series(J * 1.5, 35)),
     ]
@@ -463,7 +463,7 @@ def test_problem_solve_matches_constructors():
     # PdeProblem.solve builds the same solution, bit for bit, as calling
     # the constructor of each kind with the problem's data
     unit = Quaternion(0.0, 0.6, 0.0, 0.8)
-    h1 = SliceConstant.on_halves(I, ONE, Quaternion(0.5, 0.0, 1.0))
+    h1 = SliceConstant(I, ONE, Quaternion(0.5, 0.0, 1.0))
     h2 = SliceConstant.uniform(Quaternion(0.0, 0.0, 0.0, 2.0))
     rhs = MonogenicSeries([ONE, Quaternion(0.2, -1.0, 0.5, 0.0), J])
     lam1 = Quaternion(1.0, 0.0, 1.0)
@@ -504,7 +504,7 @@ def test_helmholtz_is_the_quadratic_equation_with_real_lambda1():
     # every kind is Delta_3 f + f lambda_1^2 = h: a Helmholtz solution
     # verified as the quadratic kernel with lambda_1 = lambda gives the
     # Helmholtz summary
-    f = helmholtz_solution(1.3, SliceConstant.on_halves(I, ONE, J), None, 40)
+    f = helmholtz_solution(1.3, SliceConstant(I, ONE, J), None, 40)
     grid = GridSpec(counts=(7, 7, 7), fd_step=0.02, exclude_radius=0.2)
     helm = verify_pde(f, PdeProblem(kind="helmholtz", lam=1.3, grid=grid))
     quad = verify_pde(f, PdeProblem(kind="quadratic", lam1=Quaternion(1.3),
@@ -530,7 +530,7 @@ def test_evaluator_call_is_bit_identical_to_eval_components():
     uniform = helmholtz_solution(1.3, SliceConstant.uniform(rand_q(rng)),
                                  SliceConstant.uniform(rand_q(rng)), 30)
     product = klein_gordon_solution(
-        0.9, [(J, SliceConstant.on_halves(I, rand_q(rng), rand_q(rng))),
+        0.9, [(J, SliceConstant(I, rand_q(rng), rand_q(rng))),
               (K, SliceConstant.uniform(rand_q(rng)))], 30)
     pts = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(50)])
     axis = np.array([[0.4, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
@@ -552,7 +552,7 @@ def test_product_domain_grid_agrees_with_one_point_calls():
     # not have the bits of the one-point call, but agrees to 1e-13
     rng = random.Random(661)
     product = klein_gordon_solution(
-        0.9, [(J, SliceConstant.on_halves(I, rand_q(rng), rand_q(rng))),
+        0.9, [(J, SliceConstant(I, rand_q(rng), rand_q(rng))),
               (K, SliceConstant.uniform(rand_q(rng)))], 30)
     ax = np.linspace(-1.0, 1.0, 15)
     g1, g2, g3 = (v.ravel() for v in np.meshgrid(ax, ax, ax, indexing="ij"))
@@ -591,7 +591,7 @@ def test_product_domain_evaluator_skips_the_p_series(monkeypatch):
         return sums(self, x0, b2)
     monkeypatch.setattr(MonogenicSeries, "_sums", counting)
     f = SolutionEvaluator([
-        (SliceConstant.on_halves(I, ONE, ZERO), exp_series(Quaternion(1.0), 30)),
+        (SliceConstant(I, ONE, ZERO), exp_series(Quaternion(1.0), 30)),
         (SliceConstant.uniform(Quaternion(0.5, 0.0, 1.0, 0.0)),
          exp_series(K * 1.5, 20))])
     assert f.product_domain
@@ -609,9 +609,8 @@ def _stencil_problems():
     yield PdeProblem(kind="helmholtz", lam=1.0, degree=30,
                      grid=GridSpec(counts=(15, 15, 15), x0=0.1))
     yield PdeProblem(kind="helmholtz", lam=1.0, degree=30,
-                     slice_constants=(SliceConstant.on_halves(I, ONE, ZERO),
-                                      SliceConstant.on_halves(
-                                          J, Quaternion(0.5), ONE)),
+                     slice_constants=(SliceConstant(I, ONE, ZERO),
+                                      SliceConstant(J, Quaternion(0.5), ONE)),
                      grid=GridSpec(counts=(15, 15, 15), exclude_radius=0.5,
                                    fd_step=0.005))
 
@@ -704,7 +703,7 @@ def test_laplacian_of_a_pair_matches_the_evaluator():
     from slicealg import laplacian_pointwise, lift
     rng = random.Random(541)
     for unit in (I, J, K, Quaternion(0.0, 0.6, 0.0, -0.8)):
-        h = SliceConstant.on_halves(unit, rand_q(rng), rand_q(rng))
+        h = SliceConstant(unit, rand_q(rng), rand_q(rng))
         e = exp_series(rand_q(rng), 30)
         f = SolutionEvaluator([(h, e)])
         for _ in range(10):
@@ -792,8 +791,8 @@ def test_crf_probes_match_monogenic_fd_crf():
         (PdeProblem(kind="helmholtz", lam=1.0).solve(), 0.0),
         (yukawa_solve(1.5, J, h), 0.0),
         (PdeProblem(kind="helmholtz", lam=1.0, slice_constants=(
-            SliceConstant.on_halves(I, ONE, ZERO),
-            SliceConstant.on_halves(J, Quaternion(0.5), ONE))).solve(), 1e-11)]
+            SliceConstant(I, ONE, ZERO),
+            SliceConstant(J, Quaternion(0.5), ONE))).solve(), 1e-11)]
     points = np.array([[0.1, 0.3, -0.2, 0.4], [-0.2, 0.5, 0.1, -0.6],
                        [0.0, -0.7, 0.2, 0.3]])
     for f, rel in solutions:

@@ -20,6 +20,7 @@ from slicealg import (
     ZERO,
     decompose,
     exp_series,
+    helmholtz_solution,
     lift,
     mu,
     recover_constants,
@@ -159,8 +160,7 @@ def test_slice_constant_degenerate_units():
 
 
 def test_slice_constant_record_roundtrip():
-    h = SliceConstant.on_halves(I, Quaternion(1.0, 0.0, 2.0, 0.0),
-                                Quaternion(-3.0))
+    h = SliceConstant(I, Quaternion(1.0, 0.0, 2.0, 0.0), Quaternion(-3.0))
     rec = h.to_record()
     back = SliceConstant.from_record(rec)
     assert back == h
@@ -168,8 +168,16 @@ def test_slice_constant_record_roundtrip():
     assert u.is_uniform
     assert SliceConstant.from_record(u.to_record()) == u
     # collapsing case: equal half-values give a uniform constant
-    c = SliceConstant.on_halves(J, Quaternion(5.0), Quaternion(5.0))
-    assert c.is_uniform
+    c = SliceConstant(J, Quaternion(5.0), Quaternion(5.0))
+    assert c.is_uniform and c == SliceConstant.uniform(5)
+    assert SliceConstant(I, 1, 0) == SliceConstant(I, ONE, ZERO)
+    # the constructor checks what it is given: a non-unit I gave wrong
+    # values on the half slices, and a missing I a uniform constant
+    with pytest.raises(ParseError, match="I must be a unit imaginary"):
+        SliceConstant(Quaternion(0.0, 2.0), ONE, Quaternion(2.0))
+    with pytest.raises(ParseError, match="two values needs a unit I"):
+        SliceConstant(None, ONE, Quaternion(2.0))
+    assert not helmholtz_solution(1.0, SliceConstant(I, ONE, ONE)).product_domain
     # malformed records are a ParseError, not a KeyError
     with pytest.raises(ParseError):
         SliceConstant.from_record({"i": "i", "a1": "1", "a2": "2"})
@@ -178,7 +186,7 @@ def test_slice_constant_record_roundtrip():
 
 
 def test_slice_constant_expr_values():
-    h = SliceConstant.on_halves(I, Quaternion(2.0), Quaternion(0.0, 0.0, 1.0, 0.0))
+    h = SliceConstant(I, Quaternion(2.0), Quaternion(0.0, 0.0, 1.0, 0.0))
     g = h.expr()
     assert (g(Quaternion(0.3, 1.2, 0.0, 0.0)) - Quaternion(2.0)).norm() < TOL
     assert (g(Quaternion(0.3, -1.2, 0.0, 0.0)) - J).norm() < TOL
@@ -218,7 +226,7 @@ def test_recover_constants_roundtrip():
         lam = rand_q(rng, 1.0)
         unit = rand_unit(rng)
         a1, a2 = rand_q(rng), rand_q(rng)
-        g = SliceConstant.on_halves(unit, a1, a2)
+        g = SliceConstant(unit, a1, a2)
         f = g.expr() * lift(exp_series(lam, 60))
         b1, b2 = recover_constants(f, lam, unit, n_trunc=60)
         assert (b1 - a1).norm() < 1e-8
@@ -247,7 +255,7 @@ def test_pair_products_match_the_stem_product():
     # product has the stems (F1 G1 - F2 G2, F1 G2 + F2 G1) of its factors
     rng = random.Random(227)
     for _ in range(20):
-        g = SliceConstant.on_halves(rand_unit(rng), rand_q(rng), rand_q(rng))
+        g = SliceConstant(rand_unit(rng), rand_q(rng), rand_q(rng))
         f = SliceExpr(PowerSeries([rand_q(rng) for _ in range(5)]),
                       PowerSeries([rand_q(rng) for _ in range(4)]))
         e = lift(exp_series(rand_q(rng, 1.0), 30))
@@ -283,7 +291,7 @@ def test_recover_constants_degree_follows_the_tail_bound():
         lam = rand_unit(rng) * 10.0
         unit = rand_unit(rng)
         a1, a2 = rand_q(rng), rand_q(rng)
-        g = SliceConstant.on_halves(unit, a1, a2)
+        g = SliceConstant(unit, a1, a2)
         f = g.expr() * lift(exp_series(lam, 120))
         b1, b2 = recover_constants(f, lam, unit)
         assert (b1 - a1).norm() < 1e-5
