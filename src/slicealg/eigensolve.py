@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CertificateViolation, RangeError, ZeroEigenvalue
+from .errors import CertificateViolation, ParseError, RangeError, ZeroEigenvalue
 from .quaternion import Quaternion, ZERO, ONE, as_quaternion
 from .series import PowerSeries, exp_series
 
@@ -43,7 +43,7 @@ def _eigenvalues(lambdas) -> tuple:
     """The tuple (lambda_1, ..., lambda_m) as quaternions, m >= 1."""
     lams = tuple(as_quaternion(l) for l in lambdas)
     if not lams:
-        raise ValueError("an eigenvalue tuple needs at least one eigenvalue")
+        raise ParseError("need at least one eigenvalue")
     return lams
 
 
@@ -165,9 +165,8 @@ def gen_exp(lambdas, n_trunc: int = 40) -> PowerSeries:
     single eigenvalue this is exp_lambda; E_Lambda(0) = 1 iff m = 1.
     """
     lams = _eigenvalues(lambdas)
-    if n_trunc < len(lams) - 1:
-        raise ValueError(f"n_trunc = {n_trunc} cannot hold E_Lambda with m = {len(lams)} "
-                         f"(first nonzero coefficient is x^{len(lams) - 1})")
+    if n_trunc < len(lams) - 1:     # the first nonzero coefficient is x^(m-1)
+        raise ParseError(f"degree {n_trunc} too small for a tuple of length {len(lams)}")
     prev = exp_series(lams[0], n_trunc).coeffs
     for lam in lams[1:]:
         cur = [ZERO]
@@ -225,7 +224,7 @@ def solve_with_initial(lambdas, initial, n_trunc: int = 40) -> PowerSeries:
     lams = _eigenvalues(lambdas)
     cs = [as_quaternion(c) for c in initial]
     if len(cs) != len(lams):
-        raise ValueError(f"expected {len(lams)} initial values, got {len(cs)}")
+        raise ParseError("need as many initial values as eigenvalues")
     total = PowerSeries([ZERO] * (n_trunc + 1), exact=False)
     for c, e in zip(cs, kernel_basis(lams, n_trunc)):
         total = total + c * e

@@ -10,7 +10,7 @@ class SliceAlgError(Exception):
 
 
 class ParseError(SliceAlgError, ValueError):
-    """A quaternion literal or input file could not be parsed."""
+    """An input was refused: it does not parse, or breaks a rule of its reader."""
 
 
 class IoError(SliceAlgError, OSError):

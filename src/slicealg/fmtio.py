@@ -125,12 +125,18 @@ def load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _json_type(value) -> str:
+    """The JSON type that a refusal names in place of a wrong-typed value."""
+    return {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+            int: "a number", float: "a number", type(None): "null",
+            }.get(type(value), type(value).__name__)
+
+
 def _json_number(value, what: str):
     """``value`` if it is a JSON number: int() and float() would read the
     string "2" as 2."""
     if not isinstance(value, (int, float)):
-        raise ParseError(f"bad {what}: expected a JSON number, got "
-                         f"{json.dumps(value)}")
+        raise ParseError(f"bad {what}: expected a JSON number, got {_json_type(value)}")
     return value
 
 
@@ -158,9 +164,7 @@ def array_from_json(value, what: str, item, length=None) -> tuple:
     by ``item(v, f"{what}[{n}]")``; anything else is refused by its JSON type."""
     if isinstance(value, list) and length in (None, len(value)):
         return tuple(item(v, f"{what}[{n}]") for n, v in enumerate(value))
-    got = f"{len(value)} entries" if isinstance(value, list) else {
-        dict: "an object", str: "a string", bool: "a boolean", int: "a number",
-        float: "a number", type(None): "null"}.get(type(value), type(value).__name__)
+    got = f"{len(value)} entries" if isinstance(value, list) else _json_type(value)
     size = "" if length is None else f" of {length} entries"
     raise ParseError(f"bad {what}: expected a JSON array{size}, got {got}")
 

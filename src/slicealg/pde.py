@@ -103,8 +103,7 @@ def _optional(convert):
 def _slice_constants(data) -> Tuple[SliceConstant, ...]:
     # the slice_constants array of a problem record
     from .sliceexpr import SliceConstant
-    return array_from_json(data, "slice_constants",
-                           lambda rec, what: SliceConstant.from_record(rec))
+    return array_from_json(data, "slice_constants", SliceConstant.from_record)
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,9 @@ class GridSpec:
 def _real_lambda(lam) -> float:
     q = as_quaternion(lam)
     if not q.is_real():
-        raise ValueError(f"lambda must be real, got {q}")
+        raise ParseError(f"lambda must be real, got {q}")
+    if not math.isfinite(q.w):
+        raise ParseError(f"lambda must be finite, got {q.w!r}")
     if q.w == 0.0:
         raise ZeroEigenvalue("lambda must be nonzero")
     return q.w
@@ -222,6 +223,8 @@ class PdeProblem:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _READS:
             raise ParseError(f"unknown problem kind {self.kind!r}")
+        if self.unit_i is not None:
+            object.__setattr__(self, "unit_i", _require_unit_imag(self.unit_i, "I"))
         given = {"lambda": self.lam, "I": self.unit_i, "lambda1": self.lam1,
                  "rhs": self.rhs, "slice_constants": self.slice_constants or None,
                  "degree": self.degree}
@@ -235,12 +238,8 @@ class PdeProblem:
             if self.lam1 is None or as_quaternion(self.lam1).is_zero():
                 raise ZeroEigenvalue("quadratic kernel needs lambda_1 != 0")
         else:
-            if self.lam is None:
-                object.__setattr__(self, "lam", 1.0)
-            if not math.isfinite(self.lam):
-                raise ParseError(f"lambda must be finite, got {self.lam!r}")
-            if self.lam == 0.0:
-                raise ZeroEigenvalue("lambda must be nonzero")
+            object.__setattr__(self, "lam",
+                               _real_lambda(1.0 if self.lam is None else self.lam))
         if self.kind in ("klein-gordon", "yukawa") and self.unit_i is None:
             raise ParseError(f"{self.kind} problems need an imaginary unit I")
         if self.kind == "yukawa" and self.rhs is None:
@@ -276,8 +275,7 @@ class PdeProblem:
         return cls(**record_fields(rec, {
             "kind": ("kind", lambda kind: kind),
             "lambda": ("lam", lambda v: float_from_json(v, "lambda")),
-            "I": ("unit_i", _optional(
-                lambda t: _require_unit_imag(parse_quaternion(t), "I"))),
+            "I": ("unit_i", _optional(parse_quaternion)),
             "lambda1": ("lam1", _optional(parse_quaternion)),
             "slice_constants": ("slice_constants", _slice_constants),
             "rhs": ("rhs", _optional(

@@ -20,7 +20,7 @@ import re
 from typing import NamedTuple, Optional
 
 from .errors import ParseError
-from .fmtio import array_from_json, float_from_json
+from .fmtio import _json_type, array_from_json, float_from_json
 
 __all__ = [
     "Quaternion",
@@ -429,7 +429,7 @@ def parse_quaternion(text: str) -> Quaternion:
     Quaternion(0.0, 0.0, 0.0, -1.0)
     """
     if not isinstance(text, str):
-        raise ParseError(f"quaternion literal must be a string, got {text!r}")
+        raise ParseError(f"quaternion literal must be a string, got {_json_type(text)}")
     if not text.strip():
         raise ParseError(f"empty quaternion literal: {text!r}")
     comps = [0.0, 0.0, 0.0, 0.0]

@@ -188,10 +188,12 @@ class SliceConstant:
         }
 
     @classmethod
-    def from_record(cls, record: dict) -> "SliceConstant":
+    def from_record(cls, record: dict, what: str) -> "SliceConstant":
+        """The constant of a :meth:`to_record` object; ``what`` names the
+        record in a :class:`ParseError`."""
         keys = ("I", "a1", "a2")
         return cls(*record_fields(record, {key: (key, parse_quaternion) for key in keys},
-                                  "slice-constant record", required=keys).values())
+                                  what, required=keys).values())
 
 
 def recover_constants(f: SliceExpr, lam, unit_i, n_trunc: Optional[int] = None):

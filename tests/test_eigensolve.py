@@ -8,6 +8,7 @@ series, gen_exp builds the canonical kernel elements of D-products.
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from slicealg import (
     CertificateViolation,
     CoeffBoundCert,
     E_lambda_op,
+    ParseError,
     PowerSeries,
     Quaternion,
     RangeError,
@@ -233,6 +235,25 @@ def test_empty_eigenvalue_tuple_is_refused():
                  lambda: solve_with_initial([], [])):
         with pytest.raises(ValueError, match="at least one eigenvalue"):
             call()
+
+
+def test_solvers_refuse_their_inputs_in_the_cli_words():
+    # the solvers are the one home of these rules: a ParseError, which the
+    # CLI prints as one line with exit status 2
+    for call, message in (
+            (lambda: gen_exp([I, J, K], 1), "degree 1 too small for a tuple of length 3"),
+            (lambda: gen_exp([I], -1), "degree -1 too small for a tuple of length 1"),
+            (lambda: kernel_basis([]), "need at least one eigenvalue"),
+            (lambda: solve_with_initial([I], [I, J]),
+             "need as many initial values as eigenvalues"),
+            (lambda: solve_with_initial([I, J], [ONE], 0),
+             "need as many initial values as eigenvalues"),
+            (lambda: solve_with_initial([I, J], [ONE, K], -3),
+             "degree -3 too small for a tuple of length 2")):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            call()
+    # degree m - 1 holds E_Lambda: its one stored nonzero coefficient is x^(m-1)
+    assert len(gen_exp([I, J, K], 2).coeffs) == 3
 
 
 def test_gen_exp_matches_brute_force():

@@ -223,8 +223,30 @@ def test_array_from_json_names_the_entry_it_refuses():
         array_from_json([1, 2], "a", float_from_json, 3)
     quads = [[1, 0, 0, 0], [0, 1, 0, 0], [0, "1", 0, 0]]
     with pytest.raises(ParseError, match=r'^bad f\.json\[2\]\[1\]: expected a '
-                                         r'JSON number, got "1"$'):
+                                         r'JSON number, got a string$'):
         array_from_json(quads, "f.json", quaternion_from_json)
+
+
+def test_refusals_name_the_json_type_not_the_value():
+    # a wrong-typed value of any size is named by its JSON type; a 300-
+    # character string and a 200-entry array used to be echoed whole
+    from slicealg.errors import ParseError
+    from slicealg.fmtio import float_from_json, int_from_json
+    from slicealg.quaternion import parse_quaternion
+    for convert, value, message in (
+            (lambda v: float_from_json(v, "lambda"), "x" * 300,
+             "bad lambda: expected a JSON number, got a string"),
+            (lambda v: int_from_json(v, "degree"), [7] * 200,
+             "bad degree: expected a JSON number, got an array"),
+            (parse_quaternion, ["i"] * 200,
+             "quaternion literal must be a string, got an array"),
+            (parse_quaternion, {"a": 1},
+             "quaternion literal must be a string, got an object"),
+            (parse_quaternion, True,
+             "quaternion literal must be a string, got a boolean"),
+            (parse_quaternion, None, "quaternion literal must be a string, got null")):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            convert(value)
 
 
 def test_record_fields_refuses_what_it_does_not_read():
@@ -240,6 +262,6 @@ def test_record_fields_refuses_what_it_does_not_read():
             ({"x": 1.0}, ("n",), "^rec: expected a JSON object with keys n$"),
             ({"n": 3, "m": 4}, (), "^rec: unknown key 'm'; accepted keys: n, x$"),
             ({"n": "three"}, (), "^rec: invalid literal"),
-            ({"x": "1"}, (), '^bad x: expected a JSON number, got "1"$')):
+            ({"x": "1"}, (), "^bad x: expected a JSON number, got a string$")):
         with pytest.raises(ParseError, match=message):
             record_fields(rec, fields, "rec", required=required)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from slicealg import (
     GridSpec,
     GridTooSmall,
     MonogenicSeries,
+    ParseError,
     PdeProblem,
     Quaternion,
     SliceConstant,
@@ -100,6 +102,33 @@ def test_helmholtz_rejects_zero_or_nonreal_lambda():
         helmholtz_solution(0.0)
     with pytest.raises(ValueError):
         helmholtz_solution(I)
+
+
+def test_constructors_refuse_a_non_finite_lambda():
+    # an infinite or NaN lambda used to build NaN values without an error;
+    # PdeProblem reads lambda with the constructors' own check
+    rhs = MonogenicSeries([ONE, I])
+    for lam in (math.inf, -math.inf, math.nan):
+        for call in (lambda: helmholtz_solution(lam),
+                     lambda: klein_gordon_solution(lam, [(I, ONE)]),
+                     lambda: yukawa_solve(lam, I, rhs),
+                     lambda: PdeProblem(kind="helmholtz", lam=lam)):
+            with pytest.raises(ParseError, match=f"^lambda must be finite, got {lam!r}$"):
+                call()
+    with pytest.raises(ParseError, match="^lambda must be real, got i$"):
+        helmholtz_solution(I)
+
+
+def test_problem_checks_its_unit_at_construction():
+    # a non-unit I used to construct, and lambda1_squared read -1 for I = 2i
+    rhs = MonogenicSeries([ONE, I])
+    for kwargs, shown in (({"kind": "klein-gordon", "unit_i": Quaternion(0, 2)}, "2.0i"),
+                          ({"kind": "yukawa", "unit_i": Quaternion(0.5, 1), "rhs": rhs},
+                           "0.5+i")):
+        with pytest.raises(ParseError, match=re.escape(
+                f"I must be a unit imaginary quaternion, got {shown}") + "$"):
+            PdeProblem(**kwargs)
+    assert PdeProblem(kind="klein-gordon", unit_i=J).lambda1_squared == -ONE
 
 
 def test_helmholtz_with_mu_constants_needs_exclusion():

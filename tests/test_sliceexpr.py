@@ -162,11 +162,11 @@ def test_slice_constant_degenerate_units():
 def test_slice_constant_record_roundtrip():
     h = SliceConstant(I, Quaternion(1.0, 0.0, 2.0, 0.0), Quaternion(-3.0))
     rec = h.to_record()
-    back = SliceConstant.from_record(rec)
+    back = SliceConstant.from_record(rec, "h")
     assert back == h
     u = SliceConstant.uniform(Quaternion(2.0, 1.0, 0.0, 0.0))
     assert u.is_uniform
-    assert SliceConstant.from_record(u.to_record()) == u
+    assert SliceConstant.from_record(u.to_record(), "u") == u
     # collapsing case: equal half-values give a uniform constant
     c = SliceConstant(J, Quaternion(5.0), Quaternion(5.0))
     assert c.is_uniform and c == SliceConstant.uniform(5)
@@ -178,11 +178,13 @@ def test_slice_constant_record_roundtrip():
     with pytest.raises(ParseError, match="two values needs a unit I"):
         SliceConstant(None, ONE, Quaternion(2.0))
     assert not helmholtz_solution(1.0, SliceConstant(I, ONE, ONE)).product_domain
-    # malformed records are a ParseError, not a KeyError
-    with pytest.raises(ParseError):
-        SliceConstant.from_record({"i": "i", "a1": "1", "a2": "2"})
-    with pytest.raises(ParseError):
-        SliceConstant.from_record(["I", "a1", "a2"])
+    # malformed records are a ParseError, not a KeyError, naming the record
+    with pytest.raises(ParseError, match="^h: expected a JSON object with keys"):
+        SliceConstant.from_record({"i": "i", "a1": "1", "a2": "2"}, "h")
+    with pytest.raises(ParseError, match="^h: expected a JSON object with keys"):
+        SliceConstant.from_record(["I", "a1", "a2"], "h")
+    with pytest.raises(ParseError, match="^h: unknown key 'a3'"):
+        SliceConstant.from_record(dict(rec, a3="1"), "h")
 
 
 def test_slice_constant_expr_values():
