@@ -27,6 +27,10 @@ def _exports():
 
 
 def __getattr__(name):
+    # ``from slicealg import quaternion`` asks for the submodule by name:
+    # import that one alone
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
     if name == "__all__":
         return [public for _, names in _exports() for public in names]
     for module, names in _exports():

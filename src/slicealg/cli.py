@@ -90,21 +90,15 @@ def cmd_gen_exp(args) -> int:
     return 0
 
 
-def _literal(text, what: str):
-    # a quaternion literal in a JSON array; a refusal names the entry
-    try:
-        return parse_quaternion(text)
-    except ParseError as exc:
-        raise ParseError(f"{what}: {exc}") from exc
-
-
 def cmd_solve(args) -> int:
     from .eigensolve import solve_with_initial
     spec = load_json(args.problem)
     try:
         spec = record_fields(spec, {
-            "lambdas": ("lambdas", lambda v: array_from_json(v, "lambdas", _literal)),
-            "initial": ("initial", lambda v: array_from_json(v, "initial", _literal)),
+            "lambdas": ("lambdas",
+                        lambda v: array_from_json(v, "lambdas", parse_quaternion)),
+            "initial": ("initial",
+                        lambda v: array_from_json(v, "initial", parse_quaternion)),
             "degree": ("degree", lambda n: int_from_json(n, "degree")),
         }, "problem", required=("lambdas", "initial"))
     except ParseError as exc:       # each message names its key
@@ -292,8 +286,8 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The entry point of ``python -m slicealg.cli`` and of the ``slicealg``
-    script: :func:`main` with one BLAS thread.  The one matrix product of
-    a run is too small to gain from a second thread, and a thread pool
+    script: :func:`main` with one BLAS thread.  No command makes a matrix
+    product that would gain from a second thread, and a thread pool
     slows the numpy import.  No command imports numpy at start, so the
     setting holds; ``main`` itself leaves the environment as it is."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",

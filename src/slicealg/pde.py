@@ -14,39 +14,23 @@ h axially monogenic and lambda_1 = I lambda (Yukawa).  A run is one
 equation, and its ``solve()`` builds the solution.
 
 Every Helmholtz, Klein-Gordon and quadratic solution is a sum of terms
-Delta_4(h . e), h a slice constant with stems (h1, h2) and e a power
-series, so it is Delta_4(u + J w) for two power series u = Sum h1 e and
-w = Sum h2 e.  Everything a grid needs is evaluated in closed form.  If
-every h is uniform (w = 0), and for Yukawa, the solution is a P-series
-Sum P_n m_n, defined on all of H and evaluated by the O(n) recurrence of
-:meth:`MonogenicSeries.eval_components`, exact on the real axis.  A
-genuine two-valued h makes the solution singular on the real axis, so
-grids must carry an exclusion ball around it.  It is evaluated by the
-stem formula Delta_4 F = -(2/beta) J (F'_s - dF/dx), whose division by
-beta is inherent there; the stems of u + J w and of its slice derivative
-are one linear map of the powers of z = x0 + i beta, built once per
-evaluator.
-
-Every solution has the axial form f(x) = A(x0, beta) + omega B(x0, beta),
-omega = Im x / beta, which Fueter's theorem carries over from slice
-functions.  So a grid evaluation runs in two steps
-(:class:`quaternion.RadialTable`): the series work (the P_n
-recurrence, the powers of z and the stem map) once per distinct pair
-(x0, beta^2), matched by bit pattern, and the combination
-re + Im(x) im per point.  Many grid nodes share a radius, so the first
-step runs on several times fewer points than the grid has.  Both steps take
-blocks of :data:`quaternion.BLOCK` points; only the index of each
-point's pair and the table of distinct pairs grow with the grid.  A
-P-series value has the bits of a one-point evaluation.  The stem map is
-a matrix product, which BLAS may round differently with the number of
-pairs in a block, so a product-domain value may differ from a one-point
-evaluation by about 1e-14 relative.
+Delta_4(h . e^{xq}), h a slice constant and q a quaternion, and
+:class:`SolutionEvaluator` evaluates each in closed form, point by point,
+from exp, sin and cos of beta q: the paper's Bessel representation
+-2 lambda^2 e^{lambda x0} (j_0(lambda beta) + omega j_1(lambda beta)) for
+real q = lambda, omega = Im x / beta, and its continuation to the plane
+of a quaternion q.  No series is truncated.  A genuine two-valued h makes
+the solution singular on the real axis, so grids must carry an exclusion
+ball around it.  The Yukawa solution is a P-series Sum P_n m_n, defined
+on all of H and evaluated by the O(n) recurrence of
+:meth:`MonogenicSeries.eval_components`, exact on the real axis.
 
 No finite differences enter the *construction*; FD is used only by
-:func:`verify_pde` to certify the residuals independently.  Its 13 point
-sets (the nodes and the six shifts of the Delta_3 stencil at two steps)
-share one table of distinct pairs, so a pair that several sets meet goes
-through the series work once.  Its report
+:func:`verify_pde` to certify the residuals independently.  It evaluates
+13 point sets (the nodes and the six shifts of the Delta_3 stencil at two
+steps).  For a P-series they share one table of distinct pairs
+(:class:`quaternion.RadialTable`), so a pair (x0, beta^2) that several
+sets meet goes through the recurrence once.  Its report
 keeps the nodes, values and residual norms as one (n, 9) float array,
 ``PdeReport.rows``, which :func:`fmtio.write_csv` writes block by block.
 :meth:`PdeReport.verdict` judges the report against the constants
@@ -58,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -66,9 +50,8 @@ from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
     ZeroEigenvalue
 from .fmtio import array_from_json, float_from_json, int_from_json, \
     record_fields, write_csv
-from .quaternion import Quaternion, ZERO, ONE, _require_unit_imag, \
-    as_quaternion, RadialTable, format_quaternion, parse_quaternion, qmul
-from .series import PowerSeries, exp_series
+from .quaternion import BLOCK, Quaternion, ZERO, ONE, _require_unit_imag, \
+    as_quaternion, axial_combine, format_quaternion, parse_quaternion, qmul
 from .monogenic import ORDER_TOLERANCE, MonogenicSeries, _order_ok, \
     fueter_laplacian, inv_laplacian, richardson_order
 
@@ -88,10 +71,10 @@ __all__ = [
 ]
 
 # the record keys each kind reads besides kind and grid
-_READS = {"helmholtz": ("lambda", "slice_constants", "degree"),
-          "klein-gordon": ("lambda", "I", "slice_constants", "degree"),
+_READS = {"helmholtz": ("lambda", "slice_constants"),
+          "klein-gordon": ("lambda", "I", "slice_constants"),
           "yukawa": ("lambda", "I", "rhs"),
-          "quadratic": ("lambda1", "slice_constants", "degree")}
+          "quadratic": ("lambda1", "slice_constants")}
 
 # grids and problems ---------------------------------------------------------
 
@@ -205,10 +188,10 @@ class PdeProblem:
     for Klein-Gordon exponentials or the Yukawa operator splitting;
     ``slice_constants`` the h-data (one per term, at most two for
     Helmholtz and quadratic); ``rhs`` the Yukawa source; ``lam1`` the
-    quaternionic eigenvalue of the quadratic kernel; ``degree`` the
-    truncation degree of the series behind a Helmholtz, Klein-Gordon or
-    quadratic solution (at least 2), 40 unless given.  A field that its
-    kind does not read is refused.
+    quaternionic eigenvalue of the quadratic kernel.  A field that its
+    kind does not read is refused, and no kind reads ``degree``: every
+    solution is a closed form or an exact P-series, so a truncation
+    degree ends in one error that names it.
     """
 
     kind: str
@@ -235,8 +218,7 @@ class PdeProblem:
             raise ParseError(f"{self.kind} problems read at most two "
                              f"slice_constants, got {len(self.slice_constants)}")
         if self.kind == "quadratic":
-            if self.lam1 is None or as_quaternion(self.lam1).is_zero():
-                raise ZeroEigenvalue("quadratic kernel needs lambda_1 != 0")
+            object.__setattr__(self, "lam1", _nonzero_lambda1(self.lam1))
         else:
             object.__setattr__(self, "lam",
                                _real_lambda(1.0 if self.lam is None else self.lam))
@@ -244,14 +226,6 @@ class PdeProblem:
             raise ParseError(f"{self.kind} problems need an imaginary unit I")
         if self.kind == "yukawa" and self.rhs is None:
             raise ParseError("yukawa problems need a right-hand side")
-        if self.kind != "yukawa":
-            if self.degree is None:
-                object.__setattr__(self, "degree", 40)
-            # Delta_4 annihilates affine functions: below degree 2 the
-            # solution would be zero and pass verification vacuously
-            if self.degree < 2:
-                raise ParseError(f"degree {self.degree} too small for a "
-                                 f"{self.kind} solution (need >= 2)")
 
     def to_record(self) -> dict:
         rec = {"kind": self.kind}
@@ -266,8 +240,6 @@ class PdeProblem:
         if self.rhs is not None:
             rec["rhs"] = self.rhs.to_record()
         rec["grid"] = self.grid.to_record()
-        if self.degree is not None:
-            rec["degree"] = int(self.degree)
         return rec
 
     @classmethod
@@ -275,8 +247,8 @@ class PdeProblem:
         return cls(**record_fields(rec, {
             "kind": ("kind", lambda kind: kind),
             "lambda": ("lam", lambda v: float_from_json(v, "lambda")),
-            "I": ("unit_i", _optional(parse_quaternion)),
-            "lambda1": ("lam1", _optional(parse_quaternion)),
+            "I": ("unit_i", _optional(lambda v: parse_quaternion(v, "I"))),
+            "lambda1": ("lam1", _optional(lambda v: parse_quaternion(v, "lambda1"))),
             "slice_constants": ("slice_constants", _slice_constants),
             "rhs": ("rhs", _optional(
                 lambda data: MonogenicSeries.from_record(data, "rhs"))),
@@ -304,88 +276,141 @@ class PdeProblem:
         h1 = cs[0] if cs else None
         h2 = cs[1] if len(cs) > 1 else None
         if self.kind == "helmholtz":
-            return helmholtz_solution(self.lam, h1, h2, self.degree)
+            return helmholtz_solution(self.lam, h1, h2)
         if self.kind == "klein-gordon":
             return klein_gordon_solution(
-                self.lam, [(self.unit_i, h) for h in cs or (ONE,)], self.degree)
+                self.lam, [(self.unit_i, h) for h in cs or (ONE,)])
         if self.kind == "yukawa":
             return yukawa_solve(self.lam, self.unit_i, self.rhs)
-        return general_quadratic_kernel(self.lam1, h1, h2, self.degree)
+        return general_quadratic_kernel(self.lam1, h1, h2)
 
 
 # solution evaluators ---------------------------------------------------------
 
-class SolutionEvaluator:
-    """Pointwise/vectorized evaluator for f = Sum_t Delta_4(h_t . e_t).
+# sin(t)/t and g(t) = (sin t - t cos t)/t^3 for |t| < TAYLOR_RADIUS, as
+# polynomials in t^2: there the closed forms cancel (0/0 at t = 0).  The
+# terms left out are below 1e-19 of the sums.
+TAYLOR_RADIUS = 0.5
+_SINC = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(8))
+_G = tuple((-1) ** k * (2 * k + 2) / math.factorial(2 * k + 3) for k in range(8))
 
-    Each term h_t . e_t is the pair (h1 e_t, h2 e_t), h_t with stems
-    (h1, h2); the sums, zero-padded to the longest degree, are two power
-    series u and w with f = Delta_4(u + J w).  If every constant is
-    uniform (h2 = 0), f is the P-series ``mono`` = Delta_4 u on all of H;
-    a two-valued constant restricts f to the product domain H \\ R.
+
+def _even_series(coeffs, t2):
+    # Sum_k coeffs[k] t^(2k), by Horner in t2 = t^2
+    acc = coeffs[-1] * t2
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= t2
+    return acc + coeffs[0]
+
+
+class SolutionEvaluator:
+    """f = Sum_t Delta_4(h_t . e^{x q_t}) for ``terms`` (h_t, q_t), with h_t
+    a slice constant (or a quaternion, taken as uniform) and q_t a
+    quaternion; each term is evaluated in closed form, point by point.
+
+    The stems of e^{xq} at x = alpha + J beta are e^{alpha q} cos(beta q)
+    and e^{alpha q} sin(beta q), functions of q in its complex plane C_I
+    (I = Im q / |Im q|), and h = (h1, h2) multiplies them on the left.
+    With E = -2 e^{alpha q}, t = beta q and g(t) = j_1(t)/t, the stem
+    formula for Delta_4 gives f = re + Im(x) im, with
+
+    - for the uniform stem h1: re = h1 E q^2 sin(t)/t and
+      im = h1 E q^3 g(t);
+    - for the two-valued stem h2: re = h2 E q cos(t)/beta and
+      im = h2 E (cos(t)/beta + q sin t)/beta^2.
+
+    For real q = lambda and h = 1 this is -2 lambda^2 e^{lambda x0}
+    (j_0(lambda beta) + omega j_1(lambda beta)), omega = Im x / beta.  A
+    right factor r of C_I folds into the constant, h . e^{xq} r =
+    (h r) . e^{xq}.  A genuine two-valued h restricts f to the product
+    domain H \\ R, where the beta in the denominators is inherent.  Terms
+    with the same q share their exponentials, and the components that are
+    zero are skipped.  Every operation is elementwise, so a value has the
+    bits of a one-point call.
     """
 
-    def __init__(self, terms: Sequence[Tuple[SliceConstant, PowerSeries]]):
-        n = max((len(e.coeffs) for _, e in terms), default=1)
-        uw = np.zeros((2, n, 4))
-        for h, e in terms:
-            ev = np.array([c.as_list() for c in e.coeffs])
-            for part, stem in zip(uw, h.stems()):
-                part[:len(ev)] += qmul(np.array(stem.as_list()), ev)
-        self.mono = fueter_laplacian(
-            PowerSeries([Quaternion(*c) for c in uw[0].tolist()]))
-        self._map = None
-        if not all(h.is_uniform for h, _ in terms):
-            duw = np.zeros_like(uw)         # the slice derivatives u', w'
-            duw[:, :-1] = np.arange(1.0, n)[:, None] * uw[:, 1:]
-            (u, w), (du, dw) = uw, duw
-            self._map = np.empty((2 * n, 12))
-            self._map[0::2] = np.hstack([w, du, dw])
-            self._map[1::2] = np.hstack([u, -dw, du])
-
-    @property
-    def product_domain(self) -> bool:
-        return self._map is not None
+    def __init__(self, terms):
+        stems = {}                  # q -> the sums of the stems (h1, h2)
+        for h, q in terms:
+            q = as_quaternion(q)
+            if not q.is_zero():     # Delta_4 annihilates e^{x 0} = 1
+                key = tuple(q.as_list())
+                stems[key] = [s + g for s, g in zip(stems.get(key, (ZERO, ZERO)),
+                                                    _as_constant(h).stems())]
+        # per q: q as a float or a complex number of C_I, and for each stem
+        # the nonzero (component, imaginary part?, value) of h and h I, the
+        # factors of the real and the imaginary part of the kernel
+        self._terms = []
+        for key, (h1, h2) in stems.items():
+            q = Quaternion(*key)
+            beta = q.imag_norm()
+            units = ((False, ONE),) if beta == 0.0 else \
+                ((False, ONE), (True, q.imag() / beta))
+            uniform, two_valued = (tuple(
+                (k, imag, v) for imag, unit in units
+                for k, v in enumerate((h * unit).as_list()) if v != 0.0)
+                for h in (h1, h2))
+            if uniform or two_valued:
+                self._terms.append((complex(q.w, beta) if beta else q.w,
+                                    uniform, two_valued))
+        self.product_domain = any(t[2] for t in self._terms)
 
     def eval_components(self, x0, x1, x2, x3):
-        """f at the points (x0, x1, x2, x3); returns an (..., 4) array.
-
-        Without a two-valued constant, f is the P-series ``mono``.  Else
-        f = -(2/beta) J (G2/beta - P1 - J P2), the stem formula for u + J w:
-        with U1 + i U2 = Sum z^n u_n at z = x0 + i beta, and W, U', W'
-        alike for w and the slice derivatives, G2 = U2 + W1,
-        P1 = U'1 - W'2 and P2 = U'2 + W'1, one product of the powers of z
-        with the (2n, 12) map.  As J = Im(x)/beta, f = re + Im(x) im with
-        re = -(2/beta) P2 and im = -(2/beta^2) (G2/beta - P1), functions
-        of (x0, beta^2), so the powers and the product run once per
-        distinct pair (:class:`quaternion.RadialTable`).
-        """
-        return self.radial_table()(x0, x1, x2, x3)
-
-    def radial_table(self) -> RadialTable:
-        """An evaluator like :meth:`eval_components` for point sets taken
-        one after another: the radial step runs once per distinct pair of
-        all of them."""
-        if self._map is None:
-            return self.mono.radial_table()
-        return RadialTable(self._sums)
+        """f at the points (x0, x1, x2, x3); returns an (..., 4) array,
+        computed in blocks of :data:`quaternion.BLOCK` points: the kernel
+        gives (re, im), and :func:`quaternion.axial_combine` re + Im(x) im."""
+        x0, x1, x2, x3 = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+        shape = x0.shape
+        x0, x1, x2, x3 = (v.reshape(-1) for v in (x0, x1, x2, x3))
+        out = np.empty((x0.size, 4))
+        for start in range(0, x0.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            y1, y2, y3 = x1[block], x2[block], x3[block]
+            sums = self._sums(x0[block], y1 * y1 + y2 * y2 + y3 * y3)
+            for c, v in enumerate(axial_combine(sums, y1, y2, y3)):
+                out[block, c] = v
+        return out.reshape(shape + (4,))
 
     def _sums(self, x0, b2):
-        # the radial kernel: (re, im) of f = re + Im(x) im at (x0, b2)
-        b = np.sqrt(b2)
-        if not (b > 1e-9).all():
+        # the kernel: the components of re, then of im, at (x0, b2 = beta^2);
+        # a component that no term reaches is 0.0
+        beta = np.sqrt(b2)
+        if self.product_domain and not (beta > 1e-9).all():
             raise DomainError("product-domain solution evaluated at a real "
                               "point; exclude the real axis from the grid")
-        zp = np.empty((b.size, len(self._map) // 2), dtype=complex)
-        zp[:, 0] = 1.0
-        zp[:, 1:] = (x0 + 1j * b)[:, None]
-        np.multiply.accumulate(zp, axis=1, out=zp)
-        g2, p1, p2 = np.split((zp.view(float) @ self._map).T, 3)
-        c = -2.0 / b
-        return [*(c * p2), *((c / b) * (g2 / b - p1))]
+        sums = [0.0] * 8
+        for q, uniform, two_valued in self._terms:
+            e = -2.0 * np.exp(x0 * q)
+            t = beta * q
+            s, c = np.sin(t), np.cos(t)
+            if uniform:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    sinc = s / t
+                    g = (sinc - c) / (t * t)
+                near = np.flatnonzero(beta < TAYLOR_RADIUS / abs(q))
+                if near.size:
+                    t2 = t[near] * t[near]
+                    sinc[near] = _even_series(_SINC, t2)
+                    g[near] = _even_series(_G, t2)
+                eq2 = e * (q * q)
+                _accumulate(sums, uniform, eq2 * sinc, (eq2 * q) * g)
+            if two_valued:
+                cb = c / beta
+                _accumulate(sums, two_valued, (e * q) * cb, e * (cb + q * s) / b2)
+        return sums
 
     def __call__(self, x) -> Quaternion:
         return Quaternion(*self.eval_components(*as_quaternion(x).as_list()))
+
+
+def _accumulate(sums, factors, re, im):
+    # sums[k] += v Re(re) (or v Im(re)), and sums[4 + k] alike for im, for
+    # the (k, imag, v) in factors; a real kernel has no imaginary factor
+    for k, imag, v in factors:
+        sums[k] = sums[k] + v * (re.imag if imag else re.real)
+        sums[4 + k] = sums[4 + k] + v * (im.imag if imag else im.real)
 
 
 def _as_constant(h) -> SliceConstant:
@@ -395,51 +420,50 @@ def _as_constant(h) -> SliceConstant:
     return SliceConstant.uniform(h)
 
 
-def helmholtz_solution(lam, h1=None, h2=None, n_trunc: int = 40) -> SolutionEvaluator:
+def _nonzero_lambda1(lam1) -> Quaternion:
+    # the quadratic kernel's eigenvalue, refused when missing or zero
+    if lam1 is None or as_quaternion(lam1).is_zero():
+        raise ZeroEigenvalue("quadratic kernel needs lambda_1 != 0")
+    return as_quaternion(lam1)
+
+
+def helmholtz_solution(lam, h1=None, h2=None) -> SolutionEvaluator:
     """f = Delta_4(h1 . exp_lam) + Delta_4(h2 . exp_{-lam}), lam real != 0.
 
     Solves (Delta_3 + lam^2) f = 0; defaults h1 = 1, h2 = 0 give the
     fundamental entire solution Delta_4 e^{lam x}.
     """
     lam = _real_lambda(lam)
-    h1 = _as_constant(ONE if h1 is None else h1)
-    h2 = _as_constant(ZERO if h2 is None else h2)
-    terms = [(h1, exp_series(Quaternion(lam), n_trunc)),
-             (h2, exp_series(Quaternion(-lam), n_trunc))]
-    return SolutionEvaluator(terms)
+    return SolutionEvaluator([(ONE if h1 is None else h1, Quaternion(lam)),
+                              (ZERO if h2 is None else h2, Quaternion(-lam))])
 
 
-def klein_gordon_solution(lam, constants, n_trunc: int = 40) -> SolutionEvaluator:
+def klein_gordon_solution(lam, constants) -> SolutionEvaluator:
     """f = Sum_I Delta_4(h_I . exp_{I lam}) for (I, h_I) in ``constants``.
 
     Solves (Delta_3 - lam^2) f = 0.  An empty list yields the zero
     evaluator.
     """
     lam = _real_lambda(lam)
-    terms = []
-    for unit, h in constants:
-        unit = _require_unit_imag(unit, "I")
-        terms.append((_as_constant(h), exp_series(unit * lam, n_trunc)))
-    return SolutionEvaluator(terms)
+    return SolutionEvaluator([(h, _require_unit_imag(unit, "I") * lam)
+                              for unit, h in constants])
 
 
-def general_quadratic_kernel(lam1, h1=None, h2=None,
-                             n_trunc: int = 40) -> SolutionEvaluator:
+def general_quadratic_kernel(lam1, h1=None, h2=None) -> SolutionEvaluator:
     """f = Delta_4(h1 . E_{(lam1, -lam1)}) + Delta_4(h2 . exp_{-lam1}).
 
     For lam1 = a + b I the result satisfies the twisted equation
     Delta_3 f + (a^2 - b^2) f + 2ab f I = 0; b = 0 reduces to Helmholtz
-    and a = 0 to Klein-Gordon.
+    and a = 0 to Klein-Gordon.  lam1 and -lam1 commute, so
+    E_{(lam1, -lam1)} = (e^{x lam1} - e^{-x lam1}) (2 lam1)^{-1}.
     """
-    from .eigensolve import gen_exp
-    lam1 = as_quaternion(lam1)
-    if lam1.is_zero():
-        raise ZeroEigenvalue("quadratic kernel needs lambda_1 != 0")
+    from .sliceexpr import SliceConstant
+    lam1 = _nonzero_lambda1(lam1)
+    r = (2.0 * lam1).inverse()
     h1 = _as_constant(ONE if h1 is None else h1)
-    h2 = _as_constant(ZERO if h2 is None else h2)
-    terms = [(h1, gen_exp([lam1, -lam1], n_trunc)),
-             (h2, exp_series(-lam1, n_trunc))]
-    return SolutionEvaluator(terms)
+    h1r, h1mr = (SliceConstant(h1.i, h1.a1 * c, h1.a2 * c) for c in (r, -r))
+    return SolutionEvaluator([(h1r, lam1), (h1mr, -lam1),
+                              (ZERO if h2 is None else h2, -lam1)])
 
 
 def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
@@ -602,9 +626,10 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         raise GridTooSmall("no grid nodes survive the exclusion ball")
     x0c = np.full_like(x1c, grid.x0)
 
-    # the values, then Delta_3 at h and at h/2: 13 point sets, with the
-    # radial step once per distinct pair of all of them
-    evaluate = f.radial_table()
+    # the values, then Delta_3 at h and at h/2: 13 point sets; a P-series
+    # runs its radial step once per distinct pair of all of them
+    evaluate = f.radial_table() if isinstance(f, MonogenicSeries) \
+        else f.eval_components
     fv = evaluate(x0c, x1c, x2c, x3c)
 
     sq = problem.lambda1_squared
@@ -627,13 +652,13 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
 
     vec_h, vec_neg = residuals(h, 1.0, 4.0)
     (vec_half,) = residuals(h / 2.0, 1.0)
-    del evaluate                    # drops the table
+    del evaluate                    # drops a P-series' table
     res_h, neg, res_half = (np.linalg.norm(v, axis=-1)
                             for v in (vec_h, vec_neg, vec_half))
     extrapolated = np.linalg.norm((4.0 * vec_half - vec_h) / 3.0, axis=-1)
     rows = np.column_stack([x0c, x1c, x2c, x3c, fv, res_h])
     bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():       # an overflow in the series or in the stencil
+    if bad.any():       # an overflow in the solution or in the stencil
         raise RangeError(f"the solution or its residual is not finite at "
                          f"{bad.sum()} of {len(rows)} grid nodes")
 

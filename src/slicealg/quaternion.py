@@ -287,14 +287,11 @@ class RadialTable:
     up in it, and only the missing ones go through ``radial``, so it runs
     once per distinct pair of all the calls.  :func:`axial_combine` then
     runs per point, in blocks of :data:`BLOCK` points.  Pairs are matched
-    by their bit patterns, so -0.0 never merges with +0.0.  The second
-    step is elementwise, so a value has the bits of the two steps run on
-    that point alone whenever ``radial`` is elementwise too, as the
-    P-series recurrence is.  A ``radial`` built on a matrix product, such
-    as the stem map of ``pde.SolutionEvaluator``, is not: BLAS may round a
-    row differently with the number of rows in the block (by about 1e-14
-    relative), so its values depend on which pairs share a call.  Only
-    the table and the index of each point's pair grow with the input.
+    by their bit patterns, so -0.0 never merges with +0.0.  The second step
+    is elementwise, and so is the P-series recurrence that ``monogenic``
+    gives as ``radial``, so a value has the bits of the two steps run on
+    that point alone.  Only the table and the index of
+    each point's pair grow with the input.
     """
 
     def __init__(self, radial):
@@ -420,28 +417,32 @@ _TERM_RE = re.compile(
 _UNIT_INDEX = {"": 0, "i": 1, "j": 2, "k": 3}
 
 
-def parse_quaternion(text: str) -> Quaternion:
-    """Parse a literal like ``1+2i-0.5j+k`` (any subset of terms).
+def parse_quaternion(text: str, what: Optional[str] = None) -> Quaternion:
+    """Parse a literal like ``1+2i-0.5j+k`` (any subset of terms); a
+    refusal names ``what``, the literal's key or entry, when given.
 
     >>> parse_quaternion("1+2i")
     Quaternion(1.0, 2.0, 0.0, 0.0)
     >>> parse_quaternion("-k")
     Quaternion(0.0, 0.0, 0.0, -1.0)
     """
+    named = "" if what is None else f"{what}: "
     if not isinstance(text, str):
-        raise ParseError(f"quaternion literal must be a string, got {_json_type(text)}")
+        raise ParseError(f"{named}quaternion literal must be a string, got "
+                         f"{_json_type(text)}")
     if not text.strip():
-        raise ParseError(f"empty quaternion literal: {text!r}")
+        raise ParseError(f"{named}empty quaternion literal: {text!r}")
     comps = [0.0, 0.0, 0.0, 0.0]
     pos = 0
     nterms = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
-            raise ParseError(f"bad quaternion literal {text!r} at position {pos}")
+            raise ParseError(f"{named}bad quaternion literal {text!r} at position {pos}")
         sign, number, unit, bare = m.groups()
         if nterms > 0 and not sign:
-            raise ParseError(f"missing +/- between terms in {text!r} at position {pos}")
+            raise ParseError(f"{named}missing +/- between terms in {text!r} at "
+                             f"position {pos}")
         value = 1.0 if number is None else float(number)
         if sign == "-":
             value = -value
@@ -449,9 +450,9 @@ def parse_quaternion(text: str) -> Quaternion:
         nterms += 1
         pos = m.end()
     if nterms == 0:
-        raise ParseError(f"empty quaternion literal: {text!r}")
+        raise ParseError(f"{named}empty quaternion literal: {text!r}")
     if not all(map(math.isfinite, comps)):
-        raise ParseError(f"quaternion literal {text!r} is not finite")
+        raise ParseError(f"{named}quaternion literal {text!r} is not finite")
     return Quaternion(*comps)
 
 

@@ -192,8 +192,9 @@ class SliceConstant:
         """The constant of a :meth:`to_record` object; ``what`` names the
         record in a :class:`ParseError`."""
         keys = ("I", "a1", "a2")
-        return cls(*record_fields(record, {key: (key, parse_quaternion) for key in keys},
-                                  what, required=keys).values())
+        return cls(*record_fields(record, {
+            key: (key, lambda v, key=key: parse_quaternion(v, f"{what} {key}"))
+            for key in keys}, what, required=keys).values())
 
 
 def recover_constants(f: SliceExpr, lam, unit_i, n_trunc: Optional[int] = None):

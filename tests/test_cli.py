@@ -168,7 +168,6 @@ def test_pde_problem_file(tmp_path, capsys):
         "lambda": 1.0,
         "grid": {"counts": [5, 5, 5], "lo": [-1, -1, -1], "hi": [1, 1, 1],
                  "x0": 0.0, "exclude_radius": 0.0, "fd_step": 0.02},
-        "degree": 40,
     }
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(spec))
@@ -425,7 +424,9 @@ def test_solve_degree_below_order_exits_2(tmp_path, capsys):
 
 
 def test_pde_degree_below_2_exits_2(tmp_path, capsys, monkeypatch):
-    # below degree 2 the Laplacian image is zero, which would pass vacuously
+    # below degree 2 the Laplacian image of a series was zero, which passed
+    # vacuously; the solutions are closed forms now, and no kind reads a
+    # degree, of any value
     from slicealg.errors import ParseError
     from slicealg.pde import PdeProblem
 
@@ -436,20 +437,20 @@ def test_pde_degree_below_2_exits_2(tmp_path, capsys, monkeypatch):
              ["--kind", "klein-gordon", "--unit", "i"],
              ["--kind", "quadratic", "--lambda1", "1+i"])
     for kind in kinds:
-        for degree in ("-3", "0", "1"):
+        for degree in ("-3", "0", "1", "60"):
             code, out, err = run_cli(capsys, "pde", *kind, "--degree", degree,
                                      "--grid-counts", "5")
             _assert_one_line_error(code, out, err, "pde")
-            assert f"degree {degree} too small" in err
+            assert err == (f"slicealg pde: {kind[1]} problems do not read "
+                           "'degree'\n")
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"kind": "helmholtz", "degree": 1,
                                 "grid": {"counts": [5, 5, 5]}}))
     code, out, err = run_cli(capsys, "pde", "--problem", str(path))
     _assert_one_line_error(code, out, err, "pde")
-    with pytest.raises(ParseError):
-        PdeProblem(kind="helmholtz", degree=-3)
-    # degree 2 is the smallest with a nonzero solution; yukawa reads none
-    PdeProblem(kind="helmholtz", degree=2)
+    for degree in (-3, 2, 40):
+        with pytest.raises(ParseError):
+            PdeProblem(kind="helmholtz", degree=degree)
     with pytest.raises(ParseError):
         PdeProblem(kind="yukawa", unit_i=Quaternion(0, 1), degree=-3,
                    rhs=MonogenicSeries([1]))
@@ -600,9 +601,9 @@ def test_pde_record_integers_exit_2(rec, tmp_path, capsys, monkeypatch):
 
 def test_record_integral_floats_read_as_integers(tmp_path, capsys):
     from slicealg.pde import PdeProblem
-    p = PdeProblem.from_record({"kind": "helmholtz", "degree": 30.0,
+    p = PdeProblem.from_record({"kind": "helmholtz",
                                 "grid": {"counts": [5.0, 7, 9]}})
-    assert p.degree == 30 and p.grid.counts == (5, 7, 9)
+    assert p.grid.counts == (5, 7, 9)
     problem = tmp_path / "prob.json"
     problem.write_text(json.dumps({"lambdas": ["i", "j"],
                                    "initial": ["1", "k"], "degree": 3.0}))
@@ -668,14 +669,14 @@ def test_pde_flags_and_problem_file_make_the_same_problem(tmp_path):
     consts = tmp_path / "consts.json"
     consts.write_text(json.dumps([{"I": "i", "a1": "1", "a2": "0"}]))
     args = cli.build_parser().parse_args(
-        ["pde", "--kind", "helmholtz", "--lambda", "2", "--degree", "30",
+        ["pde", "--kind", "helmholtz", "--lambda", "2",
          "--constants", str(consts), "--grid-counts", "7,9,11",
          "--grid-lo", "-2", "--exclude", "0.25"])
     p = cli._problem_from_args(args)
     assert p == PdeProblem.from_record(p.to_record())
     assert p.grid == GridSpec(counts=(7, 9, 11), lo=(-2.0, -2.0, -2.0),
                               exclude_radius=0.25)
-    assert p.degree == 30 and p.lam == 2.0 and p.unit_i is None
+    assert p.lam == 2.0 and p.unit_i is None
     bare = cli._problem_from_args(
         cli.build_parser().parse_args(["pde", "--kind", "helmholtz"]))
     assert bare == PdeProblem(kind="helmholtz")
@@ -895,15 +896,17 @@ VALUE_REFUSAL_CASES = {
     # a JSON number where a quaternion literal belongs
     "literal-I-number": (
         ["pde", "--problem", "{problem}"], {"kind": "klein-gordon", "I": 5},
-        "slicealg pde: quaternion literal must be a string, got a number"),
+        "slicealg pde: I: quaternion literal must be a string, got a number"),
     "literal-lambda1-number": (
         ["pde", "--problem", "{problem}"], {"kind": "quadratic", "lambda1": 1},
-        "slicealg pde: quaternion literal must be a string, got a number"),
+        "slicealg pde: lambda1: quaternion literal must be a string, got a "
+        "number"),
     "literal-constant-a1-number": (
         ["pde", "--problem", "{problem}"],
         {"kind": "helmholtz", "grid": {"exclude_radius": 0.5},
          "slice_constants": [{"I": "i", "a1": 0.5, "a2": "0"}]},
-        "slicealg pde: quaternion literal must be a string, got a number"),
+        "slicealg pde: slice_constants[0] a1: quaternion literal must be a "
+        "string, got a number"),
     # a kind that is not a string used to end in a TypeError traceback
     "kind-not-string": (["pde", "--problem", "{problem}"],
                         {"kind": ["helmholtz"]},
@@ -951,14 +954,12 @@ def test_value_refusals_exit_2(case, tmp_path, capsys, monkeypatch):
 
 # Runs on the default 21^3 box that the verdict must tell apart: the
 # flags, and the max_rel_residual a certified run reports (None: not
-# certified).  Rows 2, 6 and 7 are truncated series; the raw residual of
-# row 3 (0.128) is FD error of a correct solution.
+# certified).  Rows 6 and 7 have FD steps too coarse for lambda (h lambda
+# = 1.5 and 6.25); the raw residual of row 2 (0.128) is FD error of a
+# correct solution.
 VERDICT_ROWS = {
     "1-helmholtz-1": (["--kind", "helmholtz", "--lambda", "1"], 3.125e-05),
-    "2-helmholtz-8-degree-40": (["--kind", "helmholtz", "--lambda", "8"],
-                                None),
-    "3-helmholtz-8-degree-60": (["--kind", "helmholtz", "--lambda", "8",
-                                 "--degree", "60"], 0.1279),
+    "2-helmholtz-8": (["--kind", "helmholtz", "--lambda", "8"], 0.1279),
     "4-klein-gordon-3": (["--kind", "klein-gordon", "--unit", "i",
                           "--lambda", "3"], 2.346e-3),
     "5-helmholtz-2-two-valued": (["--kind", "helmholtz", "--lambda", "2",

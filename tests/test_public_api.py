@@ -75,6 +75,18 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
     assert "pde" in loaded and "verify" not in loaded
 
 
+def test_submodule_import_loads_that_module_alone():
+    # ``from slicealg import quaternion`` asks the package for the name
+    # before the submodule: it used to import every module and numpy
+    probe = ("import sys\nfrom slicealg import quaternion\n"
+             "print(quaternion.__name__, 'numpy' in sys.modules, "
+             "sorted(m for m in sys.modules if m.startswith('slicealg.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=_ENV).stdout
+    assert out == ("slicealg.quaternion False ['slicealg.errors', "
+                   "'slicealg.fmtio', 'slicealg.quaternion']\n")
+
+
 def test_verify_loads_eigensolve_only_for_the_suites_that_use_it():
     # timing-free: the scalar suites that check no eigensolver load none
     for suite in ("quaternion", "sliceexpr"):
@@ -153,14 +165,15 @@ def _rhs_file(tmp_path):
 
 
 def test_pde_kinds_import_only_what_they_use(tmp_path):
-    # timing-free: a yukawa run never loads sliceexpr, and a helmholtz or
-    # klein-gordon run never loads eigensolve
+    # timing-free: a yukawa run never loads sliceexpr, and a helmholtz,
+    # klein-gordon or quadratic run never loads eigensolve
     yukawa = _modules_loaded(_command(
         "pde", "--kind", "yukawa", "--unit", "i", "--lambda", "1",
         "--rhs", _rhs_file(tmp_path), "--grid-counts", "5"))
     assert "pde" in yukawa and "sliceexpr" not in yukawa
     for argv in (["--kind", "helmholtz"],
-                 ["--kind", "klein-gordon", "--unit", "j"]):
+                 ["--kind", "klein-gordon", "--unit", "j"],
+                 ["--kind", "quadratic", "--lambda1", "1+i"]):
         loaded = _modules_loaded(_command("pde", *argv, "--grid-counts", "5"))
         assert "pde" in loaded and "eigensolve" not in loaded
 
