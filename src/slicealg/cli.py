@@ -11,8 +11,8 @@ verify    run the randomized self-check suites
 
 All outputs are deterministic: floats are printed with 17 significant
 digits, so identical invocations produce byte-identical files; ``verify``
-draws from --seed, 1729 unless given.  A refused input ends as one line
-on stderr and exit status 2.
+draws from --seed, 1729 unless given.  A refused input, or a request too
+large to allocate, ends as one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -277,6 +277,10 @@ def main(argv=None) -> int:
         return status
     except SliceAlgError as exc:
         print(f"slicealg {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:      # e.g. a grid too large to allocate
+        print(f"slicealg {args.command}: out of memory: {exc}",
+              file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout (``| head``): flush the rest to os.devnull

@@ -31,8 +31,8 @@ import math
 
 from .errors import DomainError, ParseError
 from .fmtio import array_from_json, record_fields
-from .quaternion import (Quaternion, ZERO, ONE, I, J, K, as_quaternion,
-                         RadialTable, axial_combine, decompose,
+from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K,
+                         as_quaternion, axial_combine, decompose,
                          quaternion_from_json)
 from .series import PowerSeries, slice_derivative, spherical_derivative_eval
 
@@ -95,6 +95,34 @@ def eval_Z(n: int, x) -> Quaternion:
     for k in range(n + 1):
         acc = acc + xp[k] * xcp[n - k]
     return acc
+
+
+# An odd multiplier (a bijection of uint64) that mixes the bits of x0 into
+# the sort key of _distinct_pairs.
+_MIX = 0x9E3779B97F4A7C15
+
+
+def _distinct_pairs(x0, b2):
+    """The distinct pairs of the 1-D arrays (x0, b2), matched by their bit
+    patterns: returns (x0 of the pairs, b2 of the pairs, inv), where point
+    n has the pair inv[n]."""
+    import numpy as np
+    k0, k2 = x0.view(np.uint64), b2.view(np.uint64)
+    # A 1-D sort key.  Equal pairs have equal keys, so each pair's points
+    # are contiguous once sorted, unless another pair has the same key;
+    # that can only split a run of equal pairs below, never merge two.
+    order = np.argsort(k2 ^ (k0 * np.uint64(_MIX)))
+    k0, k2 = k0.take(order), k2.take(order)
+    first = np.empty(order.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(k0[1:], k0[:-1], out=first[1:])
+    first[1:] |= k2[1:] != k2[:-1]
+    ids = first.astype(np.intp)
+    np.cumsum(ids, out=ids)
+    ids -= 1
+    inv = np.empty_like(ids)
+    inv[order] = ids
+    return k0[first].view(float), k2[first].view(float), inv
 
 
 class MonogenicSeries:
@@ -179,18 +207,34 @@ class MonogenicSeries:
         This is the axial form f(x) = A(x0, beta) + omega B(x0, beta) with
         omega = Im x / beta: the recurrence and the sums Sum A_n m_n,
         Sum B_n m_n (the radial step) depend on (x0, beta^2) alone, so
-        they run once per distinct pair of the call; only
-        re + Im(x) im (the angular step) runs per point
-        (:class:`quaternion.RadialTable`).  Each value has the bits of
-        :meth:`__call__` at that point.
+        they run once per distinct pair of the call, in blocks of
+        :data:`quaternion.BLOCK` pairs; only re + Im(x) im (the angular
+        step, :func:`quaternion.axial_combine`) runs per point, in blocks
+        of :data:`quaternion.BLOCK` points.  Pairs are matched by their bit
+        patterns, so -0.0 never merges with +0.0, and both steps are
+        elementwise: each value has the bits of :meth:`__call__` at that
+        point.
         """
-        return self.radial_table()(x0, x1, x2, x3)
-
-    def radial_table(self) -> RadialTable:
-        """An evaluator like :meth:`eval_components` for point sets taken
-        one after another: the radial step runs once per distinct pair of
-        all of them."""
-        return RadialTable(self._sums)
+        import numpy as np
+        x0, x1, x2, x3 = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+        shape = x0.shape
+        x1, x2, x3 = (v.reshape(-1) for v in (x1, x2, x3))
+        u0, ub2, inv = _distinct_pairs(x0.reshape(-1),
+                                       x1 * x1 + x2 * x2 + x3 * x3)
+        sums = np.empty((8, u0.size))
+        for start in range(0, u0.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            for c, v in enumerate(self._sums(u0[block], ub2[block])):
+                sums[c, block] = v
+        out = np.empty((inv.size, 4))
+        for start in range(0, inv.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            vals = axial_combine(sums.take(inv[block], axis=1),
+                                 x1[block], x2[block], x3[block])
+            for c, v in enumerate(vals):
+                out[block, c] = v
+        return out.reshape(shape + (4,))
 
     def _sums(self, x0, b2):
         # The radial kernel, on floats (one point) or on 1-D arrays (the

@@ -28,9 +28,8 @@ on all of H and evaluated by the O(n) recurrence of
 No finite differences enter the *construction*; FD is used only by
 :func:`verify_pde` to certify the residuals independently.  It evaluates
 13 point sets (the nodes and the six shifts of the Delta_3 stencil at two
-steps).  For a P-series they share one table of distinct pairs
-(:class:`quaternion.RadialTable`), so a pair (x0, beta^2) that several
-sets meet goes through the recurrence once.  Its report
+steps), each in one ``eval_components`` call; a P-series runs its
+recurrence once per distinct pair (x0, beta^2) of each set.  Its report
 keeps the nodes, values and residual norms as one (n, 9) float array,
 ``PdeReport.rows``, which :func:`fmtio.write_csv` writes block by block.
 :meth:`PdeReport.verdict` judges the report against the constants
@@ -626,11 +625,8 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         raise GridTooSmall("no grid nodes survive the exclusion ball")
     x0c = np.full_like(x1c, grid.x0)
 
-    # the values, then Delta_3 at h and at h/2: 13 point sets; a P-series
-    # runs its radial step once per distinct pair of all of them
-    evaluate = f.radial_table() if isinstance(f, MonogenicSeries) \
-        else f.eval_components
-    fv = evaluate(x0c, x1c, x2c, x3c)
+    # the values, then Delta_3 at h and at h/2: 13 point sets
+    fv = f.eval_components(x0c, x1c, x2c, x3c)
 
     sq = problem.lambda1_squared
     rhs_vals = 0.0 if problem.rhs is None else \
@@ -646,13 +642,12 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         for dx1, dx2, dx3 in ((step, 0.0, 0.0), (-step, 0.0, 0.0),
                               (0.0, step, 0.0), (0.0, -step, 0.0),
                               (0.0, 0.0, step), (0.0, 0.0, -step)):
-            acc += evaluate(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
+            acc += f.eval_components(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
         lap = acc / (step * step)
         return [_operator_residual(sq, lap, fv, rhs_vals, k) for k in factors]
 
     vec_h, vec_neg = residuals(h, 1.0, 4.0)
     (vec_half,) = residuals(h / 2.0, 1.0)
-    del evaluate                    # drops a P-series' table
     res_h, neg, res_half = (np.linalg.norm(v, axis=-1)
                             for v in (vec_h, vec_neg, vec_half))
     extrapolated = np.linalg.norm((4.0 * vec_half - vec_h) / 3.0, axis=-1)

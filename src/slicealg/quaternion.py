@@ -237,34 +237,6 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 BLOCK = 8192
 
 
-# An odd multiplier (a bijection of uint64) that mixes the bits of x0 into
-# the sort key of _distinct_pairs.
-_MIX = 0x9E3779B97F4A7C15
-
-
-def _distinct_pairs(x0, b2):
-    """The distinct pairs of the 1-D arrays (x0, b2), matched by their bit
-    patterns: returns (x0 of the pairs, b2 of the pairs, inv), where point
-    n has the pair inv[n]."""
-    import numpy as np
-    k0, k2 = x0.view(np.uint64), b2.view(np.uint64)
-    # A 1-D sort key.  Equal pairs have equal keys, so each pair's points
-    # are contiguous once sorted, unless another pair has the same key;
-    # that can only split a run of equal pairs below, never merge two.
-    order = np.argsort(k2 ^ (k0 * np.uint64(_MIX)))
-    k0, k2 = k0.take(order), k2.take(order)
-    first = np.empty(order.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(k0[1:], k0[:-1], out=first[1:])
-    first[1:] |= k2[1:] != k2[:-1]
-    ids = first.astype(np.intp)
-    np.cumsum(ids, out=ids)
-    ids -= 1
-    inv = np.empty_like(ids)
-    inv[order] = ids
-    return k0[first].view(float), k2[first].view(float), inv
-
-
 def axial_combine(sums, x1, x2, x3):
     """The four components of re + Im(x) im, where ``sums`` holds the
     components of re, then of im, and Im(x) = x1 i + x2 j + x3 k."""
@@ -273,72 +245,6 @@ def axial_combine(sums, x1, x2, x3):
             re[1] + (x1 * im[0] + x2 * im[3] - x3 * im[2]),
             re[2] + (-x1 * im[3] + x2 * im[0] + x3 * im[1]),
             re[3] + (x1 * im[2] - x2 * im[1] + x3 * im[0]))
-
-
-class RadialTable:
-    """Evaluate an axial function f = re + Im(x) im, with re and im
-    quaternions that depend on (x0, |Im x|^2) alone, on point sets one
-    after another.
-
-    ``radial(x0, b2)`` is the costly step: it takes 1-D arrays of at most
-    :data:`BLOCK` distinct pairs (x0, b2 = x1*x1 + x2*x2 + x3*x3) and
-    returns the eight components of re and im there.  The table keeps the
-    pairs met so far with their radial values: each call looks its pairs
-    up in it, and only the missing ones go through ``radial``, so it runs
-    once per distinct pair of all the calls.  :func:`axial_combine` then
-    runs per point, in blocks of :data:`BLOCK` points.  Pairs are matched
-    by their bit patterns, so -0.0 never merges with +0.0.  The second step
-    is elementwise, and so is the P-series recurrence that ``monogenic``
-    gives as ``radial``, so a value has the bits of the two steps run on
-    that point alone.  Only the table and the index of
-    each point's pair grow with the input.
-    """
-
-    def __init__(self, radial):
-        import numpy as np
-        self.radial = radial
-        self.x0, self.b2 = np.empty(0), np.empty(0)     # the pairs
-        self.sums = np.empty((0, 8))    # their radial values, row by row
-
-    def __call__(self, x0, x1, x2, x3):
-        """f at the points (x0, x1, x2, x3); returns an (..., 4) array."""
-        import numpy as np
-        x0, x1, x2, x3 = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
-        shape = x0.shape
-        x1, x2, x3 = (v.reshape(-1) for v in (x1, x2, x3))
-        # one search over the table's pairs (distinct, and first) and the
-        # points': a pair that no table row holds is new
-        known = self.x0.size
-        u0, ub2, ids = _distinct_pairs(
-            np.concatenate([self.x0, x0.reshape(-1)]),
-            np.concatenate([self.b2, x1 * x1 + x2 * x2 + x3 * x3]))
-        row = np.full(u0.size, -1)
-        row[ids[:known]] = np.arange(known)
-        new = row < 0
-        u0, ub2 = u0[new], ub2[new]
-        fresh = np.empty((8, u0.size))
-        for start in range(0, u0.size, BLOCK):
-            block = slice(start, start + BLOCK)
-            for c, v in enumerate(self.radial(u0[block], ub2[block])):
-                fresh[c, block] = v
-        row[new] = np.arange(known, known + u0.size)
-        self.x0 = np.concatenate([self.x0, u0])
-        self.b2 = np.concatenate([self.b2, ub2])
-        # rows are appended in place (no view of sums ever leaves the
-        # table): a grown copy per call would fragment the heap and leave
-        # the process larger
-        self.sums.resize((known + u0.size, 8), refcheck=False)
-        self.sums[known:] = fresh.T
-        inv = row.take(ids[known:])
-        out = np.empty((inv.size, 4))
-        for start in range(0, inv.size, BLOCK):
-            block = slice(start, start + BLOCK)
-            vals = axial_combine(self.sums.take(inv[block], axis=0).T,
-                                 x1[block], x2[block], x3[block])
-            for c, v in enumerate(vals):
-                out[block, c] = v
-        return out.reshape(shape + (4,))
 
 
 def qmul(a, b):

@@ -81,6 +81,15 @@ def test_eval_monogenic_file(tmp_path, capsys):
     assert row[4:] == [1.0, 1.5, 0.0, 0.0]
 
 
+def test_eval_monogenic_file_without_points(tmp_path, capsys):
+    # no --at and no --points: the header line alone, exit 0
+    path = tmp_path / "mono.json"
+    dump_json(MonogenicSeries([Quaternion(1.0), Quaternion(0, 1, 0, 0)]).to_record(),
+              path)
+    code, out, err = run_cli(capsys, "eval", "--coeffs", str(path))
+    assert (code, out, err) == (0, "x0,x1,x2,x3,f_w,f_x1,f_x2,f_x3\n", "")
+
+
 def test_pde_summary_stdout(capsys):
     code, out, err = run_cli(capsys, "pde", "--kind", "helmholtz",
                              "--lambda", "1.0", "--grid-counts", "5",
@@ -337,6 +346,15 @@ def test_pde_overflow_exits_2(flags, tmp_path, capsys):
     _assert_one_line_error(code, out, err, "pde")
     assert "not finite" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pde_grid_too_large_to_allocate_exits_2(capsys):
+    # 100000 nodes per axis is a grid of 7.11 PiB: the allocator refuses it
+    # at once, and the refusal is one exit-2 line, not a traceback
+    code, out, err = run_cli(capsys, "pde", "--kind", "helmholtz",
+                             "--grid-counts", "100000")
+    _assert_one_line_error(code, out, err, "pde")
+    assert "out of memory" in err
 
 
 def test_pde_problem_file_bad_values_exit_2(tmp_path, capsys, monkeypatch):

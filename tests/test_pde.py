@@ -427,6 +427,31 @@ def test_p_series_block_boundary():
         assert err <= 1e-15 * want.norm()
 
 
+def test_p_series_on_no_points(monkeypatch):
+    # no points: a (0, 4) array, and the radial kernel never runs
+    g = MonogenicSeries([Quaternion(1.0, 2.0), Quaternion(0.5, 0.0, -1.0)])
+    calls = []
+    monkeypatch.setattr(MonogenicSeries, "_sums",
+                        lambda self, x0, b2: calls.append(x0))
+    empty = np.empty(0)
+    assert g.eval_components(empty, empty, empty, empty).shape == (0, 4)
+    assert calls == []
+
+
+def test_p_series_broadcasts_a_scalar_x0():
+    # a scalar x0 against (2, 3) arrays gives (2, 3, 4), with the bits of
+    # the one-point call at each point
+    rng = np.random.default_rng(533)
+    g = MonogenicSeries([Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(9)])
+    x1, x2, x3 = rng.uniform(-1, 1, (3, 2, 3))
+    x1[0, 0] = x2[0, 0] = x3[0, 0] = 0.0        # a real point too
+    vals = g.eval_components(0.3, x1, x2, x3)
+    assert vals.shape == (2, 3, 4)
+    for n in np.ndindex(2, 3):
+        want = g(Quaternion(0.3, x1[n], x2[n], x3[n])).as_list()
+        assert [v.hex() for v in vals[n].tolist()] == [v.hex() for v in want]
+
+
 def _axial_grids():
     # a 21^3 grid with repeated radii, at a constant x0 and at x0 cycling
     # through -0.0, +0.0 and 0.25; the origin gives points with r = 0, and
@@ -678,32 +703,40 @@ def _stencil_sets(report):
 
 
 def test_stencil_runs_the_radial_kernel_once_per_distinct_pair(monkeypatch):
-    # timing-free guard: over the 13 point sets of one verify_pde of a
+    # timing-free guard: in each of the 13 point sets of one verify_pde of a
     # P-series, the radial kernel receives each distinct (x0, |Im x|^2) bit
-    # pattern exactly once (the CRF spot checks, which evaluate on their
-    # own, are left out)
+    # pattern of that set exactly once (the CRF spot checks, which evaluate
+    # on their own, are left out)
     import slicealg.pde as pde
     monkeypatch.setattr(pde, "_fd_crf_at",
                         lambda f, centres, h: np.zeros((len(centres), 4)))
     problem = list(_stencil_problems())[2]
     f = problem.solve()
-    sums = MonogenicSeries._sums
-    seen = []
+    evaluate, sums = MonogenicSeries.eval_components, MonogenicSeries._sums
+    seen = []                   # the pairs of each call of f
+
+    def calling(self, x0, x1, x2, x3):
+        if self is f:           # not the right-hand side
+            seen.append([])
+        return evaluate(self, x0, x1, x2, x3)
 
     def counting(self, x0, b2):
-        if self is f:           # not the right-hand side
-            seen.extend(zip(x0.tolist(), b2.tolist()))
+        if self is f:
+            seen[-1].extend(zip(x0.tolist(), b2.tolist()))
         return sums(self, x0, b2)
+    monkeypatch.setattr(MonogenicSeries, "eval_components", calling)
     monkeypatch.setattr(MonogenicSeries, "_sums", counting)
     report = verify_pde(f, problem)
     monkeypatch.setattr(MonogenicSeries, "_sums", sums)
-    want = set()
-    for x0, x1, x2, x3 in _stencil_sets(report):
+    assert len(seen) == 13
+    for pairs, (x0, x1, x2, x3) in zip(seen, _stencil_sets(report)):
         b2 = x1 * x1 + x2 * x2 + x3 * x3
-        want |= {(a.hex(), b.hex()) for a, b in zip(x0.tolist(), b2.tolist())}
-    got = sorted((a.hex(), b.hex()) for a, b in seen)
-    assert got == sorted(want)
-    assert len(got) < 13 * len(report.rows) / 3
+        want = {(a.hex(), b.hex()) for a, b in zip(x0.tolist(), b2.tolist())}
+        got = sorted((a.hex(), b.hex()) for a, b in pairs)
+        assert got == sorted(want)
+    total = sum(map(len, seen))
+    assert (total, 13 * len(report.rows)) == (10971, 43875)
+    assert total < 13 * len(report.rows) / 3
 
 
 def test_stencil_evaluates_a_closed_form_once_per_point_set(monkeypatch):
