@@ -171,7 +171,7 @@ def cmd_pde(args) -> int:
     from .pde import verify_pde
     problem = _problem_from_args(args)
     # an overflow shows up as inf/NaN values, refused by verify_pde
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f = problem.solve()
         report = verify_pde(f, problem)
     failures = report.verdict()

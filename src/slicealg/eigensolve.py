@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CertificateViolation, ParseError, RangeError, ZeroEigenvalue
-from .quaternion import Quaternion, ZERO, ONE, as_quaternion
+from .errors import CertificateViolation, ParseError, RangeError
+from .quaternion import Quaternion, ZERO, ONE, _require_invertible, as_quaternion
 from .series import PowerSeries, exp_series
 
 __all__ = [
@@ -80,9 +80,7 @@ class CoeffBoundCert(NamedTuple):
     @classmethod
     def fit(cls, f: PowerSeries, d: int, lam) -> "CoeffBoundCert":
         """Smallest C certifying f's stored coefficients for degree d."""
-        lam = as_quaternion(lam)
-        if abs(lam) == 0.0:
-            raise ZeroEigenvalue("A_lambda is defined for lambda != 0")
+        lam = _require_invertible(lam)
         ratios = [size / (grow * lam_pow)
                   for _, size, grow, lam_pow in _growth(f, d, abs(lam))]
         return cls(max([0.0] + ratios), d, lam)
@@ -109,9 +107,7 @@ def S_lambda(lam, p: PowerSeries) -> PowerSeries:
     recurrence b_{d+1} = 0, b_k = ((k+1) b_{k+1} - a_k) lambda^{-1}, so
     that apply_D(lam, S_lambda(lam, p)) = p exactly.
     """
-    lam = as_quaternion(lam)
-    if lam.is_zero():
-        raise ZeroEigenvalue("S_lambda requires lambda != 0")
+    lam = _require_invertible(lam)
     if not p.exact:
         raise ValueError("S_lambda is defined for polynomials; integrate "
                          "truncated series with E_lambda_op instead")

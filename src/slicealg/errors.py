@@ -36,7 +36,8 @@ class StemSymmetryError(SliceAlgError, ValueError):
 
 
 class ZeroEigenvalue(SliceAlgError, ValueError):
-    """An operation that inverts the eigenvalue received lambda = 0."""
+    """An operation that inverts the eigenvalue received lambda = 0, or a
+    lambda whose |lambda|^2 is not a normal float (no accurate inverse)."""
 
 
 class RangeError(SliceAlgError, ValueError):

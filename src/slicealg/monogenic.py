@@ -126,7 +126,10 @@ def _distinct_pairs(x0, b2):
 
 
 class MonogenicSeries:
-    """A finite expansion g(x) = Sum_n P_n(x) m_n in the P-basis."""
+    """A finite expansion g(x) = Sum_n P_n(x) m_n in the P-basis.
+
+    The algebra happens on the slice side: a P-series is its Laplace image
+    (:func:`fueter_laplacian`), evaluated and written, never added."""
 
     __slots__ = ("coeffs", "_terms")
 
@@ -167,31 +170,11 @@ class MonogenicSeries:
     def coeff(self, n: int) -> Quaternion:
         return self.coeffs[n] if n <= self.degree_bound else ZERO
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, MonogenicSeries):
             return NotImplemented
         top = max(self.degree_bound, other.degree_bound)
         return all(self.coeff(n) == other.coeff(n) for n in range(top + 1))
-
-    def __add__(self, other):
-        if not isinstance(other, MonogenicSeries):
-            return NotImplemented
-        top = max(self.degree_bound, other.degree_bound)
-        return MonogenicSeries([self.coeff(n) + other.coeff(n)
-                                for n in range(top + 1)])
-
-    def __sub__(self, other):
-        if not isinstance(other, MonogenicSeries):
-            return NotImplemented
-        top = max(self.degree_bound, other.degree_bound)
-        return MonogenicSeries([self.coeff(n) - other.coeff(n)
-                                for n in range(top + 1)])
-
-    def __neg__(self):
-        return MonogenicSeries([-c for c in self.coeffs])
 
     def eval_components(self, x0, x1, x2, x3):
         """Sum_n P_n(x) m_n at the points (x0, x1, x2, x3); an (..., 4) array.

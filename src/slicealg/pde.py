@@ -45,12 +45,11 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmall, ParseError, RangeError, \
-    ZeroEigenvalue
+from .errors import DomainError, GridTooSmall, ParseError, RangeError
 from .fmtio import array_from_json, float_from_json, int_from_json, \
     record_fields, write_csv
-from .quaternion import BLOCK, Quaternion, ZERO, ONE, _require_unit_imag, \
-    as_quaternion, axial_combine, format_quaternion, parse_quaternion, qmul
+from .quaternion import BLOCK, Quaternion, ZERO, ONE, _require_invertible, \
+    _require_unit_imag, as_quaternion, axial_combine, parse_quaternion, qmul
 from .monogenic import ORDER_TOLERANCE, MonogenicSeries, _order_ok, \
     fueter_laplacian, inv_laplacian, richardson_order
 
@@ -140,18 +139,6 @@ class GridSpec:
         return [np.linspace(l, h, int(c))
                 for l, h, c in zip(self.lo, self.hi, self.counts)]
 
-    def to_record(self) -> dict:
-        rec = {
-            "counts": [int(c) for c in self.counts],
-            "lo": [float(v) for v in self.lo],
-            "hi": [float(v) for v in self.hi],
-            "x0": float(self.x0),
-            "exclude_radius": float(self.exclude_radius),
-        }
-        if self.fd_step is not None:
-            rec["fd_step"] = float(self.fd_step)
-        return rec
-
     @classmethod
     def from_record(cls, rec: dict) -> "GridSpec":
         return cls(**record_fields(rec, {
@@ -173,9 +160,7 @@ def _real_lambda(lam) -> float:
         raise ParseError(f"lambda must be real, got {q}")
     if not math.isfinite(q.w):
         raise ParseError(f"lambda must be finite, got {q.w!r}")
-    if q.w == 0.0:
-        raise ZeroEigenvalue("lambda must be nonzero")
-    return q.w
+    return _require_invertible(q, "lambda").w
 
 
 @dataclass(frozen=True)
@@ -217,7 +202,9 @@ class PdeProblem:
             raise ParseError(f"{self.kind} problems read at most two "
                              f"slice_constants, got {len(self.slice_constants)}")
         if self.kind == "quadratic":
-            object.__setattr__(self, "lam1", _nonzero_lambda1(self.lam1))
+            if self.lam1 is None:
+                raise ParseError("quadratic problems need lambda1")
+            object.__setattr__(self, "lam1", _require_invertible(self.lam1, "lambda1"))
         else:
             object.__setattr__(self, "lam",
                                _real_lambda(1.0 if self.lam is None else self.lam))
@@ -225,21 +212,6 @@ class PdeProblem:
             raise ParseError(f"{self.kind} problems need an imaginary unit I")
         if self.kind == "yukawa" and self.rhs is None:
             raise ParseError("yukawa problems need a right-hand side")
-
-    def to_record(self) -> dict:
-        rec = {"kind": self.kind}
-        if self.lam is not None:
-            rec["lambda"] = float(self.lam)
-        if self.unit_i is not None:
-            rec["I"] = format_quaternion(self.unit_i)
-        if self.lam1 is not None:
-            rec["lambda1"] = format_quaternion(self.lam1)
-        if self.slice_constants:
-            rec["slice_constants"] = [h.to_record() for h in self.slice_constants]
-        if self.rhs is not None:
-            rec["rhs"] = self.rhs.to_record()
-        rec["grid"] = self.grid.to_record()
-        return rec
 
     @classmethod
     def from_record(cls, rec: dict) -> "PdeProblem":
@@ -419,13 +391,6 @@ def _as_constant(h) -> SliceConstant:
     return SliceConstant.uniform(h)
 
 
-def _nonzero_lambda1(lam1) -> Quaternion:
-    # the quadratic kernel's eigenvalue, refused when missing or zero
-    if lam1 is None or as_quaternion(lam1).is_zero():
-        raise ZeroEigenvalue("quadratic kernel needs lambda_1 != 0")
-    return as_quaternion(lam1)
-
-
 def helmholtz_solution(lam, h1=None, h2=None) -> SolutionEvaluator:
     """f = Delta_4(h1 . exp_lam) + Delta_4(h2 . exp_{-lam}), lam real != 0.
 
@@ -457,8 +422,8 @@ def general_quadratic_kernel(lam1, h1=None, h2=None) -> SolutionEvaluator:
     E_{(lam1, -lam1)} = (e^{x lam1} - e^{-x lam1}) (2 lam1)^{-1}.
     """
     from .sliceexpr import SliceConstant
-    lam1 = _nonzero_lambda1(lam1)
-    r = (2.0 * lam1).inverse()
+    lam1 = _require_invertible(lam1, "lambda1")
+    r = 0.5 * lam1.inverse()
     h1 = _as_constant(ONE if h1 is None else h1)
     h1r, h1mr = (SliceConstant(h1.i, h1.a1 * c, h1.a2 * c) for c in (r, -r))
     return SolutionEvaluator([(h1r, lam1), (h1mr, -lam1),
@@ -477,7 +442,7 @@ def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
     u = inv_laplacian(h)
     v = S_lambda(unit * lam, u)
     w = S_lambda(-(unit * lam), v)
-    return -fueter_laplacian(w)
+    return fueter_laplacian(-w)
 
 
 # verification ----------------------------------------------------------------

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from typing import NamedTuple, Optional
 
-from .errors import ParseError
+from .errors import ParseError, ZeroEigenvalue
 from .fmtio import _json_type, array_from_json, float_from_json
 
 __all__ = [
@@ -131,14 +132,13 @@ class Quaternion:
     __abs__ = norm
 
     def inverse(self) -> "Quaternion":
+        # conj(q) / |q|^2 is accurate only while |q|^2 is a normal float
         n2 = self.norm2()
-        if n2 == 0.0:
-            raise ZeroDivisionError("0 has no inverse in H")
+        if not sys.float_info.min <= n2 < math.inf:
+            raise ZeroDivisionError(
+                f"{self} has no accurate inverse: |q|^2 = {n2!r} is "
+                + ("not finite" if n2 > 1.0 else "not a normal float"))
         return Quaternion(self.w / n2, -self.x1 / n2, -self.x2 / n2, -self.x3 / n2)
-
-    def trace(self) -> float:
-        """t(q) = q + conj(q), always real."""
-        return 2.0 * self.w
 
     def imag(self) -> "Quaternion":
         return Quaternion(0.0, self.x1, self.x2, self.x3)
@@ -224,6 +224,18 @@ def _require_unit_imag(u, what="unit") -> "Quaternion":
         raise ParseError(f"{what} must be a unit imaginary quaternion, got "
                          f"{format_quaternion(u)}")
     return u
+
+
+def _require_invertible(q, what="lambda") -> "Quaternion":
+    """``q`` as a Quaternion, refused with :class:`ZeroEigenvalue` naming
+    ``what`` where :meth:`Quaternion.inverse` refuses it."""
+    q = as_quaternion(q)
+    try:
+        q.inverse()
+    except ZeroDivisionError as exc:
+        raise ZeroEigenvalue(f"{what} must be nonzero" if q.is_zero()
+                             else f"{what} = {exc}") from None
+    return q
 
 
 ZERO = Quaternion(0.0)

@@ -180,17 +180,10 @@ class SliceConstant:
         """g as a pair of degree 0."""
         return _constant(*self.stems())
 
-    def to_record(self) -> dict:
-        return {
-            "I": format_quaternion(self.i if self.i is not None else Quaternion(0, 1)),
-            "a1": format_quaternion(self.a1),
-            "a2": format_quaternion(self.a2),
-        }
-
     @classmethod
     def from_record(cls, record: dict, what: str) -> "SliceConstant":
-        """The constant of a :meth:`to_record` object; ``what`` names the
-        record in a :class:`ParseError`."""
+        """The constant of a record {"I": ..., "a1": ..., "a2": ...} of
+        literals; ``what`` names the record in a :class:`ParseError`."""
         keys = ("I", "a1", "a2")
         return cls(*record_fields(record, {
             key: (key, lambda v, key=key: parse_quaternion(v, f"{what} {key}"))

@@ -335,6 +335,7 @@ def test_eval_points_file_not_utf8_exits_2(tmp_path, capsys):
     ["--lambda", "1e300"],
     ["--x0", "1e300"],
     ["--x0", "1e300", "--out-prefix", "{prefix}"],
+    ["--fd-step", "1e-300"],
 ])
 def test_pde_overflow_exits_2(flags, tmp_path, capsys):
     # a solution that overflows on the grid is one exit-2 line, refused
@@ -691,7 +692,14 @@ def test_pde_flags_and_problem_file_make_the_same_problem(tmp_path):
          "--constants", str(consts), "--grid-counts", "7,9,11",
          "--grid-lo", "-2", "--exclude", "0.25"])
     p = cli._problem_from_args(args)
-    assert p == PdeProblem.from_record(p.to_record())
+    record = tmp_path / "problem.json"
+    record.write_text(json.dumps({
+        "kind": "helmholtz", "lambda": 2, "slice_constants": [
+            {"I": "i", "a1": "1", "a2": "0"}],
+        "grid": {"counts": [7, 9, 11], "lo": [-2, -2, -2],
+                 "exclude_radius": 0.25}}))
+    assert p == cli._problem_from_args(
+        cli.build_parser().parse_args(["pde", "--problem", str(record)]))
     assert p.grid == GridSpec(counts=(7, 9, 11), lo=(-2.0, -2.0, -2.0),
                               exclude_radius=0.25)
     assert p.lam == 2.0 and p.unit_i is None
@@ -897,7 +905,23 @@ VALUE_REFUSAL_CASES = {
                               None, "slicealg pde: lambda must be nonzero"),
     "quadratic-lambda1-zero": (
         ["pde", "--kind", "quadratic", "--lambda1", "0"], None,
-        "slicealg pde: quadratic kernel needs lambda_1 != 0"),
+        "slicealg pde: lambda1 must be nonzero"),
+    "quadratic-without-lambda1": (
+        ["pde", "--kind", "quadratic"], None,
+        "slicealg pde: quadratic problems need lambda1"),
+    # |lambda|^2 underflows: inverting lambda used to divide by zero in a
+    # traceback
+    "quadratic-lambda1-tiny": (
+        ["pde", "--kind", "quadratic", "--lambda1", "1e-170i",
+         "--grid-counts", "5"], None,
+        "slicealg pde: lambda1 = 1e-170i has no accurate inverse: "
+        "|q|^2 = 0.0 is not a normal float"),
+    "yukawa-lambda-tiny": (
+        ["pde", "--kind", "yukawa", "--unit", "i", "--lambda", "1e-170",
+         "--rhs", "{problem}", "--grid-counts", "5"],
+        {"basis": "P", "coeffs": [[1, 0, 0, 0]]},
+        "slicealg pde: lambda = 1e-170 has no accurate inverse: "
+        "|q|^2 = 0.0 is not a normal float"),
     "fd-step-zero": (["pde", "--kind", "helmholtz", "--fd-step", "0"], None,
                      "slicealg pde: fd_step must be positive"),
     "exclude-negative": (["pde", "--kind", "helmholtz", "--exclude", "-1"],

@@ -155,6 +155,13 @@ def test_S_lambda_rejects_zero_and_inexact():
         S_lambda(ZERO, p)
     with pytest.raises(ValueError):
         S_lambda(I, PowerSeries([ONE, I], exact=False))
+    # |lambda|^2 overflows at 1e200 (the inverse was 0, so S_lambda
+    # returned zeros) and underflows at 1e-170 i (ZeroDivisionError)
+    for lam in (Quaternion(1e200), Quaternion(0, 1e-170)):
+        with pytest.raises(ZeroEigenvalue, match="no accurate inverse"):
+            S_lambda(lam, p)
+        with pytest.raises(ZeroEigenvalue, match="no accurate inverse"):
+            CoeffBoundCert.fit(p, 0, lam)
 
 
 def test_E_lambda_right_inverse_on_polynomials():

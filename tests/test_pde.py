@@ -60,30 +60,48 @@ def test_grid_spec_validation():
 
 
 def test_grid_spec_record_roundtrip():
+    # a grid record reads as the GridSpec of its fields, and a key it
+    # leaves out keeps its default
     g = GridSpec(counts=(9, 9, 11), lo=(-2, -1, -1), hi=(2, 1, 1),
                  x0=0.25, exclude_radius=0.3, fd_step=0.01)
-    assert GridSpec.from_record(g.to_record()) == g
+    rec = json.loads('{"counts": [9, 9, 11], "lo": [-2.0, -1.0, -1.0], '
+                     '"hi": [2.0, 1.0, 1.0], "x0": 0.25, '
+                     '"exclude_radius": 0.3, "fd_step": 0.01}')
+    assert GridSpec.from_record(rec) == g
+    assert GridSpec.from_record({"counts": [7, 7, 7], "fd_step": 0.02}) == SMALL
 
 
 def test_problem_validation_and_roundtrip():
     with pytest.raises(ValueError):
         PdeProblem(kind="heat")
+    # problem records are input: each reads as the problem of its fields
+    small = {"counts": [7, 7, 7], "fd_step": 0.02}
     p = PdeProblem(kind="helmholtz", lam=2.0, grid=SMALL,
                    slice_constants=(SliceConstant.uniform(ONE),
                                     SliceConstant(I, ONE, -ONE)))
-    q = PdeProblem.from_record(p.to_record())
+    q = PdeProblem.from_record(
+        {"kind": "helmholtz", "lambda": 2.0, "grid": small,
+         "slice_constants": [{"I": "i", "a1": "1", "a2": "1"},
+                             {"I": "i", "a1": "1", "a2": "-1"}]})
     assert q.kind == p.kind and q.lam == p.lam
     assert q.grid == p.grid
     assert q.slice_constants == p.slice_constants
+    assert q == p
     # yukawa problems carry a P-basis right-hand side
     rhs = MonogenicSeries([ONE, I])
     y = PdeProblem(kind="yukawa", lam=1.0, unit_i=I, rhs=rhs, grid=SMALL)
-    y2 = PdeProblem.from_record(y.to_record())
+    y2 = PdeProblem.from_record(
+        {"kind": "yukawa", "lambda": 1.0, "I": "i", "grid": small,
+         "rhs": {"basis": "P", "coeffs": [[1, 0, 0, 0], [0, 1, 0, 0]]}})
     assert y2.rhs.coeffs == rhs.coeffs
-    # quadratic problems read lambda1 and write no lambda
+    assert y2 == y
+    # quadratic problems read lambda1 and carry no lambda
     quad = PdeProblem(kind="quadratic", lam1=Quaternion(1.0, 1.0), grid=SMALL)
-    assert "lambda" not in quad.to_record()
-    assert PdeProblem.from_record(quad.to_record()) == quad
+    assert quad.lam is None
+    record = {"kind": "quadratic", "lambda1": "1+i", "grid": small}
+    assert PdeProblem.from_record(record) == quad
+    with pytest.raises(ParseError, match="quadratic problems do not read 'lambda'"):
+        PdeProblem.from_record(dict(record, **{"lambda": 1.0}))
 
 
 def test_helmholtz_entire_solution():

