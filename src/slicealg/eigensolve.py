@@ -21,6 +21,7 @@ involved beyond geometrically convergent coefficient sums.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import CertificateViolation, ParseError, RangeError
@@ -189,7 +190,12 @@ def f_mu_lambda(mu, lam, n_trunc: int = 40) -> PowerSeries:
             f"f_mu_lambda requires 0 < |mu| < |lambda|, got |mu| = {mu.norm()!r}, "
             f"|lambda| = {lam.norm()!r}")
     quad = mu * mu - (2.0 * lam.w) * mu + lam.norm2()
-    t = quad.inverse() * (lam.conjugate() - mu)
+    try:
+        t = quad.inverse() * (lam.conjugate() - mu)
+    except ZeroDivisionError as exc:
+        raise RangeError(f"f_mu_lambda at |mu| = {math.hypot(*mu.as_list())!r}, "
+                         f"|lambda| = {math.hypot(*lam.as_list())!r}: mu^2 - "
+                         f"2 Re(lambda) mu + |lambda|^2 = {exc}") from None
     mu_pow = ONE
     out = []
     fact = 1.0

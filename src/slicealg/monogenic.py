@@ -31,8 +31,8 @@ import math
 
 from .errors import DomainError, ParseError
 from .fmtio import array_from_json, record_fields
-from .quaternion import (BLOCK, Quaternion, ZERO, ONE, I, J, K,
-                         as_quaternion, axial_combine, decompose,
+from .quaternion import (Quaternion, ZERO, ONE, I, J, K, as_quaternion,
+                         axial_combine, decompose, flat_points, in_blocks,
                          quaternion_from_json)
 from .series import PowerSeries, slice_derivative, spherical_derivative_eval
 
@@ -190,34 +190,19 @@ class MonogenicSeries:
         This is the axial form f(x) = A(x0, beta) + omega B(x0, beta) with
         omega = Im x / beta: the recurrence and the sums Sum A_n m_n,
         Sum B_n m_n (the radial step) depend on (x0, beta^2) alone, so
-        they run once per distinct pair of the call, in blocks of
-        :data:`quaternion.BLOCK` pairs; only re + Im(x) im (the angular
-        step, :func:`quaternion.axial_combine`) runs per point, in blocks
-        of :data:`quaternion.BLOCK` points.  Pairs are matched by their bit
-        patterns, so -0.0 never merges with +0.0, and both steps are
-        elementwise: each value has the bits of :meth:`__call__` at that
-        point.
+        they run once per distinct pair of the call, into an (8, pairs)
+        array; only re + Im(x) im (the angular step) runs per point, on
+        rows gathered from it.  :func:`quaternion.in_blocks` runs both
+        passes in blocks.  Pairs are matched by their bit patterns, so
+        -0.0 never merges with +0.0, and both steps are elementwise: each
+        value has the bits of :meth:`__call__` at that point.
         """
         import numpy as np
-        x0, x1, x2, x3 = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
-        shape = x0.shape
-        x1, x2, x3 = (v.reshape(-1) for v in (x1, x2, x3))
-        u0, ub2, inv = _distinct_pairs(x0.reshape(-1),
-                                       x1 * x1 + x2 * x2 + x3 * x3)
-        sums = np.empty((8, u0.size))
-        for start in range(0, u0.size, BLOCK):
-            block = slice(start, start + BLOCK)
-            for c, v in enumerate(self._sums(u0[block], ub2[block])):
-                sums[c, block] = v
-        out = np.empty((inv.size, 4))
-        for start in range(0, inv.size, BLOCK):
-            block = slice(start, start + BLOCK)
-            vals = axial_combine(sums.take(inv[block], axis=1),
-                                 x1[block], x2[block], x3[block])
-            for c, v in enumerate(vals):
-                out[block, c] = v
-        return out.reshape(shape + (4,))
+        (x0, x1, x2, x3), shape = flat_points(x0, x1, x2, x3)
+        u0, ub2, inv = _distinct_pairs(x0, x1 * x1 + x2 * x2 + x3 * x3)
+        sums = in_blocks(self._sums, (u0, ub2), np.empty((8, u0.size)).T).T
+        return in_blocks(lambda i, *im: axial_combine(sums.take(i, axis=1), *im),
+                         (inv, x1, x2, x3), np.empty(shape))
 
     def _sums(self, x0, b2):
         # The radial kernel, on floats (one point) or on 1-D arrays (the

@@ -48,8 +48,9 @@ import numpy as np
 from .errors import DomainError, GridTooSmall, ParseError, RangeError
 from .fmtio import array_from_json, float_from_json, int_from_json, \
     record_fields, write_csv
-from .quaternion import BLOCK, Quaternion, ZERO, ONE, _require_invertible, \
-    _require_unit_imag, as_quaternion, axial_combine, parse_quaternion, qmul
+from .quaternion import Quaternion, ZERO, ONE, _require_invertible, \
+    _require_unit_imag, as_quaternion, axial_combine, flat_points, in_blocks, \
+    parse_quaternion, qmul
 from .monogenic import ORDER_TOLERANCE, MonogenicSeries, _order_ok, \
     fueter_laplacian, inv_laplacian, richardson_order
 
@@ -108,7 +109,9 @@ class GridSpec:
     def __post_init__(self):
         if len(self.counts) != 3 or len(self.lo) != 3 or len(self.hi) != 3:
             raise ParseError("GridSpec needs three axes")
-        if any(int(c) < 3 for c in self.counts):
+        object.__setattr__(self, "counts", tuple(
+            int_from_json(c, f"grid counts[{n}]") for n, c in enumerate(self.counts)))
+        if any(c < 3 for c in self.counts):
             raise GridTooSmall(f"counts {self.counts}: need >= 3 points per axis")
         for name, values in (("lo", self.lo), ("hi", self.hi),
                              ("x0", (self.x0,)),
@@ -126,7 +129,7 @@ class GridSpec:
 
     @property
     def steps(self) -> Tuple[float, float, float]:
-        return tuple((h - l) / (int(c) - 1)
+        return tuple((h - l) / (c - 1)
                      for l, h, c in zip(self.lo, self.hi, self.counts))
 
     @property
@@ -136,7 +139,7 @@ class GridSpec:
         return min(self.steps) / 4.0
 
     def axes(self):
-        return [np.linspace(l, h, int(c))
+        return [np.linspace(l, h, c)
                 for l, h, c in zip(self.lo, self.hi, self.counts)]
 
     @classmethod
@@ -328,25 +331,16 @@ class SolutionEvaluator:
         self.product_domain = any(t[2] for t in self._terms)
 
     def eval_components(self, x0, x1, x2, x3):
-        """f at the points (x0, x1, x2, x3); returns an (..., 4) array,
-        computed in blocks of :data:`quaternion.BLOCK` points: the kernel
-        gives (re, im), and :func:`quaternion.axial_combine` re + Im(x) im."""
-        x0, x1, x2, x3 = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
-        shape = x0.shape
-        x0, x1, x2, x3 = (v.reshape(-1) for v in (x0, x1, x2, x3))
-        out = np.empty((x0.size, 4))
-        for start in range(0, x0.size, BLOCK):
-            block = slice(start, start + BLOCK)
-            y1, y2, y3 = x1[block], x2[block], x3[block]
-            sums = self._sums(x0[block], y1 * y1 + y2 * y2 + y3 * y3)
-            for c, v in enumerate(axial_combine(sums, y1, y2, y3)):
-                out[block, c] = v
-        return out.reshape(shape + (4,))
+        """f at the points (x0, x1, x2, x3), an (..., 4) array: the block driver
+        :func:`quaternion.in_blocks` runs the point kernel, re + Im(x) im
+        (:func:`quaternion.axial_combine`) of :meth:`_sums` at (x0, |Im x|^2)."""
+        xs, shape = flat_points(x0, x1, x2, x3)
+        return in_blocks(lambda x0, x1, x2, x3: axial_combine(self._sums(
+            x0, x1 * x1 + x2 * x2 + x3 * x3), x1, x2, x3), xs, np.empty(shape))
 
     def _sums(self, x0, b2):
-        # the kernel: the components of re, then of im, at (x0, b2 = beta^2);
-        # a component that no term reaches is 0.0
+        # the radial kernel: the components of re, then of im, at (x0,
+        # b2 = beta^2); a component that no term reaches is 0.0
         beta = np.sqrt(b2)
         if self.product_domain and not (beta > 1e-9).all():
             raise DomainError("product-domain solution evaluated at a real "

@@ -249,6 +249,26 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 BLOCK = 8192
 
 
+def flat_points(x0, x1, x2, x3):
+    """The coordinates broadcast to one float shape, as four 1-D arrays,
+    and the shape (..., 4) of their values."""
+    import numpy as np
+    xs = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x0, x1, x2, x3)))
+    return [v.reshape(-1) for v in xs], xs[0].shape + (4,)
+
+
+def in_blocks(kernel, columns, out):
+    """``out`` (C-ordered, or the transpose of a (width, n) array) filled by
+    ``kernel`` run on slices of :data:`BLOCK` entries of the 1-D arrays
+    ``columns``: output c of the kernel goes to out[..., c]."""
+    rows = out.reshape(-1, out.shape[-1])       # a view of out, in either layout
+    for start in range(0, len(rows), BLOCK):
+        block = slice(start, start + BLOCK)
+        for c, v in enumerate(kernel(*(x[block] for x in columns))):
+            rows[block, c] = v
+    return out
+
+
 def axial_combine(sums, x1, x2, x3):
     """The four components of re + Im(x) im, where ``sums`` holds the
     components of re, then of im, and Im(x) = x1 i + x2 j + x3 k."""

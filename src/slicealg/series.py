@@ -15,11 +15,12 @@ coefficients are always the mathematically exact ones (up to rounding).
 
 Evaluation has one kernel, :meth:`PowerSeries._horner`, a Horner sweep on
 the four components that runs on Python floats (one point,
-``PowerSeries.__call__``) and on 1-D blocks of points
-(:meth:`PowerSeries.eval_components`) alike, with the bits of the
-Quaternion loop.  :func:`slice_product` convolves the component arrays of
-the two coefficient lists (16 ``np.convolve`` calls combined by the
-Hamilton sign table), so neither path builds a Quaternion per term.
+``PowerSeries.__call__``) and, by the block driver of every point
+evaluator, :func:`quaternion.in_blocks`, on 1-D blocks of points
+(:meth:`PowerSeries.eval_components`), with the bits of the Quaternion
+loop.  :func:`slice_product` convolves the component arrays of the two
+coefficient lists (16 ``np.convolve`` calls combined by the Hamilton sign
+table), so neither path builds a Quaternion per term.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import sys
 
 from .errors import RangeError
 from .fmtio import array_from_json, load_json
-from .quaternion import (BLOCK, Quaternion, ZERO, ONE, as_quaternion,
-                         decompose, quaternion_from_json)
+from .quaternion import (Quaternion, ZERO, ONE, as_quaternion, decompose,
+                         flat_points, in_blocks, quaternion_from_json)
 
 __all__ = [
     "PowerSeries",
@@ -130,21 +131,14 @@ class PowerSeries:
     def eval_components(self, x0, x1, x2, x3):
         """f(x) = Sum x^n a_n at the points (x0, x1, x2, x3); an (..., 4) array.
 
-        The kernel runs on blocks of :data:`quaternion.BLOCK` points, so
-        its working memory stays bounded.  Each value has the bits of
+        :func:`quaternion.in_blocks` runs the kernel on blocks of points,
+        so its working memory stays bounded.  Each value has the bits of
         ``self(x)``; like it, an overflow gives inf or NaN components
         (numpy warns unless its error state says otherwise).
         """
         import numpy as np
-        xs = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                   for v in (x0, x1, x2, x3)))
-        flat = [v.reshape(-1) for v in xs]
-        out = np.empty((flat[0].size, 4))
-        for start in range(0, flat[0].size, BLOCK):
-            block = slice(start, start + BLOCK)
-            for c, v in enumerate(self._horner(*(x[block] for x in flat))):
-                out[block, c] = v
-        return out.reshape(xs[0].shape + (4,))
+        xs, shape = flat_points(x0, x1, x2, x3)
+        return in_blocks(self._horner, xs, np.empty(shape))
 
     def _horner(self, x0, x1, x2, x3):
         # The one evaluation kernel, on floats (one point) or on 1-D arrays

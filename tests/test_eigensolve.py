@@ -474,6 +474,18 @@ def test_f_mu_lambda_range_guards():
         f_mu_lambda(2.0 * I, J)     # |mu| > |lambda|
 
 
+def test_f_mu_lambda_refuses_a_denominator_without_an_accurate_inverse():
+    # mu^2 - 2 Re(lambda) mu + |lambda|^2 has |q|^2 = inf, then |q|^2
+    # below the normal floats: a RangeError names |mu| and |lambda|
+    for mu_, lam, got in ((1e150, 1e155, "not finite"),
+                          (1e-150, 1e-149, "not a normal float")):
+        with pytest.raises(RangeError) as exc:
+            f_mu_lambda(mu_, lam)
+        assert str(exc.value).startswith(
+            f"f_mu_lambda at |mu| = {mu_!r}, |lambda| = {lam!r}: ")
+        assert str(exc.value).endswith(got)
+
+
 def test_verify_roundtrip_bound_passes_the_seeds_it_failed():
     # an absolute 1e-9 on D(S(p)) - p failed these seeds by rounding alone
     import io

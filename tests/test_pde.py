@@ -59,6 +59,19 @@ def test_grid_spec_validation():
     assert len(ax[0]) == 5 and ax[0][0] == -1.0 and ax[0][-1] == 1.0
 
 
+def test_grid_spec_refuses_a_count_that_is_not_an_integer():
+    # the rule of a grid record, for every GridSpec: a fraction, NaN, inf
+    # or a boolean is refused, and an integral float is stored as an int
+    for bad, shown in ((3.7, "3.7"), (math.nan, "NaN"), (math.inf, "Infinity"),
+                       (True, "true")):
+        with pytest.raises(ParseError, match=re.escape(
+                f"grid counts[1] must be an integer, got {shown}")):
+            GridSpec(counts=(5, bad, 5))
+    g = GridSpec(counts=(5.0, 7, 9))
+    assert g.counts == (5, 7, 9)
+    assert all(type(c) is int for c in g.counts)
+
+
 def test_grid_spec_record_roundtrip():
     # a grid record reads as the GridSpec of its fields, and a key it
     # leaves out keeps its default
@@ -429,20 +442,65 @@ def test_product_domain_evaluator_matches_per_term_loop():
         assert np.abs(got - want).max() <= 1e-13 * scale
 
 
-def test_p_series_block_boundary():
-    # a grid one point longer than a block agrees with the one-point call
-    rng = np.random.default_rng(527)
-    g = MonogenicSeries([Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(25)])
-    x1, x2, x3 = rng.uniform(-1, 1, (3, BLOCK + 1))
-    x1[:3] = 0.0
-    x2[:3] = 0.0
-    x3[:3] = 0.0                  # real points too
-    vals = g.eval_components(0.3, x1, x2, x3)
-    assert vals.shape == (BLOCK + 1, 4)
-    for n in range(BLOCK + 1):
-        want = g(Quaternion(0.3, x1[n], x2[n], x3[n]))
-        err = (Quaternion(*vals[n]) - want).norm()
-        assert err <= 1e-15 * want.norm()
+def _evaluator_cases():
+    # the three point evaluators, with BLOCK + 1 points each and the
+    # kernels of their passes: a power series (real points and 5e-324i
+    # too), the closed form with uniform and with two-valued constants
+    # (off the real axis), and a P-series, whose point pass is the
+    # axial_combine of the monogenic module.  Every point has its own x0,
+    # so the P-series pair pass has as many pairs as points.
+    import slicealg.monogenic as monogenic
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-0.8, 0.8, (BLOCK + 1, 4))
+    pts[:3] = [[0, 0, 0, 0], [0.7, 0, 0, 0], [0.1, 5e-324, 0, 0]]
+    off_axis = rng.uniform(0.2, 0.8, (BLOCK + 1, 4)) \
+        * rng.choice([-1.0, 1.0], (BLOCK + 1, 4))
+    uniform = SolutionEvaluator([(rand_q(random.Random(1)), Quaternion(1.5)),
+                                 (SliceConstant(J, ONE, ONE), K * 1.2)])
+    two_valued = SolutionEvaluator([
+        (SliceConstant(I, ONE, Quaternion(0.5, 0.0, -1.0)), Quaternion(1.0)),
+        (Quaternion(0.3, 0.2), J * 0.8)])
+    assert not uniform.product_domain and two_valued.product_domain
+    coeffs = [Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(31)]
+    return {
+        "power-series": (PowerSeries(coeffs), pts, [(PowerSeries, "_horner")]),
+        "uniform": (uniform, pts, [(SolutionEvaluator, "_sums")]),
+        "product-domain": (two_valued, off_axis, [(SolutionEvaluator, "_sums")]),
+        "p-series": (MonogenicSeries(coeffs[:25]), pts,
+                     [(MonogenicSeries, "_sums"), (monogenic, "axial_combine")]),
+    }
+
+
+@pytest.mark.parametrize("case", ["power-series", "uniform", "product-domain",
+                                  "p-series"])
+def test_block_driver_gives_the_bits_of_call(case, monkeypatch):
+    # at 0, 1, BLOCK and BLOCK + 1 points and on a broadcast (2, 3) shape,
+    # eval_components has the bytes of __call__ at each point, and each
+    # pass calls its kernel once per block
+    f, pts, kernels = _evaluator_cases()[case]
+    want = np.array([f(Quaternion(*p)).as_list() for p in pts.tolist()])
+    x0, x1, x2, x3 = pts[0, 0], *pts[1:7, 1:].T.reshape(3, 2, 3)
+    x3 = x3[0]                  # a (3,) row, broadcast against (2, 3)
+    want_2x3 = np.array([[f(Quaternion(x0, x1[r, c], x2[r, c], x3[c])).as_list()
+                          for c in range(3)] for r in range(2)])
+    calls = [[] for _ in kernels]
+    for (owner, name), seen in zip(kernels, calls):
+        kernel = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, kernel=kernel, seen=seen:
+                            seen.append(a) or kernel(*a))
+    for n in (0, 1, BLOCK, BLOCK + 1):
+        for seen in calls:
+            seen.clear()
+        vals = f.eval_components(*pts[:n].T)
+        assert vals.shape == (n, 4)
+        assert vals.tobytes() == want[:n].tobytes()
+        assert [len(seen) for seen in calls] == [math.ceil(n / BLOCK)] * len(calls)
+    for seen in calls:
+        seen.clear()
+    vals = f.eval_components(x0, x1, x2, x3)
+    assert vals.shape == (2, 3, 4)
+    assert vals.tobytes() == want_2x3.tobytes()
+    assert [len(seen) for seen in calls] == [1] * len(calls)
 
 
 def test_p_series_on_no_points(monkeypatch):

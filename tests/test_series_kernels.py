@@ -71,20 +71,6 @@ def test_call_is_bit_identical_to_quaternion_horner(degree):
     assert hexbits(f(0.7)) == hexbits(horner_loop(f, Quaternion(0.7)))
 
 
-def test_eval_components_matches_call_across_a_block_boundary():
-    rng = np.random.default_rng(7)
-    f = PowerSeries([Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(31)])
-    pts = rng.uniform(-0.8, 0.8, (BLOCK + 1, 4))
-    pts[:3] = [[0, 0, 0, 0], [0.7, 0, 0, 0], [0, 5e-324, 0, 0]]
-    vals = f.eval_components(*pts.T)
-    assert vals.shape == (BLOCK + 1, 4)
-    want = np.array([f(Quaternion(*p)).as_list() for p in pts])
-    assert vals.tobytes() == want.tobytes()
-    # broadcast shapes come back with a trailing component axis
-    assert f.eval_components(pts[:6, 0].reshape(2, 3), 0.0, 0.5, 0.0).shape \
-        == (2, 3, 4)
-
-
 def _series(rng, degree, exact):
     return PowerSeries([rand_q(rng) for _ in range(degree + 1)], exact=exact)
 
