@@ -12,7 +12,8 @@ verify    run the randomized self-check suites
 All outputs are deterministic: floats are printed with 17 significant
 digits, so identical invocations produce byte-identical files; ``verify``
 draws from --seed, 1729 unless given.  A refused input, or a request too
-large to allocate, ends as one line on stderr and exit status 2.
+large to allocate, or a failed write to stdout, ends as one line on stderr
+and exit status 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import ParseError, RangeError, SliceAlgError
+from .errors import IoError, ParseError, RangeError, SliceAlgError
 from .fmtio import array_from_json, csv_chunks, dump_json, dumps_json, \
     int_from_json, load_json, read_text, record_fields, write_text
 from .quaternion import Quaternion, parse_quaternion
@@ -67,9 +68,29 @@ def _load_series_file(path):
     return PowerSeries.from_record(data, path)
 
 
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull, so that what its buffer still holds
+    goes nowhere when it is flushed."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _to_stdout(text: str = "") -> None:
+    """Write ``text`` to stdout and flush it.  A failed write is refused as
+    one error, as for an output file; a closed pipe (``| head``) is left to
+    the caller."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        _drop_stdout()
+        raise IoError(f"cannot write stdout: {exc}") from exc
+
+
 def _write_text(text: str, path) -> None:
     if path in (None, "-"):
-        sys.stdout.write(text)
+        _to_stdout(text)
     else:
         write_text(path, [text])
 
@@ -186,7 +207,7 @@ def cmd_pde(args) -> int:
         report.write_csv(args.out_prefix + ".csv")
         dump_json(report.summary(), args.out_prefix + ".summary.json")
     else:
-        sys.stdout.write(dumps_json(report.summary()))
+        _to_stdout(dumps_json(report.summary()))
     order = report.richardson_order
     print(f"{problem.kind}: {report.n_points} nodes, fd_step "
           f"{report.fd_step:.6g}, max_rel_residual {report.max_rel_residual:.3e}, "
@@ -196,9 +217,13 @@ def cmd_pde(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from io import StringIO
     from .verify import run_suites
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
-    return run_suites(names, args.seed)
+    report = StringIO()
+    status = run_suites(names, args.seed, report)
+    _to_stdout(report.getvalue())
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,9 +297,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        status = args.func(args)
-        sys.stdout.flush()
-        return status
+        return args.func(args)
     except SliceAlgError as exc:
         print(f"slicealg {args.command}: {exc}", file=sys.stderr)
         return 2
@@ -284,20 +307,45 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         # the reader closed stdout (``| head``): flush the rest to os.devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()
         return 1
 
 
 def run() -> None:
     """The entry point of ``python -m slicealg.cli`` and of the ``slicealg``
-    script: :func:`main` with one BLAS thread.  No command makes a matrix
-    product that would gain from a second thread, and a thread pool
-    slows the numpy import.  No command imports numpy at start, so the
-    setting holds; ``main`` itself leaves the environment as it is."""
+    script: :func:`main` with one BLAS thread, and no interpreter teardown.
+
+    No command makes a matrix product that would gain from a second
+    thread, and a thread pool slows the numpy import.  No command imports
+    numpy at start, so the setting holds; ``main`` itself leaves the
+    environment as it is.
+
+    The status is that of ``main``, or of argparse's exit for ``--help``,
+    ``--version`` and a usage error.  Once stdout and stderr are flushed,
+    the process ends by ``os._exit``: it skips ``atexit`` handlers and the
+    teardown of every module and object, which no command needs, since
+    every file is written and closed inside ``main``.  Output left in the
+    stdout buffer that cannot be written ends as exit 2 and one line on
+    stderr, or exit 1 and nothing for a closed pipe.  An exception that
+    escapes ``main`` goes through the interpreter: a traceback, exit 1."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS"):
         os.environ[var] = "1"
-    sys.exit(main())
+    try:
+        status = main()
+    except SystemExit as exc:       # argparse's exit: always an int status
+        status = exc.code
+    if sys.stdout is not None:      # None when started with stdout closed
+        try:
+            _to_stdout()
+        except BrokenPipeError:
+            status = 1
+        except IoError as exc:
+            print(f"slicealg: {exc}", file=sys.stderr)
+            status = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -227,7 +227,14 @@ def check_eigensolve(rng: random.Random) -> str:
     fml = f_mu_lambda(mu_q, lam_q, 40)
     want = exp_series(mu_q, 40) * (mu_q - lam_q).inverse()
     _check(_max_coeff_diff(fml, want, 35) < 1e-10, "f_mu_lambda closed form")
-    return "65 right-inverse/brute-force/telescoping/kernel checks"
+    # a pair that does not commute, where the order of the factors of the
+    # Sylvester solution T matters: D_lambda f^{mu,lambda} = exp_mu
+    mu_q = random_quaternion(rng, 0.4)
+    lam_q = rng.uniform(-1.0, 1.0) + random_unit_imag(rng) * rng.uniform(1.0, 2.0)
+    fml = apply_D(lam_q, f_mu_lambda(mu_q, lam_q, 40))
+    _check(_max_coeff_diff(fml, exp_series(mu_q, 40), 35) < 1e-10,
+           "D_lambda f^{mu,lambda} != exp_mu")
+    return "66 right-inverse/brute-force/telescoping/kernel checks"
 
 
 def check_monogenic(rng: random.Random) -> str:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from slicealg import Quaternion, MonogenicSeries, gen_exp
+from slicealg import Quaternion, MonogenicSeries, __version__, gen_exp
 from slicealg.cli import main
 from slicealg.fmtio import dump_json
 
@@ -17,6 +17,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _process(*args, stdout=subprocess.PIPE, **env):
+    """Run ``python *args`` as a user does, with block-buffered stdout
+    unless ``env`` says otherwise; its stdout (unless redirected) and stderr
+    as bytes."""
+    env = {**os.environ, "PYTHONUNBUFFERED": "", **env}   # "" means unset
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
 
 
 def test_gen_exp_stdout(capsys):
@@ -246,10 +255,43 @@ def test_cli_determinism_byte_identical(tmp_path):
 
 
 def test_version_flag():
-    proc = subprocess.run([sys.executable, "-m", "slicealg.cli", "--version"],
-                          capture_output=True, text=True)
+    proc = _process("-m", "slicealg.cli", "--version")
     assert proc.returncode == 0
-    assert proc.stdout.startswith("slicealg ")
+    assert proc.stdout == f"slicealg {__version__}\n".encode()
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv,closed,status,out,err", [
+    (["--version"], ">&-", 0, b"", f"slicealg {__version__}\n".encode()),
+    (["gen-exp", "--lambdas", "i", "--degree", "1"], "2>&-", 0,
+     b"[\n  [1, 0, 0, 0],\n  [0, 1, 0, 0]\n]\n", b""),
+], ids=["stdout", "stderr"])
+def test_process_started_with_a_closed_stream(argv, closed, status, out, err):
+    # Python has no sys.stdout (or sys.stderr) when fd 1 (or 2) is closed
+    # at its start, and argparse writes --version to stderr; run() flushes
+    # only the streams there are
+    if not os.path.exists("/bin/sh"):
+        pytest.skip("no /bin/sh")
+    script = f'exec "$0" -m slicealg.cli {" ".join(argv)} {closed}'
+    proc = subprocess.run(["/bin/sh", "-c", script, sys.executable],
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["--help"], 0),
+    (["gen-exp", "--degree", "4"], 2),      # --lambdas missing
+])
+def test_argparse_exits_keep_their_status_and_text(argv, status, capsys,
+                                                  monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")     # one width for both help texts
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == status
+    proc = _process("-m", "slicealg.cli", *argv)
+    assert proc.returncode == status
+    assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,6 +307,25 @@ def test_closed_stdout_exits_1_without_traceback(argv):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "quaternion", "--seed", "1"],
+    ["gen-exp", "--lambdas", "i,j", "--degree", "400"],
+])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_full_stdout_exits_2_with_one_line(argv, unbuffered):
+    # a disk that is full takes nothing: the error is the command's, as for
+    # an output file, whether the write or the last flush fails
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "wb") as full:
+        proc = _process("-m", "slicealg.cli", *argv, stdout=full,
+                        PYTHONUNBUFFERED=unbuffered)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (f"slicealg {argv[0]}: cannot write "
+                                    f"stdout: [Errno 28] No space left on "
+                                    f"device\n")
 
 
 def _assert_one_line_error(code, out, err, command):
@@ -1078,6 +1139,52 @@ def test_run_starts_one_blas_thread():
              "cli.main = main\n"
              "cli.run()\n")
     assert threads(probe) == 1
+
+
+def test_process_output_is_main_output(tmp_path, capsys):
+    # the process ends by os._exit: every byte main wrote is out by then
+    coeffs = tmp_path / "series.json"
+    points = tmp_path / "points.txt"
+    code, _, _ = run_cli(capsys, "gen-exp", "--lambdas", "1+i,j",
+                         "--degree", "60", "-o", str(coeffs))
+    assert code == 0
+    points.write_text("".join(f"{0.1 + k * 1e-4!r}+0.2i-0.1k\n"
+                              for k in range(2000)))
+    for argv in (["gen-exp", "--lambdas", "i,j,k", "--degree", "400"],
+                 ["eval", "--coeffs", str(coeffs), "--points", str(points)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and len(out) > 8192     # more than one buffer
+        proc = _process("-m", "slicealg.cli", *argv)
+        assert proc.returncode == 0
+        assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
+
+
+def test_run_flushes_what_main_left_in_the_buffers():
+    # ... and ends the process without atexit handlers or teardown
+    probe = ("import atexit, sys\n"
+             "import slicealg.cli as cli\n"
+             "def main(argv=None):\n"
+             "    atexit.register(print, 'atexit', file=sys.stderr)\n"
+             "    print('out' * 1000, end='')\n"
+             "    print('err', end='', file=sys.stderr)\n"
+             "    return 0\n"
+             "cli.main = main\n"
+             "cli.run()\n")
+    proc = _process("-c", probe)
+    assert proc.returncode == 0
+    assert (proc.stdout, proc.stderr) == (b"out" * 1000, b"err")
+
+
+def test_an_exception_out_of_main_goes_through_the_interpreter():
+    probe = ("import slicealg.cli as cli\n"
+             "def main(argv=None):\n"
+             "    raise RuntimeError('main failed')\n"
+             "cli.main = main\n"
+             "cli.run()\n")
+    proc = _process("-c", probe)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.startswith(b"Traceback (most recent call last):\n")
+    assert proc.stderr.endswith(b"RuntimeError: main failed\n")
 
 
 def test_main_leaves_the_environment_alone(capsys):

@@ -513,3 +513,27 @@ def test_verify_roundtrip_bound_catches_a_left_inverse(monkeypatch):
     out = io.StringIO()
     assert verify.run_suites(["eigensolve"], 1729, out) == 1
     assert "FAIL eigensolve: D(S(p)) != p" in out.getvalue()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 1729])
+def test_verify_catches_the_sylvester_factors_swapped(monkeypatch, seed):
+    # T = quad^-1 (conj(lambda) - mu) with its two factors swapped is still
+    # right for a commuting pair; the suite's noncommuting pair refuses it
+    import io
+    import slicealg.eigensolve as eigensolve
+    import slicealg.verify as verify
+    from slicealg.series import PowerSeries
+
+    def f_swapped(mu, lam, n_trunc=40):
+        quad = mu * mu - (2.0 * lam.w) * mu + lam.norm2()
+        t = (lam.conjugate() - mu) * quad.inverse()
+        out, mu_pow = [], ONE
+        for k in range(n_trunc + 1):
+            out.append(-(mu_pow * t) / math.factorial(k))
+            mu_pow = mu_pow * mu
+        return PowerSeries(out, exact=False)
+    monkeypatch.setattr(eigensolve, "f_mu_lambda", f_swapped)
+    out = io.StringIO()
+    assert verify.run_suites(["eigensolve"], seed, out) == 1
+    assert out.getvalue().startswith(
+        "FAIL eigensolve: D_lambda f^{mu,lambda} != exp_mu\n")

@@ -30,6 +30,7 @@ from slicealg import (
     eval_P,
     exp_series,
     fueter_laplacian,
+    gen_exp,
     general_quadratic_kernel,
     helmholtz_solution,
     klein_gordon_solution,
@@ -221,6 +222,16 @@ def test_general_quadratic_kernel():
     assert report.max_rel_residual < 5e-4
     assert report.richardson_order > 1.9
     assert report.negative_control > 10 * report.max_rel_residual
+
+
+def test_general_quadratic_kernel_is_the_fueter_image_of_E():
+    # the equation alone would also pass any multiple of the kernel: pin
+    # f = Delta_4(E_(lam1, -lam1)) against the series of E itself
+    lam1 = Quaternion(0.7, 0.4, -0.3, 0.0)
+    x = Quaternion(0.2, 0.3, -0.5, 0.1)
+    got = general_quadratic_kernel(lam1)(x)
+    want = fueter_laplacian(gen_exp((lam1, -lam1), 60))(x)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_yukawa_worked_example():
