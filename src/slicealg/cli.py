@@ -12,8 +12,9 @@ verify    run the randomized self-check suites
 All outputs are deterministic: floats are printed with 17 significant
 digits, so identical invocations produce byte-identical files; ``verify``
 draws from --seed, 1729 unless given.  A refused input, or a request too
-large to allocate, or a failed write to stdout, ends as one line on stderr
-and exit status 2.
+large to allocate, or a failed write to stdout (or a stdout closed at
+start), ends as one line on stderr and exit status 2.  A line that stderr
+cannot take is dropped: it never reaches stdout or changes the status.
 """
 
 from __future__ import annotations
@@ -75,9 +76,11 @@ def _drop_stdout() -> None:
 
 
 def _to_stdout(text: str = "") -> None:
-    """Write ``text`` to stdout and flush it.  A failed write is refused as
-    one error, as for an output file; a closed pipe (``| head``) is left to
-    the caller."""
+    """Write ``text`` to stdout and flush it.  A failed write, or a process
+    started with stdout closed, is refused as one error, as for an output
+    file; a closed pipe (``| head``) is left to the caller."""
+    if sys.stdout is None:          # fd 1 was closed at start (``>&-``)
+        raise IoError("cannot write stdout: it is closed")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -86,6 +89,18 @@ def _to_stdout(text: str = "") -> None:
     except OSError as exc:
         _drop_stdout()
         raise IoError(f"cannot write stdout: {exc}") from exc
+
+
+def _to_stderr(text: str = "") -> None:
+    """Write ``text`` to stderr and flush it, or drop it when the process
+    has no stderr (``2>&-``) or its reader is gone: there is nowhere left
+    to report that, and the status stays the command's."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+    except OSError:
+        pass
 
 
 def _write_text(text: str, path) -> None:
@@ -197,7 +212,7 @@ def cmd_pde(args) -> int:
         report = verify_pde(f, problem)
     failures = report.verdict()
     if failures:
-        print(f"slicealg pde: not certified: {failures[0]}", file=sys.stderr)
+        _to_stderr(f"slicealg pde: not certified: {failures[0]}\n")
         return 3
     if isinstance(f, MonogenicSeries):
         _write_text(dumps_json(f.to_record()),
@@ -209,10 +224,10 @@ def cmd_pde(args) -> int:
     else:
         _to_stdout(dumps_json(report.summary()))
     order = report.richardson_order
-    print(f"{problem.kind}: {report.n_points} nodes, fd_step "
-          f"{report.fd_step:.6g}, max_rel_residual {report.max_rel_residual:.3e}, "
-          f"richardson_order {'null' if order is None else f'{order:.3f}'}",
-          file=sys.stderr)
+    _to_stderr(f"{problem.kind}: {report.n_points} nodes, fd_step "
+               f"{report.fd_step:.6g}, max_rel_residual "
+               f"{report.max_rel_residual:.3e}, richardson_order "
+               f"{'null' if order is None else f'{order:.3f}'}\n")
     return 0
 
 
@@ -299,11 +314,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SliceAlgError as exc:
-        print(f"slicealg {args.command}: {exc}", file=sys.stderr)
+        _to_stderr(f"slicealg {args.command}: {exc}\n")
         return 2
     except MemoryError as exc:      # e.g. a grid too large to allocate
-        print(f"slicealg {args.command}: out of memory: {exc}",
-              file=sys.stderr)
+        _to_stderr(f"slicealg {args.command}: out of memory: {exc}\n")
         return 2
     except BrokenPipeError:
         # the reader closed stdout (``| head``): flush the rest to os.devnull
@@ -341,10 +355,9 @@ def run() -> None:
         except BrokenPipeError:
             status = 1
         except IoError as exc:
-            print(f"slicealg: {exc}", file=sys.stderr)
+            _to_stderr(f"slicealg: {exc}\n")
             status = 2
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    _to_stderr()
     os._exit(status)
 
 

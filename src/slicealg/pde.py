@@ -32,9 +32,9 @@ steps), each in one ``eval_components`` call; a P-series runs its
 recurrence once per distinct pair (x0, beta^2) of each set.  Its report
 keeps the nodes, values and residual norms as one (n, 9) float array,
 ``PdeReport.rows``, which :func:`fmtio.write_csv` writes block by block.
-:meth:`PdeReport.verdict` judges the report against the constants
-below and :func:`monogenic.richardson_order`'s rule; ``slicealg pde``
-and ``verify --suite pde`` read that verdict.
+:meth:`PdeReport.verdict` judges Delta_3 and the CRF spot checks by one
+rule, their extrapolated residual and :func:`monogenic.richardson_order`;
+``slicealg pde`` and ``verify --suite pde`` read that verdict.
 """
 
 from __future__ import annotations
@@ -442,13 +442,12 @@ def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
 # verification ----------------------------------------------------------------
 
 # The verdict: a run is certified when each quantity is within its bound
-# (the Richardson order's is in monogenic).  The residuals are relative
-# to max|f|.  FD error alone puts the raw residual of a correct helmholtz
-# lambda = 8 run at 0.128, so the gate is the extrapolated residual,
-# which removes the h^2 term of the stencil.
+# (the Richardson order's is in monogenic).  Residuals are relative to
+# max|f|.  FD error alone puts raw residuals of correct runs at 0.128
+# (Delta_3, helmholtz lambda = 8) and 0.024 (CRF, klein-gordon lambda = 60),
+# so both checks are judged by their extrapolation, free of the h^2 term.
 MAX_EXTRAPOLATED_RESIDUAL = 1e-3
 MIN_CONTROL_RATIO = 100.0       # negative control / extrapolated residual
-MAX_MONOGENICITY = 1e-2
 
 
 @dataclass
@@ -459,9 +458,9 @@ class PdeReport:
     the FD steps h and h/2, and :attr:`richardson_order` is their order
     (None at roundoff); ``extrapolated_residual`` is
     max|(4 R(h/2) - R(h)) / 3| / max|f| over the residual vectors R.
-    ``monogenicity_max_rel`` and ``monogenicity_half_step`` are the CRF
-    spot checks at steps 1e-3 and 5e-4, and :attr:`monogenicity_order`
-    is their order.
+    ``monogenicity_max_rel``, ``monogenicity_half_step``, its order and
+    ``monogenicity_extrapolated`` are the same for the CRF spot checks
+    d_cf f at steps 1e-3 and 5e-4.
     ``rows`` is an (n_points, 9) float array, one row per verified node:
     x0, x1, x2, x3, f_w, f_x1, f_x2, f_x3, residual_norm.  It is the
     CSV body that :meth:`write_csv` writes.
@@ -477,6 +476,7 @@ class PdeReport:
     negative_control: float
     monogenicity_max_rel: float
     monogenicity_half_step: float
+    monogenicity_extrapolated: float
     rows: np.ndarray
 
     @property
@@ -489,30 +489,27 @@ class PdeReport:
                                 self.monogenicity_half_step)
 
     def verdict(self) -> Tuple[str, ...]:
-        """The failures of this run, one line each, in the order: the
-        extrapolated residual, the Richardson order (None, at roundoff,
-        passes), the lambda -> 2 lambda negative control against the
-        extrapolated residual, monogenicity, and its order (by the same
-        rule).  Empty when the run is certified."""
-        extrap, order = self.extrapolated_residual, self.richardson_order
+        """The failures of this run, one line each: by one rule for Delta_3,
+        then for the CRF probe, the extrapolated residual and the order
+        (None, at roundoff, passes); after Delta_3's, the lambda -> 2 lambda
+        negative control (d_cf f = 0 has no lambda to scale).  Empty when
+        the run is certified."""
         failures = []
-        if not extrap <= MAX_EXTRAPOLATED_RESIDUAL:
-            failures.append(f"extrapolated residual {extrap:.3e} > "
-                            f"{MAX_EXTRAPOLATED_RESIDUAL:g}")
-        if not _order_ok(order):
-            failures.append(f"richardson order {order:.3f} not within "
-                            f"{ORDER_TOLERANCE:g} of 2")
-        if not self.negative_control > MIN_CONTROL_RATIO * extrap:
-            failures.append(f"negative control {self.negative_control:.3e} "
-                            f"<= {MIN_CONTROL_RATIO:g} x extrapolated residual "
-                            f"{extrap:.3e}")
-        if not self.monogenicity_max_rel <= MAX_MONOGENICITY:
-            failures.append(f"monogenicity {self.monogenicity_max_rel:.3e} > "
-                            f"{MAX_MONOGENICITY:g}")
-        order = self.monogenicity_order
-        if not _order_ok(order):
-            failures.append(f"monogenicity order {order:.3f} not within "
-                            f"{ORDER_TOLERANCE:g} of 2")
+        for name, extrap, order, control in (
+                ("", self.extrapolated_residual, self.richardson_order,
+                 self.negative_control),
+                ("monogenicity ", self.monogenicity_extrapolated,
+                 self.monogenicity_order, None)):
+            if not extrap <= MAX_EXTRAPOLATED_RESIDUAL:
+                failures.append(f"{name}extrapolated residual {extrap:.3e} > "
+                                f"{MAX_EXTRAPOLATED_RESIDUAL:g}")
+            if not _order_ok(order):
+                failures.append(f"{name or 'richardson '}order {order:.3f} "
+                                f"not within {ORDER_TOLERANCE:g} of 2")
+            if control is not None and not control > MIN_CONTROL_RATIO * extrap:
+                failures.append(f"negative control {control:.3e} <= "
+                                f"{MIN_CONTROL_RATIO:g} x extrapolated residual "
+                                f"{extrap:.3e}")
         return tuple(failures)
 
     def summary(self) -> dict:
@@ -562,8 +559,8 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     estimate); the relative residual is |residual| / max|f| over kept
     nodes; a value or residual that is not finite raises RangeError.  A
     negative control re-evaluates the residual with lambda -> 2 lambda
-    from the same samples; :func:`_fd_crf_at` spot-checks monogenicity at
-    five nodes, at steps 1e-3 and 5e-4.
+    from the same samples; :func:`_fd_crf_at` spot-checks d_cf f = 0 at
+    five nodes, at steps 1e-3 and 5e-4, extrapolated as Delta_3 is.
     """
     grid = problem.grid
     h = grid.effective_fd_step
@@ -621,9 +618,10 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     spots = sorted(set(np.linspace(0, x1c.size - 1, 5).astype(int).tolist()))
     centres = np.stack([x0c[spots], x1c[spots], x2c[spots], x3c[spots]],
                        axis=-1)
-    monog_rel, monog_half = (
-        float(np.linalg.norm(_fd_crf_at(f, centres, step), axis=-1).max())
-        / div for step in (1e-3, 5e-4))
+    crf_h, crf_half = (_fd_crf_at(f, centres, step) for step in (1e-3, 5e-4))
+    monog_rel, monog_half, monog_extrap = (
+        float(np.linalg.norm(v, axis=-1).max()) / div
+        for v in (crf_h, crf_half, (4.0 * crf_half - crf_h) / 3.0))
 
     return PdeReport(
         n_points=int(x1c.size),
@@ -636,5 +634,6 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         negative_control=float(neg.max()) / div,
         monogenicity_max_rel=monog_rel,
         monogenicity_half_step=monog_half,
+        monogenicity_extrapolated=monog_extrap,
         rows=rows,
     )

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from slicealg import Quaternion, MonogenicSeries, __version__, gen_exp
@@ -265,11 +266,16 @@ def test_version_flag():
     (["--version"], ">&-", 0, b"", f"slicealg {__version__}\n".encode()),
     (["gen-exp", "--lambdas", "i", "--degree", "1"], "2>&-", 0,
      b"[\n  [1, 0, 0, 0],\n  [0, 1, 0, 0]\n]\n", b""),
-], ids=["stdout", "stderr"])
+    (["gen-exp", "--lambdas", "i,j", "--degree", "4"], ">&-", 2, b"",
+     b"slicealg gen-exp: cannot write stdout: it is closed\n"),
+    (["gen-exp", "--lambdas", "i,"], "2>&-", 2, b"", b""),
+], ids=["stdout", "stderr", "stdout-gen-exp", "stderr-refusal"])
 def test_process_started_with_a_closed_stream(argv, closed, status, out, err):
     # Python has no sys.stdout (or sys.stderr) when fd 1 (or 2) is closed
     # at its start, and argparse writes --version to stderr; run() flushes
-    # only the streams there are
+    # only the streams there are.  Output for a closed stdout is refused as
+    # for a full disk, and a refusal with no stderr goes nowhere: not to
+    # stdout, and its status stays 2
     if not os.path.exists("/bin/sh"):
         pytest.skip("no /bin/sh")
     script = f'exec "$0" -m slicealg.cli {" ".join(argv)} {closed}'
@@ -326,6 +332,31 @@ def test_full_stdout_exits_2_with_one_line(argv, unbuffered):
     assert proc.stderr.decode() == (f"slicealg {argv[0]}: cannot write "
                                     f"stdout: [Errno 28] No space left on "
                                     f"device\n")
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["gen-exp", "--lambdas", "i,"], 2),
+    (["pde", "--kind", "helmholtz", "--lambda", "50", "--grid-counts", "5"], 3),
+    (["pde", "--kind", "helmholtz", "--grid-counts", "5"], 0),
+], ids=["refusal", "not-certified", "certified"])
+def test_gone_stderr_reader_keeps_the_status(argv, status):
+    # stderr is a pipe whose read end is closed before the start, so every
+    # stderr line fails to be written: the status is still the command's,
+    # and nothing goes to stdout but the summary
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "slicealg.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=write,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == status
+    if status:
+        assert proc.stdout == b""
+    else:
+        assert set(json.loads(proc.stdout)) == {
+            "max_rel_residual", "mean_rel_residual", "richardson_order"}
 
 
 def _assert_one_line_error(code, out, err, command):
@@ -1099,6 +1130,78 @@ def test_pde_exit_status_is_the_verdict(row, tmp_path, capsys):
         assert summary["max_rel_residual"] == pytest.approx(residual, rel=1e-3)
         assert summary["richardson_order"] == pytest.approx(2.0, abs=1e-2)
         assert err.count("\n") == 1 and "max_rel_residual" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "klein-gordon", "--unit", "i", "--lambda", "60",
+     "--grid-counts", "11", "--fd-step", "0.0016667"],
+    ["--kind", "helmholtz", "--lambda", "50", "--fd-step", "0.002"],
+    ["--kind", "helmholtz", "--lambda", "100", "--fd-step", "0.001"],
+], ids=["klein-gordon-60", "helmholtz-50", "helmholtz-100"])
+def test_crf_fd_error_alone_does_not_fail_a_run(flags, capsys):
+    # raw CRF residuals of 2.4e-2 to 0.13 at the fixed probe steps are FD
+    # error of correct solutions: their extrapolation certifies the runs
+    code, out, err = run_cli(capsys, "pde", *flags)
+    assert code == 0, err
+    assert json.loads(out)["richardson_order"] == pytest.approx(2.0, abs=1e-2)
+
+
+def _delta4_exp_sum(terms, unit, points):
+    """Sum_t c_t Delta_4 e^{x q_t} at the rows of ``points`` (n, 4), for
+    complex c_t and q_t of the plane C_I, I = ``unit`` (0, u1, u2, u3), by
+    the spherical Bessel form -2 q^2 e^{x0 q} (j0(beta q) + (Im x / beta)
+    j1(beta q)), with Im x multiplied on the left."""
+    x0, x1, x2, x3 = points.T
+    beta = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    off = beta > 0.0                # on the real axis j0 = 1 and Im x = 0
+    re = np.zeros(len(x0), complex)
+    im = np.zeros(len(x0), complex)
+    for c, q in terms:
+        t = np.where(off, beta, 1.0) * q
+        j0 = np.sin(t) / t
+        e = -2.0 * c * q * q * np.exp(x0 * q)
+        re += e * np.where(off, j0, 1.0)
+        im += e * np.where(off, (j0 - np.cos(t)) / t * q / t, 0.0)
+    (rw, *rv), (iw, *iv) = ([z.real * (k == 0) + z.imag * unit[k]
+                             for k in range(4)] for z in (re, im))
+    # re + (0, x1, x2, x3)(iw, iv): the Hamilton product, term by term
+    return np.stack([rw - x1 * iv[0] - x2 * iv[1] - x3 * iv[2],
+                     rv[0] + x1 * iw + x2 * iv[2] - x3 * iv[1],
+                     rv[1] + x2 * iw + x3 * iv[0] - x1 * iv[2],
+                     rv[2] + x3 * iw + x1 * iv[1] - x2 * iv[0]], axis=-1)
+
+
+def _sweep_problem(kind, lam):
+    # the pde flags, and the terms and unit of the solution they make
+    if kind == "helmholtz":
+        return ["--lambda", repr(lam)], [(1.0, complex(lam))], (0, 1, 0, 0)
+    if kind == "klein-gordon":
+        return (["--lambda", repr(lam), "--unit", "i"], [(1.0, 1j * lam)],
+                (0, 1, 0, 0))
+    lam1 = complex(0.6 * lam, 0.8 * lam)      # E_(lam1, -lam1), in C_j
+    r = 1.0 / (2.0 * lam1)
+    return ([f"--lambda1={lam1.real!r}+{lam1.imag!r}j"],
+            [(r, lam1), (-r, -lam1)], (0, 0, 1, 0))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1, 2, 4, 8, 16, 30, 50])
+@pytest.mark.parametrize("kind", ["helmholtz", "klein-gordon", "quadratic"])
+def test_pde_sweep_is_never_silently_wrong(kind, lam, tmp_path, capsys):
+    # on a 9^3 grid, a run is certified and agrees with the closed form,
+    # or it is refused with one line
+    flags, terms, unit = _sweep_problem(kind, lam)
+    prefix = tmp_path / "run"
+    code, out, err = run_cli(capsys, "pde", "--kind", kind, *flags,
+                             "--grid-counts", "9", "--out-prefix", str(prefix))
+    assert out == "" and err.count("\n") == 1
+    if code == 3:
+        assert err.startswith("slicealg pde: not certified: ")
+        assert lam >= 8
+        return
+    assert code == 0
+    rows = np.loadtxt(f"{prefix}.csv", delimiter=",", skiprows=1)
+    want = _delta4_exp_sum(terms, unit, rows[:, :4])
+    assert np.abs(rows[:, 4:8] - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def test_verify_fails_closed_under_python_O():

@@ -514,31 +514,6 @@ def test_block_driver_gives_the_bits_of_call(case, monkeypatch):
     assert [len(seen) for seen in calls] == [1] * len(calls)
 
 
-def test_p_series_on_no_points(monkeypatch):
-    # no points: a (0, 4) array, and the radial kernel never runs
-    g = MonogenicSeries([Quaternion(1.0, 2.0), Quaternion(0.5, 0.0, -1.0)])
-    calls = []
-    monkeypatch.setattr(MonogenicSeries, "_sums",
-                        lambda self, x0, b2: calls.append(x0))
-    empty = np.empty(0)
-    assert g.eval_components(empty, empty, empty, empty).shape == (0, 4)
-    assert calls == []
-
-
-def test_p_series_broadcasts_a_scalar_x0():
-    # a scalar x0 against (2, 3) arrays gives (2, 3, 4), with the bits of
-    # the one-point call at each point
-    rng = np.random.default_rng(533)
-    g = MonogenicSeries([Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(9)])
-    x1, x2, x3 = rng.uniform(-1, 1, (3, 2, 3))
-    x1[0, 0] = x2[0, 0] = x3[0, 0] = 0.0        # a real point too
-    vals = g.eval_components(0.3, x1, x2, x3)
-    assert vals.shape == (2, 3, 4)
-    for n in np.ndindex(2, 3):
-        want = g(Quaternion(0.3, x1[n], x2[n], x3[n])).as_list()
-        assert [v.hex() for v in vals[n].tolist()] == [v.hex() for v in want]
-
-
 def _axial_grids():
     # a 21^3 grid with repeated radii, at a constant x0 and at x0 cycling
     # through -0.0, +0.0 and 0.25; the origin gives points with r = 0, and
@@ -1021,6 +996,36 @@ def test_verdict_judges_the_monogenicity_order(monkeypatch):
     assert report.monogenicity_order == 0.0
     assert report.verdict() == ("monogenicity order 0.000 not within 0.1 "
                                 "of 2",)
+
+
+class _PlusSine:
+    """f + eps sin(x1) in the real part: like f, it solves Delta_3 g + g
+    = 0 (helmholtz lambda = 1), but it is not monogenic."""
+
+    def __init__(self, f, eps):
+        self.f, self.eps = f, eps
+
+    def eval_components(self, x0, x1, x2, x3):
+        vals = self.f.eval_components(x0, x1, x2, x3)
+        vals[..., 0] += self.eps * np.sin(x1)
+        return vals
+
+
+def test_verdict_judges_the_extrapolated_crf_residual():
+    # d_cf (eps sin x1) = eps cos(x1) i / 2 does not shrink with the probe
+    # step: its extrapolated residual, 2.5e-3 of max|f| = 2, fails the one
+    # rule, while the Delta_3 checks pass
+    problem = PdeProblem(kind="helmholtz", lam=1.0)
+    report = verify_pde(_PlusSine(problem.solve(), 0.01), problem)
+    assert report.scale == 2.0
+    assert report.monogenicity_extrapolated == pytest.approx(2.5e-3, rel=1e-6)
+    first, order = report.verdict()      # and its order, about 0
+    assert first == "monogenicity extrapolated residual 2.500e-03 > 0.001"
+    assert order.startswith("monogenicity order ")
+    # the solution itself is monogenic to roundoff
+    report = verify_pde(problem.solve(), problem)
+    assert report.monogenicity_extrapolated < 1e-12
+    assert report.verdict() == ()
 
 
 def test_crf_probes_match_monogenic_fd_crf():
