@@ -33,10 +33,10 @@ grid = GridSpec(counts=(15, 15, 15), fd_step=0.02)
 f = helmholtz_solution(1.0, h1=Quaternion(1, 0, 0, 0), h2=I + K)
 report = verify_pde(f, PdeProblem(kind="helmholtz", lam=1.0, grid=grid))
 print("helmholtz :", report.summary())
-print("  negative control (wrong lambda residual):", "%.3f" % report.negative_control)
-order = report.monogenicity_order       # None at roundoff
+print("  negative control (wrong lambda residual):", "%.3f" % report.laplacian.control)
+order = report.monogenicity.order       # None at roundoff
 print("  monogenicity of Delta_4 f: max rel %.3e, order %s"
-      % (report.monogenicity_max_rel,
+      % (report.monogenicity.at_h,
          "none" if order is None else "%.3f" % order))
 
 # %% Klein-Gordon from slice constants times exp_{I lambda}

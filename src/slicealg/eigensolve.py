@@ -185,16 +185,18 @@ def f_mu_lambda(mu, lam, n_trunc: int = 40) -> PowerSeries:
     """
     mu = as_quaternion(mu)
     lam = as_quaternion(lam)
-    if mu.is_zero() or mu.norm() >= lam.norm():
+    # the moduli by hypot, which stays finite where |q|^2 overflows
+    mu_norm, lam_norm = math.hypot(*mu.as_list()), math.hypot(*lam.as_list())
+    if mu.is_zero() or mu_norm >= lam_norm:
         raise RangeError(
-            f"f_mu_lambda requires 0 < |mu| < |lambda|, got |mu| = {mu.norm()!r}, "
-            f"|lambda| = {lam.norm()!r}")
+            f"f_mu_lambda requires 0 < |mu| < |lambda|, got |mu| = {mu_norm!r}, "
+            f"|lambda| = {lam_norm!r}")
     quad = mu * mu - (2.0 * lam.w) * mu + lam.norm2()
     try:
         t = quad.inverse() * (lam.conjugate() - mu)
     except ZeroDivisionError as exc:
-        raise RangeError(f"f_mu_lambda at |mu| = {math.hypot(*mu.as_list())!r}, "
-                         f"|lambda| = {math.hypot(*lam.as_list())!r}: mu^2 - "
+        raise RangeError(f"f_mu_lambda at |mu| = {mu_norm!r}, "
+                         f"|lambda| = {lam_norm!r}: mu^2 - "
                          f"2 Re(lambda) mu + |lambda|^2 = {exc}") from None
     mu_pow = ONE
     out = []

@@ -22,12 +22,13 @@ so eigenvalue problems can be transported basis-to-basis
 Finite-difference utilities (:func:`fd_crf`, :func:`fd_laplacian`,
 :func:`richardson_order`) allow pointwise verification that the
 constructed functions really satisfy the Cauchy-Riemann-Fueter equation
-and the intertwining identities.
+and the intertwining identities; :class:`FdCheck` judges each such check.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import DomainError, ParseError
 from .fmtio import array_from_json, record_fields
@@ -370,9 +371,14 @@ def fd_laplacian(f_eval, x, h: float = 1e-4) -> Quaternion:
     return acc / (h * h)
 
 
-# The Richardson rule of every residual checked at steps h and h/2
+# The rule of every residual checked at steps h and h/2 (relative to max|f|).
+# FD error alone puts raw residuals of correct runs at 0.128 (Delta_3,
+# helmholtz lambda = 8) and 0.024 (CRF, klein-gordon lambda = 60), so a check
+# is judged by its extrapolation, free of the h^2 term, and by its order.
 ROUNDOFF = 1e-9                 # both residuals at or below: no order
 ORDER_TOLERANCE = 0.1           # on |richardson_order - 2|
+MAX_EXTRAPOLATED_RESIDUAL = 1e-3
+MIN_CONTROL_RATIO = 100.0       # control / extrapolated residual
 
 
 def richardson_order(r_h, r_half):
@@ -389,6 +395,35 @@ def richardson_order(r_h, r_half):
     return math.log2(r_h / r_half)
 
 
-def _order_ok(order) -> bool:
-    # the rule: no order (roundoff), or an order within ORDER_TOLERANCE of 2
-    return order is None or abs(order - 2.0) <= ORDER_TOLERANCE
+class FdCheck(NamedTuple):
+    """An equation checked by finite differences at steps h and h/2: its
+    residuals ``at_h``, ``at_half`` and ``extrapolated``, max|(4 R(h/2) -
+    R(h)) / 3| of the residual vectors R, and ``control``, the residual
+    with lambda -> 2 lambda (None when there is no lambda to scale)."""
+
+    at_h: float
+    at_half: float
+    extrapolated: float
+    control: Optional[float] = None
+
+    @property
+    def order(self) -> Optional[float]:
+        return richardson_order(self.at_h, self.at_half)
+
+    def failures(self, name: str = "") -> Tuple[str, ...]:
+        """The failed bounds of this check, one line each led by ``name``:
+        the extrapolated residual, the order (None, at roundoff, passes),
+        then the control; empty when the check passes."""
+        lines = []
+        extrap, order, control = self.extrapolated, self.order, self.control
+        if not extrap <= MAX_EXTRAPOLATED_RESIDUAL:
+            lines.append(f"{name}extrapolated residual {extrap:.3e} > "
+                         f"{MAX_EXTRAPOLATED_RESIDUAL:g}")
+        if order is not None and not abs(order - 2.0) <= ORDER_TOLERANCE:
+            lines.append(f"{name or 'richardson '}order {order:.3f} "
+                         f"not within {ORDER_TOLERANCE:g} of 2")
+        if control is not None and not control > MIN_CONTROL_RATIO * extrap:
+            lines.append(f"{name}negative control {control:.3e} <= "
+                         f"{MIN_CONTROL_RATIO:g} x extrapolated residual "
+                         f"{extrap:.3e}")
+        return tuple(lines)

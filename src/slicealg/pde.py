@@ -32,9 +32,10 @@ steps), each in one ``eval_components`` call; a P-series runs its
 recurrence once per distinct pair (x0, beta^2) of each set.  Its report
 keeps the nodes, values and residual norms as one (n, 9) float array,
 ``PdeReport.rows``, which :func:`fmtio.write_csv` writes block by block.
-:meth:`PdeReport.verdict` judges Delta_3 and the CRF spot checks by one
-rule, their extrapolated residual and :func:`monogenic.richardson_order`;
-``slicealg pde`` and ``verify --suite pde`` read that verdict.
+The report holds Delta_3 and the CRF spot checks as two
+:class:`monogenic.FdCheck` values, and :meth:`PdeReport.verdict` is
+their failures, judged by the one rule of that type; ``slicealg pde`` and
+``verify --suite pde`` read that verdict.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from .fmtio import array_from_json, float_from_json, int_from_json, \
 from .quaternion import Quaternion, ZERO, ONE, _require_invertible, \
     _require_unit_imag, as_quaternion, axial_combine, flat_points, in_blocks, \
     parse_quaternion, qmul
-from .monogenic import ORDER_TOLERANCE, MonogenicSeries, _order_ok, \
-    fueter_laplacian, inv_laplacian, richardson_order
+from .monogenic import FdCheck, MonogenicSeries, fueter_laplacian, \
+    inv_laplacian
 
 if TYPE_CHECKING:   # sliceexpr and eigensolve load where a kind uses them
     from .sliceexpr import SliceConstant
@@ -441,26 +442,16 @@ def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
 
 # verification ----------------------------------------------------------------
 
-# The verdict: a run is certified when each quantity is within its bound
-# (the Richardson order's is in monogenic).  Residuals are relative to
-# max|f|.  FD error alone puts raw residuals of correct runs at 0.128
-# (Delta_3, helmholtz lambda = 8) and 0.024 (CRF, klein-gordon lambda = 60),
-# so both checks are judged by their extrapolation, free of the h^2 term.
-MAX_EXTRAPOLATED_RESIDUAL = 1e-3
-MIN_CONTROL_RATIO = 100.0       # negative control / extrapolated residual
-
-
 @dataclass
 class PdeReport:
     """Residual statistics from :func:`verify_pde`, and their verdict.
 
-    ``max_rel_residual`` and ``half_step_residual`` are the residuals at
-    the FD steps h and h/2, and :attr:`richardson_order` is their order
-    (None at roundoff); ``extrapolated_residual`` is
-    max|(4 R(h/2) - R(h)) / 3| / max|f| over the residual vectors R.
-    ``monogenicity_max_rel``, ``monogenicity_half_step``, its order and
-    ``monogenicity_extrapolated`` are the same for the CRF spot checks
-    d_cf f at steps 1e-3 and 5e-4.
+    ``laplacian`` is the :class:`monogenic.FdCheck` of Delta_3 at the FD
+    steps h and h/2, with the lambda -> 2 lambda control, and
+    ``monogenicity`` that of the CRF spot checks d_cf f at steps 1e-3 and
+    5e-4; their residuals are relative to max|f| (``scale``).
+    :attr:`max_rel_residual` and :attr:`richardson_order` are Delta_3's
+    residual at h and its order (None at roundoff).
     ``rows`` is an (n_points, 9) float array, one row per verified node:
     x0, x1, x2, x3, f_w, f_x1, f_x2, f_x3, residual_norm.  It is the
     CSV body that :meth:`write_csv` writes.
@@ -469,48 +460,24 @@ class PdeReport:
     n_points: int
     fd_step: float
     scale: float
-    max_rel_residual: float
     mean_rel_residual: float
-    half_step_residual: float
-    extrapolated_residual: float
-    negative_control: float
-    monogenicity_max_rel: float
-    monogenicity_half_step: float
-    monogenicity_extrapolated: float
+    laplacian: FdCheck
+    monogenicity: FdCheck
     rows: np.ndarray
 
     @property
-    def richardson_order(self) -> Optional[float]:
-        return richardson_order(self.max_rel_residual, self.half_step_residual)
+    def max_rel_residual(self) -> float:
+        return self.laplacian.at_h
 
     @property
-    def monogenicity_order(self) -> Optional[float]:
-        return richardson_order(self.monogenicity_max_rel,
-                                self.monogenicity_half_step)
+    def richardson_order(self) -> Optional[float]:
+        return self.laplacian.order
 
     def verdict(self) -> Tuple[str, ...]:
-        """The failures of this run, one line each: by one rule for Delta_3,
-        then for the CRF probe, the extrapolated residual and the order
-        (None, at roundoff, passes); after Delta_3's, the lambda -> 2 lambda
-        negative control (d_cf f = 0 has no lambda to scale).  Empty when
-        the run is certified."""
-        failures = []
-        for name, extrap, order, control in (
-                ("", self.extrapolated_residual, self.richardson_order,
-                 self.negative_control),
-                ("monogenicity ", self.monogenicity_extrapolated,
-                 self.monogenicity_order, None)):
-            if not extrap <= MAX_EXTRAPOLATED_RESIDUAL:
-                failures.append(f"{name}extrapolated residual {extrap:.3e} > "
-                                f"{MAX_EXTRAPOLATED_RESIDUAL:g}")
-            if not _order_ok(order):
-                failures.append(f"{name or 'richardson '}order {order:.3f} "
-                                f"not within {ORDER_TOLERANCE:g} of 2")
-            if control is not None and not control > MIN_CONTROL_RATIO * extrap:
-                failures.append(f"negative control {control:.3e} <= "
-                                f"{MIN_CONTROL_RATIO:g} x extrapolated residual "
-                                f"{extrap:.3e}")
-        return tuple(failures)
+        """The failures of this run, one line each (:meth:`FdCheck.failures`),
+        Delta_3's, then the CRF probe's; empty when the run is certified."""
+        return self.laplacian.failures() + \
+            self.monogenicity.failures("monogenicity ")
 
     def summary(self) -> dict:
         return {
@@ -548,6 +515,17 @@ def _fd_crf_at(f, points, h: float):
     i, j, k = units[1:]
     return 0.5 * (parts[:, 0] + qmul(i, parts[:, 1]) + qmul(j, parts[:, 2])
                   + qmul(k, parts[:, 3]))
+
+
+def _fd_check(r_h, r_half, div: float, control: Optional[float] = None):
+    """The :class:`FdCheck` of the residual rows R(h) = ``r_h`` and R(h/2) =
+    ``r_half``, relative to ``div``, and the norms |R(h)|, each taken once."""
+    norm_h = np.linalg.norm(r_h, axis=-1)
+    at_h, at_half, extrapolated = (
+        float(v.max()) / div
+        for v in (norm_h, np.linalg.norm(r_half, axis=-1),
+                  np.linalg.norm((4.0 * r_half - r_h) / 3.0, axis=-1)))
+    return FdCheck(at_h, at_half, extrapolated, control), norm_h
 
 
 def verify_pde(f, problem: PdeProblem) -> PdeReport:
@@ -604,9 +582,8 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
 
     vec_h, vec_neg = residuals(h, 1.0, 4.0)
     (vec_half,) = residuals(h / 2.0, 1.0)
-    res_h, neg, res_half = (np.linalg.norm(v, axis=-1)
-                            for v in (vec_h, vec_neg, vec_half))
-    extrapolated = np.linalg.norm((4.0 * vec_half - vec_h) / 3.0, axis=-1)
+    control = float(np.linalg.norm(vec_neg, axis=-1).max()) / div
+    laplacian, res_h = _fd_check(vec_h, vec_half, div, control)
     rows = np.column_stack([x0c, x1c, x2c, x3c, fv, res_h])
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():       # an overflow in the solution or in the stencil
@@ -618,22 +595,15 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     spots = sorted(set(np.linspace(0, x1c.size - 1, 5).astype(int).tolist()))
     centres = np.stack([x0c[spots], x1c[spots], x2c[spots], x3c[spots]],
                        axis=-1)
-    crf_h, crf_half = (_fd_crf_at(f, centres, step) for step in (1e-3, 5e-4))
-    monog_rel, monog_half, monog_extrap = (
-        float(np.linalg.norm(v, axis=-1).max()) / div
-        for v in (crf_h, crf_half, (4.0 * crf_half - crf_h) / 3.0))
+    monogenicity, _ = _fd_check(*(_fd_crf_at(f, centres, step)
+                                  for step in (1e-3, 5e-4)), div)
 
     return PdeReport(
         n_points=int(x1c.size),
         fd_step=h,
         scale=scale,
-        max_rel_residual=float(res_h.max()) / div,
         mean_rel_residual=float(res_h.mean()) / div,
-        half_step_residual=float(res_half.max()) / div,
-        extrapolated_residual=float(extrapolated.max()) / div,
-        negative_control=float(neg.max()) / div,
-        monogenicity_max_rel=monog_rel,
-        monogenicity_half_step=monog_half,
-        monogenicity_extrapolated=monog_extrap,
+        laplacian=laplacian,
+        monogenicity=monogenicity,
         rows=rows,
     )

@@ -372,23 +372,19 @@ def parse_quaternion(text: str, what: Optional[str] = None) -> Quaternion:
         raise ParseError(f"{named}empty quaternion literal: {text!r}")
     comps = [0.0, 0.0, 0.0, 0.0]
     pos = 0
-    nterms = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
             raise ParseError(f"{named}bad quaternion literal {text!r} at position {pos}")
         sign, number, unit, bare = m.groups()
-        if nterms > 0 and not sign:
+        if pos > 0 and not sign:
             raise ParseError(f"{named}missing +/- between terms in {text!r} at "
                              f"position {pos}")
         value = 1.0 if number is None else float(number)
         if sign == "-":
             value = -value
         comps[_UNIT_INDEX[bare if bare is not None else unit]] += value
-        nterms += 1
         pos = m.end()
-    if nterms == 0:
-        raise ParseError(f"{named}empty quaternion literal: {text!r}")
     if not all(map(math.isfinite, comps)):
         raise ParseError(f"{named}quaternion literal {text!r} is not finite")
     return Quaternion(*comps)

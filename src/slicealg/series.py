@@ -322,18 +322,13 @@ def exp_truncation(radius: float, lam_norm: float, tol: float = 1e-25,
     Raises :class:`RangeError` when no degree up to ``max_degree`` is
     small enough.
     """
-    t = _tail_t(radius, lam_norm)
-    term = t * math.exp(t) if t < 700.0 else math.inf  # bound for N = 0
     n = 0
-    # once the bound overflows a float, compare its logarithm instead
-    while (term > tol if term < math.inf else
-           _log_tail(t, n) > math.log(tol)):
+    while exp_tail_bound(radius, lam_norm, n) > tol:
         if n == max_degree:
             raise RangeError(
                 f"the exp tail bound at radius {radius!r} (|lambda| = "
                 f"{lam_norm!r}) stays above {tol!r} up to degree {max_degree}")
         n += 1
-        term *= t / (n + 1)
     return n
 
 

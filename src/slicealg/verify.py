@@ -239,9 +239,9 @@ def check_eigensolve(rng: random.Random) -> str:
 
 def check_monogenic(rng: random.Random) -> str:
     from .eigensolve import apply_D
-    from .monogenic import _order_ok, apply_L, delta_exp, eval_P, eval_Z, \
+    from .monogenic import FdCheck, apply_L, delta_exp, eval_P, eval_Z, \
         fd_crf, fueter_laplacian, inv_laplacian, laplacian_pointwise, \
-        laplacian_via_partials, richardson_order
+        laplacian_via_partials
     t = rng.uniform(-1.5, 1.5)
     for n in range(7):
         got = eval_P(n, Quaternion(t))
@@ -273,10 +273,11 @@ def check_monogenic(rng: random.Random) -> str:
     lams = [random_quaternion(rng), random_unit_imag(rng)]
     d = delta_exp(lams, 45)
     x = Quaternion(0.2, 0.4, -0.5, 0.3)
-    r1, r2 = (fd_crf(d, x, h)[0].norm() for h in (1e-3, 5e-4))
-    order = richardson_order(r1, r2)
-    _check(r2 < 1e-5 and _order_ok(order),
-           f"delta_exp monogenicity: {r1}, {r2}, {order}")
+    d1, d2 = (fd_crf(d, x, h)[0] for h in (1e-3, 5e-4))
+    check = FdCheck(d1.norm(), d2.norm(), ((4.0 * d2 - d1) / 3.0).norm())
+    _check(check.at_half < 1e-5 and not check.failures(),
+           f"delta_exp monogenicity: {check.at_h}, {check.at_half}, "
+           f"{check.order}")
     return "27 P-basis/Laplacian/intertwining checks + CRF certification"
 
 

@@ -416,9 +416,9 @@ def test_pde_residuals_on_grid():
     rep = verify_pde(f, PdeProblem(kind="helmholtz", lam=1.0, grid=grid))
     assert rep.max_rel_residual <= 1e-4
     assert rep.richardson_order >= 1.9
-    assert rep.negative_control > 100 * rep.max_rel_residual
-    assert rep.monogenicity_max_rel < 1e-5
-    assert rep.monogenicity_order >= 1.9
+    assert rep.laplacian.control > 100 * rep.max_rel_residual
+    assert rep.monogenicity.at_h < 1e-5
+    assert rep.monogenicity.order >= 1.9
 
     # Klein-Gordon: g = Delta exp_j, Delta_3 g - g = 0
     g = klein_gordon_solution(1.0, [(J, SliceConstant.uniform(ONE))])
@@ -426,7 +426,7 @@ def test_pde_residuals_on_grid():
                                    grid=grid))
     assert rep.max_rel_residual <= 1e-4
     assert rep.richardson_order >= 1.9
-    assert rep.negative_control > 100 * rep.max_rel_residual
+    assert rep.laplacian.control > 100 * rep.max_rel_residual
 
     # mu_I variants blow up like beta^-2 at the real axis: verified on an
     # origin-excluding grid, certified by the order estimate
@@ -437,14 +437,14 @@ def test_pde_residuals_on_grid():
     rep = verify_pde(fm, PdeProblem(kind="helmholtz", lam=1.0, grid=ex_grid))
     assert rep.max_rel_residual < 1e-2
     assert abs(rep.richardson_order - 2.0) < 0.1
-    assert rep.negative_control > 10 * rep.max_rel_residual
+    assert rep.laplacian.control > 10 * rep.max_rel_residual
 
     gm = klein_gordon_solution(1.0, [(J, SliceConstant(J, ONE, -ONE))])
     rep = verify_pde(gm, PdeProblem(kind="klein-gordon", lam=1.0, unit_i=J,
                                     grid=ex_grid))
     assert rep.max_rel_residual < 1e-2
     assert abs(rep.richardson_order - 2.0) < 0.1
-    assert rep.negative_control > 10 * rep.max_rel_residual
+    assert rep.laplacian.control > 10 * rep.max_rel_residual
 
 
 # ----------------------------------------------------- CLI determinism

@@ -472,12 +472,17 @@ def test_f_mu_lambda_range_guards():
         f_mu_lambda(I, I)           # |mu| = |lambda|
     with pytest.raises(RangeError):
         f_mu_lambda(2.0 * I, J)     # |mu| > |lambda|
+    with pytest.raises(RangeError, match=r"got \|mu\| = 1e\+200, "
+                                         r"\|lambda\| = 1e\+199$"):
+        f_mu_lambda(1e200, 1e199)
 
 
 def test_f_mu_lambda_refuses_a_denominator_without_an_accurate_inverse():
-    # mu^2 - 2 Re(lambda) mu + |lambda|^2 has |q|^2 = inf, then |q|^2
-    # below the normal floats: a RangeError names |mu| and |lambda|
+    # mu^2 - 2 Re(lambda) mu + |lambda|^2 has |q|^2 = inf, NaN (from
+    # inf - inf), then |q|^2 below the normal floats: a RangeError names
+    # |mu| and |lambda|, finite although |mu|^2 and |lambda|^2 overflow
     for mu_, lam, got in ((1e150, 1e155, "not finite"),
+                          (1e199, 1e200, "|q|^2 = nan is not a normal float"),
                           (1e-150, 1e-149, "not a normal float")):
         with pytest.raises(RangeError) as exc:
             f_mu_lambda(mu_, lam)

@@ -125,8 +125,8 @@ def test_helmholtz_entire_solution():
     report = verify_pde(f, problem)
     assert report.max_rel_residual < 1e-4
     assert report.richardson_order > 1.9
-    assert report.negative_control > 100 * report.max_rel_residual
-    assert report.monogenicity_max_rel < 1e-5
+    assert report.laplacian.control > 100 * report.max_rel_residual
+    assert report.monogenicity.at_h < 1e-5
     assert report.n_points == 7 ** 3
 
 
@@ -188,7 +188,7 @@ def test_helmholtz_mu_variant_on_excluded_grid():
     report = verify_pde(f, problem)
     assert report.max_rel_residual < 1e-2
     assert abs(report.richardson_order - 2.0) < 0.2
-    assert report.negative_control > 10 * report.max_rel_residual
+    assert report.laplacian.control > 10 * report.max_rel_residual
 
 
 def test_klein_gordon_solution():
@@ -197,7 +197,7 @@ def test_klein_gordon_solution():
     report = verify_pde(g, problem)
     assert report.max_rel_residual < 1e-4
     assert report.richardson_order > 1.9
-    assert report.negative_control > 100 * report.max_rel_residual
+    assert report.laplacian.control > 100 * report.max_rel_residual
 
 
 def test_klein_gordon_random_units():
@@ -221,7 +221,7 @@ def test_general_quadratic_kernel():
     report = verify_pde(f, problem)
     assert report.max_rel_residual < 5e-4
     assert report.richardson_order > 1.9
-    assert report.negative_control > 10 * report.max_rel_residual
+    assert report.laplacian.control > 10 * report.max_rel_residual
 
 
 def test_general_quadratic_kernel_is_the_fueter_image_of_E():
@@ -262,7 +262,7 @@ def test_yukawa_residual_on_grid():
     report = verify_pde(f, problem)
     # a polynomial solution: the FD residual is pure roundoff
     assert report.max_rel_residual < 1e-9
-    assert report.negative_control > 1e-2
+    assert report.laplacian.control > 1e-2
 
 
 def test_yukawa_is_exact_inverse():
@@ -629,7 +629,7 @@ def test_helmholtz_is_the_quadratic_equation_with_real_lambda1():
     quad = verify_pde(f, PdeProblem(kind="quadratic", lam1=Quaternion(1.3),
                                     grid=grid))
     assert quad.summary() == helm.summary()
-    assert quad.negative_control == helm.negative_control
+    assert quad.laplacian.control == helm.laplacian.control
 
 
 def test_klein_gordon_is_the_quadratic_equation_with_lambda1_i_lambda():
@@ -971,12 +971,48 @@ def test_richardson_rule_at_its_boundaries():
     problem = PdeProblem(kind="helmholtz", lam=1.0, grid=SMALL)
     report = verify_pde(problem.solve(), problem)
     assert report.verdict() == ()
-    broken = dataclasses.replace(report, half_step_residual=0.0)
+    broken = dataclasses.replace(
+        report, laplacian=report.laplacian._replace(at_half=0.0))
     assert broken.richardson_order == math.inf
     assert broken.verdict() == ("richardson order inf not within 0.1 of 2",)
-    broken = dataclasses.replace(report, max_rel_residual=0.0)
+    broken = dataclasses.replace(
+        report, laplacian=report.laplacian._replace(at_h=0.0))
     assert broken.richardson_order == -math.inf
     assert broken.verdict() == ("richardson order -inf not within 0.1 of 2",)
+
+
+def test_fd_check_failures_at_their_bounds():
+    # the one rule from the fields alone: the extrapolated residual passes
+    # at MAX_EXTRAPOLATED_RESIDUAL and fails just above it; no order (both
+    # residuals at roundoff) and an order within 0.1 of 2 pass, inf and
+    # -inf fail; a control must exceed MIN_CONTROL_RATIO x the
+    # extrapolated residual; the lines come in that order
+    from slicealg.monogenic import MAX_EXTRAPOLATED_RESIDUAL, \
+        MIN_CONTROL_RATIO, ROUNDOFF, FdCheck
+    assert FdCheck(4e-3, 1e-3, MAX_EXTRAPOLATED_RESIDUAL).failures() == ()
+    above = FdCheck(4e-3, 1e-3, math.nextafter(MAX_EXTRAPOLATED_RESIDUAL, 1.0))
+    assert above.failures() == ("extrapolated residual 1.000e-03 > 0.001",)
+    assert above.failures("monogenicity ") == (
+        "monogenicity extrapolated residual 1.000e-03 > 0.001",)
+    at_roundoff = FdCheck(ROUNDOFF, ROUNDOFF, 0.0)
+    assert at_roundoff.order is None and at_roundoff.failures() == ()
+    within = FdCheck(2.0 ** 2.05 * 1e-6, 1e-6, 0.0)
+    assert abs(within.order - 2.05) < 1e-12 and within.failures() == ()
+    for r_h, r_half, order in ((1e-6, 0.0, "inf"), (0.0, 1e-6, "-inf")):
+        check = FdCheck(r_h, r_half, 0.0)
+        assert check.failures() == (
+            f"richardson order {order} not within 0.1 of 2",)
+        assert check.failures("monogenicity ") == (
+            f"monogenicity order {order} not within 0.1 of 2",)
+    bound = MIN_CONTROL_RATIO * 1e-6
+    assert FdCheck(4e-6, 1e-6, 1e-6).failures() == ()
+    assert FdCheck(4e-6, 1e-6, 1e-6, math.nextafter(bound, 1.0)).failures() == ()
+    assert FdCheck(4e-6, 1e-6, 1e-6, bound).failures() == (
+        "negative control 1.000e-04 <= 100 x extrapolated residual 1.000e-06",)
+    assert FdCheck(1.0, 1.0, 1.0, 1.0).failures() == (
+        "extrapolated residual 1.000e+00 > 0.001",
+        "richardson order 0.000 not within 0.1 of 2",
+        "negative control 1.000e+00 <= 100 x extrapolated residual 1.000e+00")
 
 
 def test_verdict_judges_the_monogenicity_order(monkeypatch):
@@ -986,14 +1022,14 @@ def test_verdict_judges_the_monogenicity_order(monkeypatch):
     problem = PdeProblem(kind="helmholtz", lam=1.0, grid=SMALL)
     f = problem.solve()
     report = verify_pde(f, problem)
-    assert report.monogenicity_order is None or \
-        abs(report.monogenicity_order - 2.0) <= 0.1
+    assert report.monogenicity.order is None or \
+        abs(report.monogenicity.order - 2.0) <= 0.1
     monkeypatch.setattr(pde, "_fd_crf_at", lambda f, centres, h: np.full(
         (len(centres), 4), 0.5e-4 * report.scale))
     report = verify_pde(f, problem)
-    assert report.monogenicity_max_rel == report.monogenicity_half_step
-    assert abs(report.monogenicity_max_rel - 1e-4) <= 1e-15
-    assert report.monogenicity_order == 0.0
+    assert report.monogenicity.at_h == report.monogenicity.at_half
+    assert abs(report.monogenicity.at_h - 1e-4) <= 1e-15
+    assert report.monogenicity.order == 0.0
     assert report.verdict() == ("monogenicity order 0.000 not within 0.1 "
                                 "of 2",)
 
@@ -1018,13 +1054,13 @@ def test_verdict_judges_the_extrapolated_crf_residual():
     problem = PdeProblem(kind="helmholtz", lam=1.0)
     report = verify_pde(_PlusSine(problem.solve(), 0.01), problem)
     assert report.scale == 2.0
-    assert report.monogenicity_extrapolated == pytest.approx(2.5e-3, rel=1e-6)
+    assert report.monogenicity.extrapolated == pytest.approx(2.5e-3, rel=1e-6)
     first, order = report.verdict()      # and its order, about 0
     assert first == "monogenicity extrapolated residual 2.500e-03 > 0.001"
     assert order.startswith("monogenicity order ")
     # the solution itself is monogenic to roundoff
     report = verify_pde(problem.solve(), problem)
-    assert report.monogenicity_extrapolated < 1e-12
+    assert report.monogenicity.extrapolated < 1e-12
     assert report.verdict() == ()
 
 
