@@ -156,21 +156,10 @@ def gen_exp(lambdas, n_trunc: int = 40) -> PowerSeries:
     """Generalized exponential E_Lambda for Lambda = (lambda_1..lambda_m).
 
     Coefficients e_n = (1/n!) Sum_{|K| = n-m+1} lambda_1^{k_1} ...
-    lambda_m^{k_m}; computed by extending the tuple one eigenvalue at a
-    time with the recurrence e_{n+1} = (e_n(Lambda) lambda_m +
-    e_n(Lambda'))/(n+1), where Lambda' drops the last eigenvalue.  For a
-    single eigenvalue this is exp_lambda; E_Lambda(0) = 1 iff m = 1.
+    lambda_m^{k_m}: the head of :func:`kernel_basis`.  For a single
+    eigenvalue this is exp_lambda; E_Lambda(0) = 1 iff m = 1.
     """
-    lams = _eigenvalues(lambdas)
-    if n_trunc < len(lams) - 1:     # the first nonzero coefficient is x^(m-1)
-        raise ParseError(f"degree {n_trunc} too small for a tuple of length {len(lams)}")
-    prev = exp_series(lams[0], n_trunc).coeffs
-    for lam in lams[1:]:
-        cur = [ZERO]
-        for n in range(n_trunc):
-            cur.append((cur[n] * lam + prev[n]) / float(n + 1))
-        prev = cur
-    return PowerSeries(prev, exact=False)
+    return kernel_basis(lambdas, n_trunc)[0]
 
 
 def f_mu_lambda(mu, lam, n_trunc: int = 40) -> PowerSeries:
@@ -195,9 +184,12 @@ def f_mu_lambda(mu, lam, n_trunc: int = 40) -> PowerSeries:
     try:
         t = quad.inverse() * (lam.conjugate() - mu)
     except ZeroDivisionError as exc:
+        # finite moduli and a NaN denominator: a term overflowed (inf - inf)
+        overflow = mu_norm < lam_norm < math.inf and math.isnan(quad.norm2())
+        why = "overflows the float range" if overflow else f"= {exc}"
         raise RangeError(f"f_mu_lambda at |mu| = {mu_norm!r}, "
                          f"|lambda| = {lam_norm!r}: mu^2 - "
-                         f"2 Re(lambda) mu + |lambda|^2 = {exc}") from None
+                         f"2 Re(lambda) mu + |lambda|^2 {why}") from None
     mu_pow = ONE
     out = []
     fact = 1.0
@@ -212,10 +204,21 @@ def kernel_basis(lambdas, n_trunc: int = 40):
     """Basis [E_{(lambda_1..lambda_m)}, E_{(lambda_2..lambda_m)}, ..., E_{(lambda_m)}].
 
     Every right-H-linear combination (with slice-constant coefficients)
-    is annihilated by D_{lambda_1} ... D_{lambda_m}.
+    is annihilated by D_{lambda_1} ... D_{lambda_m}.  Split on k_1 >= 1,
+    e_{n+1}(Lambda) = (lambda_1 e_n(Lambda) + e_n(Lambda+))/(n+1) with
+    Lambda+ = (lambda_2..lambda_m), so each element is one pass over the
+    next, from exp_{lambda_m}: m passes in all.
     """
     lams = _eigenvalues(lambdas)
-    return [gen_exp(lams[i:], n_trunc) for i in range(len(lams))]
+    if n_trunc < len(lams) - 1:     # the first nonzero coefficient is x^(m-1)
+        raise ParseError(f"degree {n_trunc} too small for a tuple of length {len(lams)}")
+    basis = [exp_series(lams[-1], n_trunc)]
+    for lam in lams[-2::-1]:
+        prev, cur = basis[0].coeffs, [ZERO]
+        for n in range(n_trunc):
+            cur.append((lam * cur[n] + prev[n]) / float(n + 1))
+        basis.insert(0, PowerSeries(cur, exact=False))
+    return basis
 
 
 def solve_with_initial(lambdas, initial, n_trunc: int = 40) -> PowerSeries:

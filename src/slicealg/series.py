@@ -18,9 +18,9 @@ the four components that runs on Python floats (one point,
 ``PowerSeries.__call__``) and, by the block driver of every point
 evaluator, :func:`quaternion.in_blocks`, on 1-D blocks of points
 (:meth:`PowerSeries.eval_components`), with the bits of the Quaternion
-loop.  :func:`slice_product` convolves the component arrays of the two
-coefficient lists (16 ``np.convolve`` calls combined by the Hamilton sign
-table), so neither path builds a Quaternion per term.
+loop.  :func:`slice_product` reads each quaternion as a complex pair and
+convolves the pair arrays of the two coefficient lists (four complex
+``np.convolve`` calls), so neither path builds a Quaternion per term.
 """
 
 from __future__ import annotations
@@ -195,17 +195,13 @@ class PowerSeries:
         return PowerSeries([c * a for a in self.coeffs], exact=self.exact)
 
 
-# e_p e_q = _SIGN[p][q] e_(p xor q) for the units (e_0, e_1, e_2, e_3) = (1, i, j, k)
-_SIGN = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
-# the (p, q, negated) terms of component r = p xor q, grouped by r = 0..3
-_TERMS = tuple((p, p ^ r, _SIGN[p][p ^ r] < 0) for r in range(4) for p in range(4))
-
-
-def _component_rows(coeffs):
-    """The (4, n) array [w, x1, x2, x3] of a list of quaternions."""
-    import numpy as np
-    return np.array([[c.w for c in coeffs], [c.x1 for c in coeffs],
-                     [c.x2 for c in coeffs], [c.x3 for c in coeffs]])
+def _pair_product(p: Quaternion, q: Quaternion) -> Quaternion:
+    """p q by the complex pairs of :func:`slice_product`, on Python complex."""
+    z1, z2 = complex(p.w, p.x1), complex(p.x2, p.x3)
+    u1, u2 = complex(q.w, q.x1), complex(q.x2, q.x3)
+    c1 = z1 * u1 - z2 * u2.conjugate()
+    c2 = z1 * u2 + z2 * u1.conjugate()
+    return Quaternion(c1.real, c1.imag, c2.real, c2.imag)
 
 
 def slice_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -213,12 +209,13 @@ def slice_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 
     For two polynomials the full convolution is returned; if either input
     is a truncation the result is truncated at the smallest bound whose
-    coefficients are fully determined.  Component p of a and q of b
-    convolve into component p xor q of c with the sign of e_p e_q: 16
-    ``np.convolve`` calls, so the sums run in another order than a loop
-    over Quaternion products (they agree to rounding).  A factor with one
-    coefficient scales the other without numpy, in the Hamilton order and
-    the sequential sum of the convolutions, so with their bits.
+    coefficients are fully determined.  Each quaternion is the complex
+    pair z1 + z2 j (z1 = w + x1 i, z2 = x2 + x3 i), and
+    (z1 + z2 j)(u1 + u2 j) = (z1 u1 - z2 conj(u2)) + (z1 u2 + z2 conj(u1)) j,
+    so the product is four complex ``np.convolve`` calls; their sums run
+    in another order than a loop over Quaternion products (they agree to
+    rounding).  A factor with one coefficient scales the other without
+    numpy, by the same complex products, so with the convolution's bits.
     """
     if f.exact and g.exact:
         bound = f.degree_bound + g.degree_bound
@@ -227,17 +224,17 @@ def slice_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:
         exact, bound = f._bounds_with(g)
     a, b = f.coeffs[:bound + 1], g.coeffs[:bound + 1]
     if len(a) == 1 or len(b) == 1:
-        return PowerSeries([p * q for p in a for q in b], exact=exact)
+        return PowerSeries([_pair_product(p, q) for p in a for q in b], exact=exact)
     import numpy as np
-    # the two slices hold at least bound + 2 coefficients together, so the
-    # full convolution reaches index bound
-    a, b = _component_rows(a), _component_rows(b)
-    b_signed = (b, -b)
+    # pairs [z1, z2] as rows; the two slices hold at least bound + 2
+    # coefficients together, so the full convolution reaches index bound
+    (a1, a2), (b1, b2) = (np.array([c.as_list() for c in x]).view(complex).T
+                          for x in (a, b))
+    c = np.empty((len(a) + len(b) - 1, 2), complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.array([np.convolve(a[p], b_signed[neg][q])
-                          for p, q, neg in _TERMS])
-        c = terms.reshape(4, 4, -1).sum(axis=1)
-    return PowerSeries([Quaternion(*row) for row in c[:, :bound + 1].T.tolist()],
+        c[:, 0] = np.convolve(a1, b1) - np.convolve(a2, b2.conj())
+        c[:, 1] = np.convolve(a1, b2) + np.convolve(a2, b1.conj())
+    return PowerSeries([Quaternion(*row) for row in c[:bound + 1].view(float).tolist()],
                        exact=exact)
 
 

@@ -404,6 +404,37 @@ def test_kernel_basis_spans_suffixes():
         assert all(g.coeff(n).norm() < 1e-9 for n in range(g.degree_bound - 2))
 
 
+def _coeff_bits(f):
+    return [[float.hex(v) for v in c.as_list()] for c in f.coeffs]
+
+
+def test_kernel_basis_elements_have_the_bits_of_gen_exp():
+    # both read one suffix chain, each element built from the next
+    rng = random.Random(335)
+    for lams in ([I, J, K],
+                 [Quaternion(0.7, 0.4, -0.3, 0.0), Quaternion(-0.2, 0.0, 0.0, 0.5)],
+                 [rand_q(rng) for _ in range(5)]):
+        basis = kernel_basis(lams, 30)
+        assert len(basis) == len(lams)
+        for i, f in enumerate(basis):
+            assert _coeff_bits(f) == _coeff_bits(gen_exp(lams[i:], 30)), i
+
+
+def test_kernel_basis_makes_m_times_n_quaternion_products(monkeypatch):
+    # one pass of n products per eigenvalue, not one chain per suffix
+    rng = random.Random(336)
+    lams = [rand_q(rng) for _ in range(4)]
+    calls = []
+    mul = Quaternion.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(Quaternion, "__mul__", counted)
+    kernel_basis(lams, 25)
+    assert len(calls) == 4 * 25
+
+
 def test_solve_with_initial_reproduces_data():
     rng = random.Random(331)
     for _ in range(15):
@@ -479,16 +510,18 @@ def test_f_mu_lambda_range_guards():
 
 def test_f_mu_lambda_refuses_a_denominator_without_an_accurate_inverse():
     # mu^2 - 2 Re(lambda) mu + |lambda|^2 has |q|^2 = inf, NaN (from
-    # inf - inf), then |q|^2 below the normal floats: a RangeError names
-    # |mu| and |lambda|, finite although |mu|^2 and |lambda|^2 overflow
+    # inf - inf, named as the overflow it is), then |q|^2 below the normal
+    # floats: a RangeError names |mu| and |lambda|, finite although |mu|^2
+    # and |lambda|^2 overflow
     for mu_, lam, got in ((1e150, 1e155, "not finite"),
-                          (1e199, 1e200, "|q|^2 = nan is not a normal float"),
+                          (1e199, 1e200, "|lambda|^2 overflows the float range"),
                           (1e-150, 1e-149, "not a normal float")):
         with pytest.raises(RangeError) as exc:
             f_mu_lambda(mu_, lam)
         assert str(exc.value).startswith(
             f"f_mu_lambda at |mu| = {mu_!r}, |lambda| = {lam!r}: ")
         assert str(exc.value).endswith(got)
+        assert "nan" not in str(exc.value)
 
 
 def test_verify_roundtrip_bound_passes_the_seeds_it_failed():

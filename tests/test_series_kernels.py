@@ -1,9 +1,10 @@
 """Array kernels of the power-series layer.
 
 ``PowerSeries._horner`` is the one evaluation kernel, on floats and on
-blocks of points; ``slice_product`` is 16 convolutions of component
-arrays.  The Quaternion loops they replaced are kept here as references,
-and two counters pin the work each path does, without timing.
+blocks of points; ``slice_product`` is four complex convolutions of the
+coefficients' complex pairs.  The Quaternion loops they replaced are kept
+here as references, and three counters pin the work each path does,
+without timing.
 """
 
 import math
@@ -103,7 +104,7 @@ def test_slice_product_at_degree_200(kinds):
                                    (False, True), (False, False)])
 def test_one_coefficient_factor_has_the_convolution_bits(kinds):
     # a constant factor scales coefficient by coefficient; padded with a
-    # zero coefficient, it goes through the 16 convolutions instead, whose
+    # zero coefficient, it goes through the four convolutions instead, whose
     # extra terms are exact zeros
     rng = random.Random(59)
     for degree in (0, 1, 7, 40):
@@ -152,6 +153,20 @@ def test_slice_product_makes_no_quaternion_product(monkeypatch):
     h = slice_product(f, g)
     assert h.degree_bound == 40
     assert calls == []
+
+
+def test_slice_product_makes_four_convolutions(monkeypatch):
+    rng = random.Random(5)
+    f, g = _series(rng, 6, True), _series(rng, 6, False)
+    calls = []
+    convolve = np.convolve
+
+    def counted(a, v, *args):
+        calls.append(1)
+        return convolve(a, v, *args)
+    monkeypatch.setattr(np, "convolve", counted)
+    _check_product(f, g)
+    assert len(calls) == 4
 
 
 # -- CLI eval: byte-identical to a per-point reference -------------------------
