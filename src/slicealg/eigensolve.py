@@ -165,7 +165,7 @@ def gen_exp(lambdas, n_trunc: int = 40) -> PowerSeries:
 def f_mu_lambda(mu, lam, n_trunc: int = 40) -> PowerSeries:
     """The particular solution f^{mu,lambda} of D_lambda f = exp_mu.
 
-    Requires 0 < |mu| < |lambda| (strict).  Coefficient of x^k is
+    Requires 0 < |mu| < |lambda| < inf (strict).  Coefficient of x^k is
     -(1/k!) Sum_{n>=k} mu^n lambda^{k-n-1} = -mu^k T / k!, where
     T = Sum_j mu^j lambda^{-1-j} solves the Sylvester equation
     T lambda - mu T = 1 in closed form:
@@ -176,17 +176,17 @@ def f_mu_lambda(mu, lam, n_trunc: int = 40) -> PowerSeries:
     lam = as_quaternion(lam)
     # the moduli by hypot, which stays finite where |q|^2 overflows
     mu_norm, lam_norm = math.hypot(*mu.as_list()), math.hypot(*lam.as_list())
-    if mu.is_zero() or mu_norm >= lam_norm:
+    if not 0.0 < mu_norm < lam_norm < math.inf:     # NaN fails it too
         raise RangeError(
-            f"f_mu_lambda requires 0 < |mu| < |lambda|, got |mu| = {mu_norm!r}, "
-            f"|lambda| = {lam_norm!r}")
+            f"f_mu_lambda requires 0 < |mu| < |lambda| < inf, got |mu| = "
+            f"{mu_norm!r}, |lambda| = {lam_norm!r}")
     quad = mu * mu - (2.0 * lam.w) * mu + lam.norm2()
     try:
         t = quad.inverse() * (lam.conjugate() - mu)
     except ZeroDivisionError as exc:
-        # finite moduli and a NaN denominator: a term overflowed (inf - inf)
-        overflow = mu_norm < lam_norm < math.inf and math.isnan(quad.norm2())
-        why = "overflows the float range" if overflow else f"= {exc}"
+        # the moduli are finite, so a NaN denominator is an overflow (inf - inf)
+        why = "overflows the float range" if math.isnan(quad.norm2()) \
+            else f"= {exc}"
         raise RangeError(f"f_mu_lambda at |mu| = {mu_norm!r}, "
                          f"|lambda| = {lam_norm!r}: mu^2 - "
                          f"2 Re(lambda) mu + |lambda|^2 {why}") from None

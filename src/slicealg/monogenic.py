@@ -379,6 +379,7 @@ ROUNDOFF = 1e-9                 # both residuals at or below: no order
 ORDER_TOLERANCE = 0.1           # on |richardson_order - 2|
 MAX_EXTRAPOLATED_RESIDUAL = 1e-3
 MIN_CONTROL_RATIO = 100.0       # control / extrapolated residual
+CRF_STEP = 1e-3                 # a CRF probe's step h (and h/2 = 5e-4)
 
 
 def richardson_order(r_h, r_half):

@@ -26,16 +26,15 @@ on all of H and evaluated by the O(n) recurrence of
 :meth:`MonogenicSeries.eval_components`, exact on the real axis.
 
 No finite differences enter the *construction*; FD is used only by
-:func:`verify_pde` to certify the residuals independently.  It evaluates
-13 point sets (the nodes and the six shifts of the Delta_3 stencil at two
-steps), each in one ``eval_components`` call; a P-series runs its
-recurrence once per distinct pair (x0, beta^2) of each set.  Its report
-keeps the nodes, values and residual norms as one (n, 9) float array,
-``PdeReport.rows``, which :func:`fmtio.write_csv` writes block by block.
-The report holds Delta_3 and the CRF spot checks as two
-:class:`monogenic.FdCheck` values, and :meth:`PdeReport.verdict` is
-their failures, judged by the one rule of that type; ``slicealg pde`` and
-``verify --suite pde`` read that verdict.
+:func:`verify_pde` to certify the residuals independently: one driver
+checks stencil(f) + f sq = rhs at steps h and h/2, for the Delta_3
+stencil on the grid and the CRF stencil at five spot nodes, and
+:meth:`PdeReport.verdict` is the failures of their two
+:class:`monogenic.FdCheck` values.  Delta_3 evaluates 13 point sets, each
+in one ``eval_components`` call; a P-series runs its recurrence once per
+distinct pair (x0, beta^2) of each set.  ``PdeReport.rows`` keeps the
+nodes, values and residual norms as one (n, 9) float array, which
+:func:`fmtio.write_csv` writes block by block.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from .fmtio import array_from_json, float_from_json, int_from_json, \
 from .quaternion import Quaternion, ZERO, ONE, _require_invertible, \
     _require_unit_imag, as_quaternion, axial_combine, flat_points, in_blocks, \
     parse_quaternion, qmul
-from .monogenic import FdCheck, MonogenicSeries, fueter_laplacian, \
-    inv_laplacian
+from .monogenic import CRF_STEP, FdCheck, MonogenicSeries, \
+    fueter_laplacian, inv_laplacian
 
 if TYPE_CHECKING:   # sliceexpr and eigensolve load where a kind uses them
     from .sliceexpr import SliceConstant
@@ -446,10 +445,11 @@ def yukawa_solve(lam, unit_i, h: MonogenicSeries) -> MonogenicSeries:
 class PdeReport:
     """Residual statistics from :func:`verify_pde`, and their verdict.
 
-    ``laplacian`` is the :class:`monogenic.FdCheck` of Delta_3 at the FD
-    steps h and h/2, with the lambda -> 2 lambda control, and
-    ``monogenicity`` that of the CRF spot checks d_cf f at steps 1e-3 and
-    5e-4; their residuals are relative to max|f| (``scale``).
+    ``laplacian`` and ``monogenicity`` are the two
+    :class:`monogenic.FdCheck` of one driver: Delta_3 at the FD steps h
+    and h/2, with the lambda -> 2 lambda control, and the CRF spot checks
+    d_cf f at ``monogenic.CRF_STEP`` and its half; their residuals are
+    relative to max|f| (``scale``).
     :attr:`max_rel_residual` and :attr:`richardson_order` are Delta_3's
     residual at h and its order (None at roundoff).
     ``rows`` is an (n_points, 9) float array, one row per verified node:
@@ -493,34 +493,53 @@ class PdeReport:
                   self.rows)
 
 
-def _operator_residual(sq: Quaternion, lap, fv, rhs_vals, factor: float):
-    """lap + factor (f sq) - h, with sq = lambda_1^2 and h = ``rhs_vals``
-    (factor 4 is the deliberate lambda -> 2 lambda negative control).  The
-    quaternion product runs only when sq is not real."""
-    res = lap + (factor * sq.w) * fv
-    if not sq.is_real():
-        res += factor * qmul(fv, np.array(sq.imag().as_list()))
-    res -= rhs_vals
-    return res
+def _delta3_stencil(f, points, fv, step: float):
+    """Delta_3 f at ``points`` (x0, x1, x2, x3), where f = fv, by the
+    7-point central stencil at fixed x0: one ``eval_components`` per shift."""
+    x0, x1, x2, x3 = points
+    acc = -6.0 * fv
+    for d in ((step, 0.0, 0.0), (-step, 0.0, 0.0), (0.0, step, 0.0),
+              (0.0, -step, 0.0), (0.0, 0.0, step), (0.0, 0.0, -step)):
+        acc += f.eval_components(x0, x1 + d[0], x2 + d[1], x3 + d[2])
+    acc /= step * step
+    return acc
 
 
-def _fd_crf_at(f, points, h: float):
-    """d_cf f at each row of ``points`` (k, 4), as :func:`monogenic.fd_crf`
-    computes it: central differences of step h along the four axes, with
-    the 8 k shifted points taken in one ``eval_components`` call."""
+def _crf_stencil(f, points, fv, step: float):
+    """d_cf f at ``points`` (x0, x1, x2, x3) as :func:`monogenic.fd_crf`
+    computes it, with the 8 k shifted points in one ``eval_components``
+    call; central differences have no centre node, so fv is not read."""
     units = np.eye(4)           # the axis steps, and 1, i, j, k
-    shifted = points[:, None, :] + h * np.concatenate([units, -units])
-    vals = f.eval_components(*np.moveaxis(shifted, -1, 0))
-    parts = (vals[:, :4] - vals[:, 4:]) / (2.0 * h)
+    shifts = step * np.concatenate([units, -units])
+    vals = f.eval_components(*(x[:, None] + d for x, d in zip(points, shifts.T)))
+    parts = (vals[:, :4] - vals[:, 4:]) / (2.0 * step)
     i, j, k = units[1:]
     return 0.5 * (parts[:, 0] + qmul(i, parts[:, 1]) + qmul(j, parts[:, 2])
                   + qmul(k, parts[:, 3]))
 
 
-def _fd_check(r_h, r_half, div: float, control: Optional[float] = None):
-    """The :class:`FdCheck` of the residual rows R(h) = ``r_h`` and R(h/2) =
-    ``r_half``, relative to ``div``, and the norms |R(h)|, each taken once."""
-    norm_h = np.linalg.norm(r_h, axis=-1)
+def _fd_check(f, stencil, points, h: float, div: float, fv=None,
+              sq: Optional[Quaternion] = None, rhs=0.0):
+    """The :class:`FdCheck` of stencil(f) + f sq = rhs at ``points`` (f =
+    ``fv`` there) from the residual rows R(s) = stencil(f, points, fv, s)
+    + fv sq - rhs at s = h and h/2, relative to ``div``, with the lambda ->
+    2 lambda control (sq -> 4 sq, at h) when sq is given; and |R(h)|."""
+    def residual(op, k=1.0):
+        # op + (k sq) fv - rhs, in op itself since a new n-long array
+        # faults fresh pages; the control writes a new one, as its op
+        # becomes R(h); the quaternion product only when sq is not real
+        res = op if sq is None else \
+            np.add(op, (k * sq.w) * fv, out=op if k == 1.0 else None)
+        if sq is not None and not sq.is_real():
+            res += k * qmul(fv, np.array(sq.imag().as_list()))
+        res -= rhs
+        return res
+
+    op = stencil(f, points, fv, h)
+    control = None if sq is None else \
+        float(np.linalg.norm(residual(op, 4.0), axis=-1).max()) / div
+    r_h, r_half = residual(op), residual(stencil(f, points, fv, h / 2.0))
+    norm_h = np.linalg.norm(r_h, axis=-1)       # the only norm kept
     at_h, at_half, extrapolated = (
         float(v.max()) / div
         for v in (norm_h, np.linalg.norm(r_half, axis=-1),
@@ -532,13 +551,11 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     """Check f = ``problem.solve()`` on the problem's grid against its
     equation Delta_3 f + f ``lambda1_squared`` = ``rhs`` (0 when None).
 
-    The Laplacian Delta_3 is approximated by second-order central
-    differences at fixed x0, at steps h and h/2 (Richardson order
-    estimate); the relative residual is |residual| / max|f| over kept
-    nodes; a value or residual that is not finite raises RangeError.  A
-    negative control re-evaluates the residual with lambda -> 2 lambda
-    from the same samples; :func:`_fd_crf_at` spot-checks d_cf f = 0 at
-    five nodes, at steps 1e-3 and 5e-4, extrapolated as Delta_3 is.
+    One driver, :func:`_fd_check`, runs two stencils at steps h and h/2:
+    the 7-point Delta_3 at fixed x0 on every kept node, with the lambda ->
+    2 lambda control, and the CRF d_cf f = 0 at five nodes from h =
+    ``monogenic.CRF_STEP``.  Residuals are relative to max|f|; a value or
+    residual that is not finite raises RangeError.
     """
     grid = problem.grid
     h = grid.effective_fd_step
@@ -557,34 +574,22 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
         x1c, x2c, x3c = x1c[keep], x2c[keep], x3c[keep]
     if x1c.size == 0:
         raise GridTooSmall("no grid nodes survive the exclusion ball")
-    x0c = np.full_like(x1c, grid.x0)
+    nodes = (np.full_like(x1c, grid.x0), x1c, x2c, x3c)
 
     # the values, then Delta_3 at h and at h/2: 13 point sets
-    fv = f.eval_components(x0c, x1c, x2c, x3c)
-
-    sq = problem.lambda1_squared
+    fv = f.eval_components(*nodes)
     rhs_vals = 0.0 if problem.rhs is None else \
-        problem.rhs.eval_components(x0c, x1c, x2c, x3c)
+        problem.rhs.eval_components(*nodes)
 
+    # fnorm lives to the end: freeing it lets the heap top go back to the
+    # OS, and the n-long arrays that follow fault in fresh pages
     fnorm = np.linalg.norm(fv, axis=-1)
     scale = float(fnorm.max())
     div = scale if scale > 0.0 else 1.0
 
-    def residuals(step, *factors):
-        # the residual vectors for each factor, with Delta_3 f at step
-        acc = -6.0 * fv
-        for dx1, dx2, dx3 in ((step, 0.0, 0.0), (-step, 0.0, 0.0),
-                              (0.0, step, 0.0), (0.0, -step, 0.0),
-                              (0.0, 0.0, step), (0.0, 0.0, -step)):
-            acc += f.eval_components(x0c, x1c + dx1, x2c + dx2, x3c + dx3)
-        lap = acc / (step * step)
-        return [_operator_residual(sq, lap, fv, rhs_vals, k) for k in factors]
-
-    vec_h, vec_neg = residuals(h, 1.0, 4.0)
-    (vec_half,) = residuals(h / 2.0, 1.0)
-    control = float(np.linalg.norm(vec_neg, axis=-1).max()) / div
-    laplacian, res_h = _fd_check(vec_h, vec_half, div, control)
-    rows = np.column_stack([x0c, x1c, x2c, x3c, fv, res_h])
+    laplacian, res_h = _fd_check(f, _delta3_stencil, nodes, h, div, fv,
+                                 problem.lambda1_squared, rhs_vals)
+    rows = np.column_stack([*nodes, fv, res_h])
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():       # an overflow in the solution or in the stencil
         raise RangeError(f"the solution or its residual is not finite at "
@@ -593,17 +598,9 @@ def verify_pde(f, problem: PdeProblem) -> PdeReport:
     # monogenicity spot checks at five nodes spread over the grid, each
     # once (np.unique would import numpy.ma, which nothing else needs)
     spots = sorted(set(np.linspace(0, x1c.size - 1, 5).astype(int).tolist()))
-    centres = np.stack([x0c[spots], x1c[spots], x2c[spots], x3c[spots]],
-                       axis=-1)
-    monogenicity, _ = _fd_check(*(_fd_crf_at(f, centres, step)
-                                  for step in (1e-3, 5e-4)), div)
+    monogenicity, _ = _fd_check(f, _crf_stencil, [x[spots] for x in nodes],
+                                CRF_STEP, div)
 
-    return PdeReport(
-        n_points=int(x1c.size),
-        fd_step=h,
-        scale=scale,
-        mean_rel_residual=float(res_h.mean()) / div,
-        laplacian=laplacian,
-        monogenicity=monogenicity,
-        rows=rows,
-    )
+    return PdeReport(n_points=int(x1c.size), fd_step=h, scale=scale,
+                     mean_rel_residual=float(res_h.mean()) / div,
+                     laplacian=laplacian, monogenicity=monogenicity, rows=rows)

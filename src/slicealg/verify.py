@@ -239,8 +239,8 @@ def check_eigensolve(rng: random.Random) -> str:
 
 def check_monogenic(rng: random.Random) -> str:
     from .eigensolve import apply_D
-    from .monogenic import FdCheck, apply_L, delta_exp, eval_P, eval_Z, \
-        fd_crf, fueter_laplacian, inv_laplacian, laplacian_pointwise, \
+    from .monogenic import CRF_STEP, FdCheck, apply_L, delta_exp, eval_P, \
+        eval_Z, fd_crf, fueter_laplacian, inv_laplacian, laplacian_pointwise, \
         laplacian_via_partials
     t = rng.uniform(-1.5, 1.5)
     for n in range(7):
@@ -273,7 +273,7 @@ def check_monogenic(rng: random.Random) -> str:
     lams = [random_quaternion(rng), random_unit_imag(rng)]
     d = delta_exp(lams, 45)
     x = Quaternion(0.2, 0.4, -0.5, 0.3)
-    d1, d2 = (fd_crf(d, x, h)[0] for h in (1e-3, 5e-4))
+    d1, d2 = (fd_crf(d, x, h)[0] for h in (CRF_STEP, CRF_STEP / 2.0))
     check = FdCheck(d1.norm(), d2.norm(), ((4.0 * d2 - d1) / 3.0).norm())
     _check(check.at_half < 1e-5 and not check.failures(),
            f"delta_exp monogenicity: {check.at_h}, {check.at_half}, "

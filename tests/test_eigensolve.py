@@ -508,6 +508,18 @@ def test_f_mu_lambda_range_guards():
         f_mu_lambda(1e200, 1e199)
 
 
+def test_f_mu_lambda_range_guard_refuses_nan_and_inf_moduli():
+    # a NaN or infinite modulus fails the one rule 0 < |mu| < |lambda| <
+    # inf, so the refusal names both moduli, not a NaN denominator
+    for mu_, lam in ((1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(RangeError) as exc:
+            f_mu_lambda(mu_, lam)
+        assert str(exc.value) == (
+            f"f_mu_lambda requires 0 < |mu| < |lambda| < inf, got "
+            f"|mu| = {mu_!r}, |lambda| = {lam!r}")
+        assert "nani" not in str(exc.value)
+
+
 def test_f_mu_lambda_refuses_a_denominator_without_an_accurate_inverse():
     # mu^2 - 2 Re(lambda) mu + |lambda|^2 has |q|^2 = inf, NaN (from
     # inf - inf, named as the overflow it is), then |q|^2 below the normal

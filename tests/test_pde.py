@@ -770,8 +770,8 @@ def test_stencil_runs_the_radial_kernel_once_per_distinct_pair(monkeypatch):
     # pattern of that set exactly once (the CRF spot checks, which evaluate
     # on their own, are left out)
     import slicealg.pde as pde
-    monkeypatch.setattr(pde, "_fd_crf_at",
-                        lambda f, centres, h: np.zeros((len(centres), 4)))
+    monkeypatch.setattr(pde, "_crf_stencil",
+                        lambda f, points, fv, h: np.zeros((len(points[0]), 4)))
     problem = list(_stencil_problems())[2]
     f = problem.solve()
     evaluate, sums = MonogenicSeries.eval_components, MonogenicSeries._sums
@@ -820,9 +820,14 @@ def test_stencil_evaluates_a_closed_form_once_per_point_set(monkeypatch):
 
 def test_uniform_stencil_rows_are_bit_identical_to_separate_calls():
     # the rows of a verify_pde of a closed form are those of 13 separate
-    # eval_components calls, bit for bit, uniform or on the product domain
-    from slicealg.pde import _operator_residual
-    for problem in list(_stencil_problems())[:2]:
+    # eval_components calls, bit for bit, uniform, on the product domain
+    # and for a lambda_1^2 that is not real (the quaternion product)
+    from slicealg.quaternion import qmul
+    quadratic = PdeProblem(kind="quadratic",
+                           lam1=Quaternion(0.7, 0.4, -0.3, 0.0),
+                           grid=GridSpec(counts=(15, 15, 15), x0=0.1))
+    assert not quadratic.lambda1_squared.is_real()
+    for problem in list(_stencil_problems())[:2] + [quadratic]:
         f = problem.solve()
         report = verify_pde(f, problem)
         fv, *shifted = [f.eval_components(*points)
@@ -831,8 +836,11 @@ def test_uniform_stencil_rows_are_bit_identical_to_separate_calls():
         for vals in shifted[:6]:
             lap += vals
         lap /= report.fd_step * report.fd_step
-        res = np.linalg.norm(_operator_residual(problem.lambda1_squared, lap,
-                                                fv, 0.0, 1.0), axis=-1)
+        sq = problem.lambda1_squared
+        lap += sq.w * fv
+        if not sq.is_real():
+            lap += qmul(fv, np.array(sq.imag().as_list()))
+        res = np.linalg.norm(lap, axis=-1)
         want = np.column_stack([report.rows[:, :4], fv, res])
         assert report.rows.view(np.uint64).tolist() == \
             want.view(np.uint64).tolist()
@@ -1024,8 +1032,8 @@ def test_verdict_judges_the_monogenicity_order(monkeypatch):
     report = verify_pde(f, problem)
     assert report.monogenicity.order is None or \
         abs(report.monogenicity.order - 2.0) <= 0.1
-    monkeypatch.setattr(pde, "_fd_crf_at", lambda f, centres, h: np.full(
-        (len(centres), 4), 0.5e-4 * report.scale))
+    monkeypatch.setattr(pde, "_crf_stencil", lambda f, points, fv, h: np.full(
+        (len(points[0]), 4), 0.5e-4 * report.scale))
     report = verify_pde(f, problem)
     assert report.monogenicity.at_h == report.monogenicity.at_half
     assert abs(report.monogenicity.at_h - 1e-4) <= 1e-15
@@ -1066,10 +1074,10 @@ def test_verdict_judges_the_extrapolated_crf_residual():
 
 def test_crf_probes_match_monogenic_fd_crf():
     # verify_pde's CRF spot checks compute d_cf f as monogenic.fd_crf
-    # does, bit for bit: the kernels of the closed forms and of the
-    # P-series are elementwise
-    from slicealg.monogenic import fd_crf
-    from slicealg.pde import _fd_crf_at
+    # does, bit for bit, at both probe steps: the kernels of the closed
+    # forms and of the P-series are elementwise
+    from slicealg.monogenic import CRF_STEP, fd_crf
+    from slicealg.pde import _crf_stencil
     rng = random.Random(733)
     h = MonogenicSeries([rand_q(rng) for _ in range(4)])
     solutions = [
@@ -1081,8 +1089,8 @@ def test_crf_probes_match_monogenic_fd_crf():
     points = np.array([[0.1, 0.3, -0.2, 0.4], [-0.2, 0.5, 0.1, -0.6],
                        [0.0, -0.7, 0.2, 0.3]])
     for f in solutions:
-        for step in (1e-3, 5e-4):
-            got = _fd_crf_at(f, points, step)
+        for step in (CRF_STEP, CRF_STEP / 2.0):
+            got = _crf_stencil(f, tuple(points.T), None, step)
             want = np.array([fd_crf(f, Quaternion(*x), step)[0].as_list()
                              for x in points.tolist()])
             assert got.tobytes() == want.tobytes()
